@@ -2,9 +2,14 @@
 
 The architecture is node-count-free: an input projection, two graph
 convolutions around one temporal convolution, and a pooled linear head,
-so the same parameter set serves every period of the stream.  Prompts are
-fused by elementwise addition right after the input projection (raw inputs
-are 1-channel while prompts are d-wide, so projection comes first).
+so the same parameter set serves every period of the stream.
+
+The n x d prompt is added to the projected input before the first graph
+convolution.  Raw inputs have one channel and nothing before the first
+ReLU is nonlinear, so projection, prompt and first convolution run as one
+fused primitive (`nn_core.graph_input`): G (x W_in + 1 b^T + P) W equals
+(G x)(W_in W) + G (1 b^T + P) W exactly, a rank-1 term per window plus
+one n x d constant, and no (B, T, n, d) tensor crosses the graph.
 """
 from __future__ import annotations
 
@@ -92,8 +97,9 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
                     record=None, train: bool = False, rng=None):
     """Run the network on a batch.
 
-    inputs: (B, t_in, n, c); prompt: n x d matrix, ndarray or tape Node,
-    or None.  Returns a (B, t_out, n) Node on `record` (a fresh record is
+    inputs: (B, t_in, n, c) with c = 1 (the fused input block raises
+    nn.ShapeError for more channels); prompt: n x d matrix, ndarray or tape
+    Node, or None.  Returns a (B, t_out, n) Node on `record` (a fresh record is
     created when none is given, for evaluation-only calls).
     """
     x = np.asarray(inputs, dtype=float)
@@ -109,25 +115,22 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     p = backbone.params
     leaf = {name: record.leaf(param) for name, param in p.items()}
 
-    h = nn.linear(record, record.constant(x), leaf["input_proj.W"], leaf["input_proj.b"])
     if prompt is not None:
-        pr = prompt if isinstance(prompt, nn.Node) else record.constant(prompt)
-        if pr.shape != (n, backbone.d):
+        prompt = prompt if isinstance(prompt, nn.Node) else record.constant(prompt)
+        if prompt.shape != (n, backbone.d):
             raise BackboneError("prompt shape %s does not match (%d, %d)"
-                                % (pr.shape, n, backbone.d))
-        h = nn.add(record, h, pr)
+                                % (prompt.shape, n, backbone.d))
 
-    def gconv(h, tag):
-        if backbone.variant == "spatial":
-            return nn.graph_conv_spatial(record, operator, h, leaf[tag + ".W"])
-        return nn.graph_conv_cheb(record, operator, h, leaf[tag + ".theta"])
-
+    spatial = backbone.variant == "spatial"
     drop_p = backbone.dropout_p if train else 0.0
-    h = nn.relu(record, gconv(h, "gconv1"))
+    h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
+                                       leaf["input_proj.b"], prompt,
+                                       leaf["gconv1.W" if spatial else "gconv1.theta"]))
     h = nn.dropout(record, h, drop_p, rng)
     h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]))
     h = nn.dropout(record, h, drop_p, rng)
-    h = nn.relu(record, gconv(h, "gconv2"))
+    h = nn.relu(record, nn.graph_conv_spatial(record, operator, h, leaf["gconv2.W"])
+                if spatial else nn.graph_conv_cheb(record, operator, h, leaf["gconv2.theta"]))
     h = nn.mean_pool_time(record, h)  # (B, n, d)
     out = nn.linear(record, h, leaf["head.W"], leaf["head.b"])  # (B, n, t_out)
 

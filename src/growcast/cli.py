@@ -280,6 +280,18 @@ def gradcheck_table(seeds=range(20), sizes=None, corrupt: str | None = None) -> 
 
             check("backbone_%s:%d" % (variant, seed),
                   build, bb.parameters() + [prompt])
+
+        P = nn.Parameter("P", 0.3 * rng.standard_normal((n, d)))
+        for name, op, mix in (("graph_input_spatial", A_hat, Wg),
+                              ("graph_input_cheb", basis, th)):
+            for prompt in (P, None):
+                def build(r, op=op, mix=mix, prompt=prompt):
+                    pr = None if prompt is None else r.leaf(prompt)
+                    out = nn.graph_input(r, op, x, r.leaf(W), r.leaf(b), pr, r.leaf(mix))
+                    return nn.mse_loss(r, out, np.zeros((2, t_in, n, d)))
+
+                check("%s%s:%d" % (name, "" if prompt is not None else "_noprompt", seed),
+                      build, [W, b, mix] + ([] if prompt is None else [prompt]))
     return rows
 
 

@@ -120,7 +120,8 @@ def _batches(n_samples, batch_size, rng=None):
 
 def train_period(forward, params, train_samples, val_samples, normalizer,
                  lr, epochs_max, patience, batch_size, seed, period_index):
-    """Adam + early stopping; returns (epochs_run, wall_seconds_per_epoch).
+    """Adam + early stopping; returns (epochs_run, wall_seconds_per_epoch,
+    best_epoch), where best_epoch is the epoch whose parameters are kept.
 
     `forward(batch_x, train)` must rebuild the tape from the live parameter
     values; best-validation parameters are restored before returning.
@@ -210,7 +211,7 @@ def _backbone_hash(backbone) -> str:
 
 def _fused_dispersion(backbone, pool, dataset):
     """Dispersion of (projected mean input + prompt) rows, one per node."""
-    X_mean = np.stack([s.input for s in dataset.train]).mean(axis=(0, 1))  # n x 1? -> n
+    X_mean = np.stack([s.input for s in dataset.train]).mean(axis=(0, 1))  # (N, t_in, n) -> (n,)
     X_mean = X_mean.reshape(-1, 1)
     proj = X_mean @ backbone.params["input_proj.W"].value + backbone.params["input_proj.b"].value
     fused = proj + (materialize(pool) if pool is not None else 0.0)

@@ -22,7 +22,8 @@ __all__ = [
     "rng_stream",
     "linear",
     "relu",
-    "add",
+    "concat_rows",
+    "graph_input",
     "temporal_conv",
     "graph_conv_spatial",
     "graph_conv_cheb",
@@ -134,16 +135,6 @@ def _shape_check(op, cond, *shapes):
         raise ShapeError("%s: incompatible shapes %s" % (op, [tuple(s) for s in shapes]))
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, size in enumerate(shape):
-        if size == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 def linear(record, x, W, b=None):
     """x @ W + b over the last axis."""
     x, W = _as_node(record, x), _as_node(record, W)
@@ -179,20 +170,6 @@ def relu(record, x):
         return [g * mask]
 
     return record.record("relu", x.value * mask, [x], grad_fn)
-
-
-def add(record, x, y):
-    """Elementwise sum with numpy broadcasting (prompt fusion uses this)."""
-    x, y = _as_node(record, x), _as_node(record, y)
-    try:
-        out = x.value + y.value
-    except ValueError:
-        raise ShapeError("add: incompatible shapes %s %s" % (x.shape, y.shape))
-
-    def grad_fn(g):
-        return [_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)]
-
-    return record.record("add", out, [x, y], grad_fn)
 
 
 def concat_rows(record, parts):
@@ -299,6 +276,73 @@ def graph_conv_cheb(record, cheb_basis, h, thetas):
         return [gh, gth]
 
     return record.record("graph_conv_cheb", out, [h, thetas], grad_fn)
+
+
+def graph_input(record, operator, x, W_in, b_in, prompt, weight):
+    """Input projection, prompt and first graph convolution as one primitive.
+
+    Computes G (x W_in + 1 b_in^T + P) W for a constant one-channel input
+    x of shape (B, T, n, 1).  Spatial: `operator` is the n x n A_hat and
+    `weight` the d x d_out matrix W, so G = A_hat.  Spectral: `operator`
+    is the Chebyshev basis [T_0, ..., T_K] and `weight` the K+1
+    coefficients, so G = sum_k theta_k T_k and W is the d x d identity.
+    `prompt` is an n x d matrix or None.
+
+    Everything here is linear and x has one channel, so the block factors
+    exactly as (G x)(W_in W) + G (1 b_in^T + P) W: a rank-1 outer product
+    per window plus one n x d_out constant.  No (B, T, n, d) tensor is
+    propagated: the input crosses G as one (B*T, n) GEMM, and backward
+    sums the gradient over (B, T) before it meets G^T and W^T.
+    """
+    W_in, b_in, weight = (_as_node(record, v) for v in (W_in, b_in, weight))
+    P = None if prompt is None else _as_node(record, prompt)
+    x = np.asarray(x, dtype=float)
+    spectral = weight.value.ndim == 1
+    basis = [np.asarray(Tk, dtype=float) for Tk in (operator if spectral else [operator])]
+    n = x.shape[2] if x.ndim == 4 else -1
+    d = W_in.shape[-1] if W_in.value.ndim == 2 else -1
+    _shape_check("graph_input", x.ndim == 4 and x.shape[-1] == 1
+                 and all(Tk.shape == (n, n) for Tk in basis)
+                 and W_in.shape == (1, d) and b_in.shape == (d,)
+                 and (P is None or P.shape == (n, d))
+                 and (weight.shape == (len(basis),) if spectral
+                      else weight.value.ndim == 2 and weight.shape[0] == d),
+                 x.shape, W_in.shape, b_in.shape, weight.shape,
+                 () if P is None else P.shape, *[Tk.shape for Tk in basis])
+    parents = [W_in, b_in, weight] + ([] if P is None else [P])
+    if spectral:
+        G, Wm = sum(th * Tk for th, Tk in zip(weight.value, basis)), np.eye(d)
+    else:
+        G, Wm = basis[0], weight.value
+    U = W_in.value @ Wm
+    M = np.zeros((n, d)) + b_in.value
+    if P is not None:
+        M += P.value
+    GM = G @ M
+    Gx = x.reshape(-1, n) @ G.T  # (B*T, n)
+    out = Gx.reshape(x.shape) * U[0]
+    out += GM @ Wm
+
+    def grad_fn(g):
+        d_out = g.shape[-1]
+        rows = g.reshape(-1, d_out)
+        gC = g.reshape(-1, n, d_out).sum(axis=0)  # every window shares the constant term
+        gW_in = gb = gw = gM = None
+        if b_in.needs_grad or (P is not None and P.needs_grad):
+            gM = G.T @ gC @ Wm.T
+            gb = gM.sum(axis=0)
+        if W_in.needs_grad or (weight.needs_grad and not spectral):
+            gU = Gx.reshape(1, -1) @ rows
+            gW_in = gU @ Wm.T
+        if weight.needs_grad and spectral:
+            # d/dG of the whole block, then one inner product per T_k
+            gG = (rows @ U[0]).reshape(-1, n).T @ x.reshape(-1, n) + gC @ M.T
+            gw = np.array([np.vdot(Tk, gG) for Tk in basis])
+        elif weight.needs_grad:
+            gw = W_in.value.T @ gU + GM.T @ gC
+        return [gW_in, gb, gw, gM][:len(parents)]
+
+    return record.record("graph_input", out, parents, grad_fn)
 
 
 def mean_pool_time(record, x):

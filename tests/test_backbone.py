@@ -92,28 +92,41 @@ class TestForward:
                             prompt=np.zeros((5, 6)))
 
     def test_fusion_matches_manual_injection(self):
-        # prompt through the pipeline equals adding it to the projection
-        bb = build_backbone("spatial", d=6, seed=3)
+        # the fused input block equals projecting, adding the prompt and
+        # propagating, composed step by step in numpy
         adj = small_graph(5)
-        op = graph_operator(bb, adj)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 12, 5, 1))
         P = rng.standard_normal((5, 6))
-        fused, _ = forward_predict(bb, op, x, prompt=P)
+        for variant, prompt, trainable in (("spatial", P, True), ("spectral", P, True),
+                                           ("spatial", None, True), ("spectral", None, True),
+                                           ("spatial", P, False), ("spectral", P, False)):
+            bb = build_backbone(variant, d=6, seed=3)
+            bb.set_trainable(trainable)
+            op = graph_operator(bb, adj)
+            fused, _ = forward_predict(bb, op, x, prompt=prompt)
 
-        W = bb.params["input_proj.W"].value
-        b = bb.params["input_proj.b"].value
-        # absorb the prompt into a pre-shifted projection via modified bias path
-        rec = nn.ComputeRecord()
-        h = rec.constant(x @ W + b + P[None, None])
-        leaf = {n: rec.leaf(p) for n, p in bb.params.items()}
-        h = nn.relu(rec, nn.graph_conv_spatial(rec, op, h, leaf["gconv1.W"]))
-        h = nn.relu(rec, nn.temporal_conv(rec, h, leaf["tconv.W"], leaf["tconv.b"]))
-        h = nn.relu(rec, nn.graph_conv_spatial(rec, op, h, leaf["gconv2.W"]))
-        h = nn.mean_pool_time(rec, h)
-        out = nn.linear(rec, h, leaf["head.W"], leaf["head.b"])
-        manual = np.transpose(out.value, (0, 2, 1))
-        assert np.allclose(fused.value, manual, atol=1e-12)
+            v = {name: p.value for name, p in bb.params.items()}
+            h = x @ v["input_proj.W"] + v["input_proj.b"]
+            if prompt is not None:
+                h = h + prompt[None, None]
+            if variant == "spatial":
+                h = np.einsum("ij,btjd->btid", op, h) @ v["gconv1.W"]
+            else:
+                h = sum(th * np.einsum("ij,btjd->btid", Tk, h)
+                        for th, Tk in zip(v["gconv1.theta"], op))
+            rec = nn.ComputeRecord()
+            leaf = {n: rec.leaf(p) for n, p in bb.params.items()}
+            h = rec.constant(np.maximum(h, 0.0))
+            h = nn.relu(rec, nn.temporal_conv(rec, h, leaf["tconv.W"], leaf["tconv.b"]))
+            if variant == "spatial":
+                h = nn.graph_conv_spatial(rec, op, h, leaf["gconv2.W"])
+            else:
+                h = nn.graph_conv_cheb(rec, op, h, leaf["gconv2.theta"])
+            h = nn.mean_pool_time(rec, nn.relu(rec, h))
+            out = nn.linear(rec, h, leaf["head.W"], leaf["head.b"])
+            manual = np.transpose(out.value, (0, 2, 1))
+            assert np.allclose(fused.value, manual, atol=1e-12), (variant, trainable)
 
 
 class TestEndToEndGradients:

@@ -66,6 +66,10 @@ class TestForwardPrimitives:
             nn.linear(rec, np.ones(3), np.ones((2, 2)))
         with pytest.raises(nn.ShapeError, match="mse_loss"):
             nn.mse_loss(rec, rec.constant(np.ones(2)), np.ones(3))
+        # the fused input block is exact for one input channel only
+        with pytest.raises(nn.ShapeError, match="graph_input"):
+            nn.graph_input(rec, np.eye(3), np.ones((1, 2, 3, 2)), np.ones((2, 4)),
+                           np.ones(4), None, np.eye(4))
 
     def test_nonfinite_output_rejected(self):
         rec = nn.ComputeRecord()
@@ -181,6 +185,30 @@ class TestGradCheck:
                                               rec.leaf(b)), t)
 
         assert nn.grad_check(build, [W, b]) < 1e-6
+
+    def test_graph_input_any_operator(self):
+        # The table's operators are symmetric; this one is not, so a lost
+        # transpose shows.  Frozen weights are the pool-tuning phase, where
+        # only the prompt takes a gradient.
+        rng = np.random.default_rng(5)
+        L = rng.standard_normal((4, 4)) / 4
+        x = rng.standard_normal((2, 3, 4, 1))
+        for operator, mix in ((L, rng.standard_normal((5, 3))),
+                              ([np.eye(4), L, 2 * L @ L - np.eye(4)],
+                               rng.standard_normal(3))):
+            for trainable in (True, False):
+                W_in = nn.Parameter("W_in", rng.standard_normal((1, 5)), trainable)
+                b_in = nn.Parameter("b_in", rng.standard_normal(5), trainable)
+                weight = nn.Parameter("weight", mix, trainable)
+                P = nn.Parameter("P", rng.standard_normal((4, 5)))
+                target = rng.standard_normal((2, 3, 4, 3 if mix.ndim == 2 else 5))
+
+                def build(rec):
+                    out = nn.graph_input(rec, operator, x, rec.leaf(W_in), rec.leaf(b_in),
+                                         rec.leaf(P), rec.leaf(weight))
+                    return nn.mse_loss(rec, out, target)
+
+                assert nn.grad_check(build, [W_in, b_in, weight, P]) < 1e-6
 
     def test_all_primitives_many_seeds(self):
         from growcast.cli import gradcheck_table
