@@ -30,7 +30,6 @@ class BackboneError(ValueError):
 @dataclass
 class STGNNBackbone:
     variant: str
-    c: int
     d: int
     kernel: int
     K_order: int
@@ -50,8 +49,7 @@ class STGNNBackbone:
 
 
 def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
-                   t_out: int = 12, dropout_p: float = 0.0, seed: int = 0,
-                   c: int = 1) -> STGNNBackbone:
+                   t_out: int = 12, dropout_p: float = 0.0, seed: int = 0) -> STGNNBackbone:
     """Weights uniform in +-1/sqrt(fan_in), drawn from named seed streams."""
     if variant not in VARIANTS:
         raise BackboneError("unknown backbone variant %r" % variant)
@@ -70,8 +68,8 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
     def put(p):
         params[p.name] = p
 
-    put(uniform("input_proj.W", (c, d), c))
-    put(uniform("input_proj.b", (d,), c))
+    put(uniform("input_proj.W", (1, d), 1))
+    put(uniform("input_proj.b", (d,), 1))
     if variant == "spatial":
         put(uniform("gconv1.W", (d, d), d))
         put(uniform("gconv2.W", (d, d), d))
@@ -82,7 +80,7 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
     put(uniform("tconv.b", (d,), kernel * d))
     put(uniform("head.W", (d, t_out), d))
     put(uniform("head.b", (t_out,), d))
-    return STGNNBackbone(variant=variant, c=c, d=d, kernel=kernel, K_order=K_order,
+    return STGNNBackbone(variant=variant, d=d, kernel=kernel, K_order=K_order,
                          t_out=t_out, dropout_p=dropout_p, params=params)
 
 
@@ -97,15 +95,13 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
                     record=None, train: bool = False, rng=None):
     """Run the network on a batch.
 
-    inputs: (B, t_in, n, c) with c = 1 (the fused input block raises
-    nn.ShapeError for more channels); prompt: n x d matrix, ndarray or tape
-    Node, or None.  Returns a (B, t_out, n) Node on `record` (a fresh record is
-    created when none is given, for evaluation-only calls).
+    inputs: (B, t_in, n, 1), one input channel; prompt: n x d matrix,
+    ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`
+    (a fresh record is created when none is given, for evaluation-only calls).
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 4 or x.shape[-1] != backbone.c:
-        raise BackboneError("inputs must be (B, t_in, n, %d), got %s"
-                            % (backbone.c, x.shape))
+    if x.ndim != 4 or x.shape[-1] != 1:
+        raise BackboneError("inputs must be (B, t_in, n, 1), got %s" % (x.shape,))
     n = x.shape[2]
     op_n = operator.shape[0] if backbone.variant == "spatial" else operator[0].shape[0]
     if op_n != n:

@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def gradcheck_table(seeds=range(20), sizes=None, corrupt: str | None = None) -> list:
+def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
     """Max relative finite-difference error for every primitive and the
     composed network; the `corrupt` hook distorts one primitive's analytic
     gradient to prove the check catches it."""

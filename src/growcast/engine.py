@@ -3,15 +3,15 @@
 One protocol serves every scheme: per period, mini-batch Adam on MSE in
 normalized units, early stopping on validation MAE in original units, and
 evaluation on the period's test split right after its training phase.
-Schemes differ only in what state crosses period boundaries and which
-parameters stay trainable.
+Schemes differ only in what state crosses period boundaries and what
+trains after period 1; `SCHEMES` is the one place a scheme is defined.
 """
 from __future__ import annotations
 
 import hashlib
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -20,15 +20,39 @@ from .analysis import heterogeneity_D, metrics
 from .backbone import build_backbone, forward_predict, graph_operator
 from .data_pipeline import build_period_dataset
 from .graph_stream import diff_nodes
-from .prompt_pool import expand, init_pool, materialize, param_count
+from .prompt_pool import expand, init_pool, materialize
 
-SCHEMES = ("EAC", "EAC_full", "PretrainST", "RetrainST", "ContinualAN", "ContinualNN")
 HORIZONS = (3, 6, 12)
 MIN_DELTA = 1e-6
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What crosses a period boundary and what trains after period 1.
+
+    pool: "lowrank" or "full" prompt pool over a backbone frozen after
+    period 1, or None for no pool.  retrain: a fresh backbone, trained with
+    the period-1 lr and dropout, in every period.  later: what periods after
+    the first train on: "all" nodes, only the "new"-node subgraph, or "none".
+    """
+
+    pool: str | None
+    retrain: bool
+    later: str
+
+
+SCHEMES = {
+    "EAC": Scheme(pool="lowrank", retrain=False, later="all"),
+    "EAC_full": Scheme(pool="full", retrain=False, later="all"),
+    "PretrainST": Scheme(pool=None, retrain=False, later="none"),
+    "RetrainST": Scheme(pool=None, retrain=True, later="all"),
+    "ContinualAN": Scheme(pool=None, retrain=False, later="all"),
+    "ContinualNN": Scheme(pool=None, retrain=False, later="new"),
+}
 
 
 class TrainingAbort(RuntimeError):
@@ -59,13 +83,11 @@ class ExperimentConfig:
     freeze_old_segments: bool = False
     K_order: int = 2
     kernel: int = 3
-    t_out: int = 12
-    t_in: int = 12
     horizon_mode: str = "at_step"  # or "prefix": average over the first h steps
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ConfigError("unknown scheme %r (one of %s)" % (self.scheme, SCHEMES))
+            raise ConfigError("unknown scheme %r (one of %s)" % (self.scheme, tuple(SCHEMES)))
         if self.lr_initial <= 0 or self.lr_continual <= 0:
             raise ConfigError("learning rates must be positive")
         if not self.seeds:
@@ -74,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError("patience must satisfy 0 < patience < epochs_max")
         if self.horizon_mode not in ("at_step", "prefix"):
             raise ConfigError("horizon_mode must be at_step or prefix")
-        if self.freeze_old_segments and self.scheme not in ("EAC", "EAC_full"):
+        if self.freeze_old_segments and SCHEMES[self.scheme].pool is None:
             raise ConfigError("freeze_old_segments only applies to pool schemes")
         self.seeds = tuple(int(s) for s in self.seeds)
 
@@ -237,35 +259,41 @@ def _induced_subperiod(graph, series, new_ids, config, seed):
                                 seed=seed, few_shot_random=config.few_shot_random)
 
 
+def _make_forward(backbone, operator, pool, rng=None):
+    """forward(batch_x, train) over the live parameters, prompted by `pool` if given."""
+    def forward(batch_x, train):
+        record = nn.ComputeRecord()
+        prompt = None
+        if pool is not None:
+            prompt = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])
+            if pool.mode == "lowrank":
+                prompt = nn.linear(record, prompt, record.leaf(pool.B))
+        return forward_predict(backbone, operator, batch_x, prompt=prompt,
+                               record=record, train=train, rng=rng)
+    return forward
+
+
 def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
-    datasets = [build_period_dataset(g, s, few_shot_fraction=config.few_shot_fraction,
-                                     seed=seed, few_shot_random=config.few_shot_random)
-                for g, s in zip(stream.periods, series_list)]
-    uses_pool = config.scheme in ("EAC", "EAC_full")
-    pool = None
-    backbone = None
+    scheme = SCHEMES[config.scheme]
+    pool = backbone = None
     results = []
-    for tau, dataset in enumerate(datasets, start=1):
-        graph = dataset.graph
-        fresh = tau == 1 or config.scheme == "RetrainST"
-        if fresh:
+    for tau, (graph, series) in enumerate(zip(stream.periods, series_list), start=1):
+        dataset = build_period_dataset(graph, series, few_shot_fraction=config.few_shot_fraction,
+                                       seed=seed, few_shot_random=config.few_shot_random)
+        initial = tau == 1 or scheme.retrain
+        if initial:
             backbone = build_backbone(config.variant, d=config.d, kernel=config.kernel,
-                                      K_order=config.K_order, t_out=config.t_out,
+                                      K_order=config.K_order,
                                       dropout_p=config.dropout_initial,
                                       seed=nn.hash_name((seed, "init", tau)))
-        operator = graph_operator(backbone, graph.adjacency)
-        train_graph = graph
-        train_dataset = dataset
-        skip_training = False
-        hetero = None
+        train_on = "all" if initial else scheme.later
+        new_ids = diff_nodes(stream.periods[tau - 2], graph)[0] if tau > 1 else []
 
-        if uses_pool:
+        if scheme.pool is not None:
             if tau == 1:
-                pool = init_pool(graph.nodes, d=config.d, k=config.k,
-                                 mode="lowrank" if config.scheme == "EAC" else "full",
+                pool = init_pool(graph.nodes, d=config.d, k=config.k, mode=scheme.pool,
                                  seed=seed)
             else:
-                new_ids, _ = diff_nodes(stream.periods[tau - 2], graph)
                 expand(pool, new_ids, period_index=tau)
                 backbone.set_trainable(False)
                 if config.freeze_old_segments:
@@ -273,87 +301,42 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
                         seg.A.trainable = seg.period_index == tau
                     if pool.B is not None:
                         pool.B.trainable = False
-            params = backbone.parameters() + pool.parameters()
-        elif config.scheme == "PretrainST":
-            params = backbone.parameters()
-            skip_training = tau > 1
-        elif config.scheme == "ContinualNN" and tau > 1:
-            new_ids, _ = diff_nodes(stream.periods[tau - 2], graph)
-            if not new_ids:
-                warnings.warn("period %d adds no nodes; skipping training" % tau)
-                skip_training = True
-            else:
-                train_dataset = _induced_subperiod(graph, series_list[tau - 1],
-                                                   new_ids, config, seed)
-                train_graph = train_dataset.graph
-            params = backbone.parameters()
-        else:
-            params = backbone.parameters()
+        params = backbone.parameters() + (pool.parameters() if pool is not None else [])
 
-        initial_phase = tau == 1 or config.scheme == "RetrainST"
-        lr = config.lr_initial if initial_phase else config.lr_continual
-        backbone.dropout_p = (config.dropout_initial if initial_phase
-                              else config.dropout_continual)
-        drop_rng_holder = {}
+        if train_on == "new" and not new_ids:
+            warnings.warn("period %d adds no nodes; skipping training" % tau)
+            train_on = "none"
+        operator = graph_operator(backbone, graph.adjacency)
+        train_dataset, train_operator = dataset, operator
+        if train_on == "new":
+            train_dataset = _induced_subperiod(graph, series, new_ids, config, seed)
+            train_operator = graph_operator(backbone, train_dataset.graph.adjacency)
+        backbone.dropout_p = config.dropout_initial if initial else config.dropout_continual
 
-        def make_forward(op, pool_active, node_count):
-            def forward(batch_x, train):
-                record = nn.ComputeRecord()
-                prompt = None
-                if pool_active is not None:
-                    stacked = nn.concat_rows(
-                        record, [record.leaf(seg.A) for seg in pool_active.segments])
-                    if pool_active.mode == "lowrank":
-                        prompt = nn.linear(record, stacked, record.leaf(pool_active.B))
-                    else:
-                        prompt = stacked
-                    if prompt.shape[0] != node_count:
-                        raise ConfigError("pool covers %d nodes, graph has %d"
-                                          % (prompt.shape[0], node_count))
-                return forward_predict(backbone, op, batch_x, prompt=prompt,
-                                       record=record, train=train,
-                                       rng=drop_rng_holder.get("rng"))
-            return forward
-
-        pool_for_training = pool if uses_pool else None
-        if config.scheme == "ContinualNN" and tau > 1 and not skip_training:
-            train_operator = graph_operator(backbone, train_graph.adjacency)
-            train_forward = make_forward(train_operator, None, train_graph.n)
-        else:
-            train_forward = make_forward(operator, pool_for_training, graph.n)
-        eval_forward = make_forward(operator, pool_for_training, graph.n)
-
-        if uses_pool:
-            hetero = {"D_init": _fused_dispersion(backbone, pool, dataset)}
-
-        if skip_training:
+        hetero = None if pool is None else {"D_init": _fused_dispersion(backbone, pool, dataset)}
+        if train_on == "none":
             epochs_run, wall_per_epoch = 0, 0.0
         else:
-            drop_rng_holder["rng"] = nn.rng_stream(seed, "dropout", tau)
+            forward = _make_forward(backbone, train_operator, pool,
+                                    nn.rng_stream(seed, "dropout", tau))
             epochs_run, wall_per_epoch, _ = train_period(
-                train_forward, params, train_dataset.train, train_dataset.val,
-                train_dataset.normalizer, lr, config.epochs_max, config.patience,
-                config.batch_size, seed, tau)
-            drop_rng_holder.pop("rng", None)
-
-        if uses_pool:
+                forward, params, train_dataset.train, train_dataset.val,
+                train_dataset.normalizer,
+                config.lr_initial if initial else config.lr_continual,
+                config.epochs_max, config.patience, config.batch_size, seed, tau)
+        if hetero is not None:
             hetero["D_trained"] = _fused_dispersion(backbone, pool, dataset)
 
-        horizon_metrics = evaluate_period(eval_forward, dataset.test,
+        horizon_metrics = evaluate_period(_make_forward(backbone, operator, pool), dataset.test,
                                           dataset.normalizer, config.batch_size,
                                           config.horizon_mode)
-        if uses_pool:
-            tunable = param_count(pool)["tunable"]
-            if tau == 1:
-                tunable += backbone.param_count()
-        else:
-            tunable = 0 if skip_training else backbone.param_count()
         results.append({
             "period_index": tau,
             "metrics": horizon_metrics,
             "epochs_run": epochs_run,
             "wall_seconds_per_epoch": wall_per_epoch,
-            "tunable_param_count": tunable,
+            "tunable_param_count": (0 if train_on == "none" else
+                                    sum(p.value.size for p in params if p.trainable)),
             "backbone_hash": _backbone_hash(backbone),
             "heterogeneity": hetero,
         })

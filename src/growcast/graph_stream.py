@@ -125,39 +125,6 @@ def normalize_adjacency(A) -> np.ndarray:
     return a_loop * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-class PowerIterationError(GraphStreamError):
-    """Dominant-eigenvalue estimate failed to converge."""
-
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__("power iteration did not converge, residual %.3e" % residual)
-
-
-def _lambda_max(L: np.ndarray, tol: float = 1e-8, max_iter: int = 1000) -> float:
-    # Fixed-seed start vector keeps the estimate deterministic.  The Rayleigh
-    # quotient is inflated by the final residual: overshooting lambda_max only
-    # shrinks the rescaled spectrum, undershooting would push it past [-1, 1].
-    n = L.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = residual = 0.0
-    for _ in range(max_iter):
-        w = L @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        Lv = L @ v
-        lam = float(v @ Lv)
-        residual = float(np.linalg.norm(Lv - lam * v))
-        if residual <= tol * max(1.0, abs(lam)):
-            break
-    if residual > 1e-3 * max(1.0, abs(lam)):
-        raise PowerIterationError(residual)
-    return lam + residual
-
-
 def scaled_laplacian(A) -> np.ndarray:
     """Rescaled Laplacian 2L/lambda_max - I with eigenvalues in [-1, 1]."""
     a = np.asarray(A, dtype=float)
@@ -169,7 +136,7 @@ def scaled_laplacian(A) -> np.ndarray:
         raise GraphStreamError("adjacency entries must be nonnegative")
     n = a.shape[0]
     L = np.diag(a.sum(axis=1)) - a
-    lam = _lambda_max(L)
+    lam = np.linalg.eigvalsh(L)[-1]
     if lam <= 0.0:
         lam = 1.0  # zero graph: L = 0, rescaled form degenerates to -I
     return 2.0 * L / lam - np.eye(n)

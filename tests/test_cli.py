@@ -68,6 +68,14 @@ class TestRun:
                    "--synth", SYNTH, "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_window_length_field_exits_1(self, tmp_path):
+        # window lengths are fixed at 12; t_out is not a config field
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, t_out=6),
+                   "--synth", SYNTH, "--out", str(out)])
+        assert rc == 1
+        assert "t_out" in json.loads((out / "manifest.json").read_text())["error"]
+
     def test_missing_data_file_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
                    "--data", str(tmp_path / "nope.json"),

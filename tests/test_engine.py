@@ -6,6 +6,7 @@ import pytest
 from growcast import nn_core as nn
 from growcast.data_pipeline import Normalizer, WindowSample, synth_stream
 from growcast.engine import (
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
     _validation_mae,
@@ -166,12 +167,26 @@ class TestEvaluatePeriod:
 
 
 class TestSchemes:
-    def test_eac_backbone_frozen_across_periods(self):
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_scheme_table(self, scheme):
         stream, series = tiny_stream(periods=3)
-        cfg = ExperimentConfig(scheme="EAC", seeds=(1,), **TINY)
-        _, raw = run_stream(cfg, stream, series)
+        cfg = ExperimentConfig(scheme=scheme, seeds=(1,), **TINY)
+        reports, raw = run_stream(cfg, stream, series)
         hashes = [r["backbone_hash"] for r in raw[1]]
-        assert hashes[0] == hashes[1] == hashes[2]
+        if scheme in ("EAC", "EAC_full", "PretrainST"):
+            assert hashes[0] == hashes[1] == hashes[2]
+        else:
+            assert hashes[0] != hashes[1] != hashes[2] != hashes[0]
+        trains_later = SCHEMES[scheme].later != "none"
+        assert [rep.epochs_run > 0 for rep in reports] == [True, trains_later, trains_later]
+
+    @pytest.mark.parametrize("scheme,width", [("EAC", TINY["k"]), ("EAC_full", TINY["d"])])
+    def test_freeze_old_segments_counts_new_rows_only(self, scheme, width):
+        growth = 3
+        stream, series = tiny_stream(periods=3, growth=growth)
+        cfg = ExperimentConfig(scheme=scheme, seeds=(1,), freeze_old_segments=True, **TINY)
+        reports, _ = run_stream(cfg, stream, series)
+        assert [rep.tunable_param_count for rep in reports[1:]] == [growth * width] * 2
 
     def test_eac_pool_growth_formula(self):
         stream, series = tiny_stream(periods=3)
@@ -187,14 +202,6 @@ class TestSchemes:
         cfg = ExperimentConfig(scheme="EAC_full", seeds=(1,), **TINY)
         reports, _ = run_stream(cfg, stream, series)
         assert reports[1].tunable_param_count == stream.periods[1].n * TINY["d"]
-
-    def test_pretrain_skips_later_training(self):
-        stream, series = tiny_stream(periods=3)
-        cfg = ExperimentConfig(scheme="PretrainST", seeds=(1,), **TINY)
-        reports, _ = run_stream(cfg, stream, series)
-        assert reports[0].epochs_run > 0
-        assert reports[1].epochs_run == 0
-        assert reports[2].epochs_run == 0
 
     def test_retrain_isolated_from_other_periods(self):
         stream, series = tiny_stream(periods=2)

@@ -116,18 +116,33 @@ class TestScaledLaplacian:
     def test_zero_graph(self):
         assert np.allclose(scaled_laplacian(np.zeros((3, 3))), -np.eye(3))
 
+    @staticmethod
+    def random_graph(rng, n):
+        A = np.abs(rng.standard_normal((n, n)))
+        A = (A + A.T) / 2
+        np.fill_diagonal(A, 0)
+        return A
+
+    def two_component_graph(self, rng):
+        # two near-identical blocks: a nearly double top eigenvalue, which
+        # an iterative estimate of lambda_max tends to undershoot
+        m = int(rng.integers(2, 15))
+        A = self.random_graph(rng, m)
+        B = A * (1 + 1e-4 * rng.standard_normal((m, m)))
+        out = np.zeros((2 * m, 2 * m))
+        out[:m, :m], out[m:, m:] = A, (B + B.T) / 2
+        return out
+
     def test_spectral_radius_oracle(self):
         # dense eigensolver as the independent oracle
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(2, 20))
-            A = np.abs(rng.standard_normal((n, n)))
-            A = (A + A.T) / 2
-            np.fill_diagonal(A, 0)
+        graphs = [self.random_graph(rng, int(rng.integers(2, 20))) for _ in range(100)]
+        graphs += [self.two_component_graph(rng) for _ in range(50)]
+        for A in graphs:
             L_t = scaled_laplacian(A)
             assert np.allclose(L_t, L_t.T)
             eig = np.linalg.eigvalsh(L_t)
-            assert np.abs(eig).max() <= 1 + 1e-6
+            assert np.abs(eig).max() <= 1 + 1e-12
 
     def test_rejects_asymmetric(self):
         with pytest.raises(GraphStreamError):
