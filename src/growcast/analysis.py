@@ -61,18 +61,6 @@ def heterogeneity_D(X) -> float:
     return 2.0 * (sq - float(mu @ mu))
 
 
-def heterogeneity_D_double_sum(X) -> float:
-    """O(n^2 d) definition of the dispersion; test oracle for the closed form."""
-    x = np.asarray(X, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    total = 0.0
-    for i in range(n):
-        total += float(((x[i] - x) ** 2).sum())
-    return total / (n * n)
-
-
 @dataclass(frozen=True)
 class DispersionReport:
     """Exact decomposition of the dispersion shift D(X+P) - D(X).

@@ -2,12 +2,16 @@
 
 The raw timeline of each period is split 6:2:2 first and windowed inside
 each segment, so no supervised sample ever straddles a split boundary.
+A split's windows are one `Windows(X, Y)` record: X is (N, t_in, n) and Y
+is (N, t_out, n), both read-only strided views over the split's
+normalized (T_s, n) segment, so windowing copies nothing.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +50,14 @@ class ObservationSeries:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    input: np.ndarray   # t_in x n
-    target: np.ndarray  # t_out x n
-    start_index: int
+class Windows:
+    """N supervised windows: Y[i] is the t_out steps right after X[i]."""
+
+    X: np.ndarray  # N x t_in x n
+    Y: np.ndarray  # N x t_out x n
+
+    def __len__(self):
+        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -73,9 +81,9 @@ class Normalizer:
 
 @dataclass(frozen=True)
 class PeriodDataset:
-    train: list
-    val: list
-    test: list
+    train: Windows
+    val: Windows
+    test: Windows
     normalizer: Normalizer
     graph: PeriodGraph
 
@@ -83,8 +91,9 @@ class PeriodDataset:
 def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
     """Read an observation CSV and align its columns to the graph order.
 
-    Header: `time,<id1>,<id2>,...`.  Empty cells are missing: filled by the
-    last observation of the same column, leading gaps by the column mean.
+    Header: `time,<id1>,<id2>,...`, each id once.  Empty cells are missing:
+    filled by the last observation of the same column, leading gaps by the
+    mean of the forward-filled column.
     """
     with open(observations_path) as fh:
         header = fh.readline().strip()
@@ -98,6 +107,9 @@ def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
         missing = set(graph.nodes) - set(file_ids)
         if missing:
             raise DataError("graph nodes with no observation column: %s" % sorted(missing))
+        repeated = sorted(nid for nid, count in Counter(file_ids).items() if count > 1)
+        if repeated:
+            raise DataError("duplicated node ids in header: %s" % repeated)
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -107,40 +119,27 @@ def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
             if len(cells) != len(cols):
                 raise DataError("line %d has %d cells, expected %d"
                                 % (lineno, len(cells), len(cols)))
-            row = []
-            for tok in cells[1:]:
-                tok = tok.strip()
-                if tok == "":
-                    row.append(np.nan)
-                else:
-                    try:
-                        row.append(float(tok))
-                    except ValueError:
-                        raise DataError("non-numeric cell %r at line %d" % (tok, lineno))
-            rows.append(row)
-    values = np.asarray(rows, dtype=float)
-    values = _impute(values)
+            try:
+                rows.append([float(tok) if tok.strip() else np.nan for tok in cells[1:]])
+            except ValueError as exc:
+                raise DataError("non-numeric cell at line %d: %s" % (lineno, exc))
+    values = _impute(np.asarray(rows, dtype=float).reshape(len(rows), len(file_ids)))
     order = [file_ids.index(nid) for nid in graph.nodes]
     return ObservationSeries(node_ids=graph.nodes, values=values[:, order],
                              period_index=graph.period_index)
 
 
 def _impute(values: np.ndarray) -> np.ndarray:
-    """Forward-fill per column, then column mean for leading gaps."""
-    out = values.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        last = np.nan
-        for i in range(col.size):
-            if np.isnan(col[i]):
-                col[i] = last
-            else:
-                last = col[i]
-        if np.isnan(col).any():
-            finite = col[~np.isnan(col)]
-            if finite.size == 0:
-                raise DataError("column %d has no observed values" % j)
-            col[np.isnan(col)] = finite.mean()
+    """Forward-fill per column, then the filled column's mean for leading gaps."""
+    rows = np.arange(values.shape[0])[:, None]
+    last = np.maximum.accumulate(np.where(np.isnan(values), 0, rows), axis=0)
+    out = np.take_along_axis(values, last, axis=0)  # a leading gap takes blank row 0
+    gaps = np.isnan(out)
+    for j in np.flatnonzero(gaps.any(axis=0)):
+        filled = out[~gaps[:, j], j]
+        if filled.size == 0:
+            raise DataError("column %d has no observed values" % j)
+        out[gaps[:, j], j] = filled.mean()
     return out
 
 
@@ -164,23 +163,19 @@ def chrono_split(series: ObservationSeries, ratios=(0.6, 0.2, 0.2),
     return segments
 
 
-def make_windows(segment: np.ndarray, t_in: int = T_IN, t_out: int = T_OUT,
-                 stride: int = 1, offset: int = 0) -> list:
-    """Sliding supervised samples; target immediately follows input."""
+def make_windows(segment: np.ndarray, t_in: int = T_IN, t_out: int = T_OUT) -> Windows:
+    """Every sliding supervised window of the segment, as views over it."""
     T_s = segment.shape[0]
     if T_s < t_in + t_out:
         raise DataError("segment of %d steps is shorter than one %d-step window"
                         % (T_s, t_in + t_out))
-    samples = []
-    for s in range(0, T_s - t_in - t_out + 1, stride):
-        samples.append(WindowSample(input=segment[s:s + t_in],
-                                    target=segment[s + t_in:s + t_in + t_out],
-                                    start_index=offset + s))
-    return samples
+    view = np.lib.stride_tricks.sliding_window_view(segment, t_in + t_out, axis=0)
+    view = view.swapaxes(1, 2)  # (N, n, t_in + t_out) -> (N, t_in + t_out, n)
+    return Windows(X=view[:, :t_in], Y=view[:, t_in:])
 
 
-def few_shot_subsample(train: list, fraction: float = 0.2, seed: int = 0,
-                       random_policy: bool = False) -> list:
+def few_shot_subsample(train: Windows, fraction: float = 0.2, seed: int = 0,
+                       random_policy: bool = False) -> Windows:
     """Keep floor(fraction*len) windows: chronological prefix by default,
     seeded uniform sample under the alternative policy."""
     if not (0.0 < fraction <= 1.0):
@@ -188,11 +183,9 @@ def few_shot_subsample(train: list, fraction: float = 0.2, seed: int = 0,
     keep = math.floor(fraction * len(train))
     if keep == 0:
         raise DataError("few-shot fraction %r leaves an empty training set" % fraction)
-    if not random_policy:
-        return train[:keep]
-    rng = rng_stream(seed, "few_shot")
-    idx = np.sort(rng.choice(len(train), size=keep, replace=False))
-    return [train[i] for i in idx]
+    idx = slice(keep) if not random_policy else np.sort(
+        rng_stream(seed, "few_shot").choice(len(train), size=keep, replace=False))
+    return Windows(X=train.X[idx], Y=train.Y[idx])
 
 
 def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
@@ -201,10 +194,7 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
     """Split, normalize on train statistics, window each segment."""
     train_seg, val_seg, test_seg = chrono_split(series, t_in=T_IN, t_out=T_OUT)
     norm = Normalizer.fit(train_seg)
-    offs = (0, train_seg.shape[0], train_seg.shape[0] + val_seg.shape[0])
-    train = make_windows(norm.apply(train_seg), offset=offs[0])
-    val = make_windows(norm.apply(val_seg), offset=offs[1])
-    test = make_windows(norm.apply(test_seg), offset=offs[2])
+    train, val, test = (make_windows(norm.apply(seg)) for seg in (train_seg, val_seg, test_seg))
     if few_shot_fraction is not None:
         train = few_shot_subsample(train, few_shot_fraction, seed, few_shot_random)
     return PeriodDataset(train=train, val=val, test=test, normalizer=norm, graph=graph)

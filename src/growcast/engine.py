@@ -128,12 +128,6 @@ class PeriodReport:
         return out
 
 
-def _stack(samples):
-    X = np.stack([s.input for s in samples])[..., None]
-    Y = np.stack([s.target for s in samples])
-    return X, Y
-
-
 def _batches(n_samples, batch_size, rng=None):
     order = np.arange(n_samples) if rng is None else rng.permutation(n_samples)
     for start in range(0, n_samples, batch_size):
@@ -149,11 +143,10 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
     values; best-validation parameters are restored before returning.
     """
     if not train_samples or not val_samples:
-        raise ConfigError("train and val sample lists must be nonempty")
+        raise ConfigError("train and val windows must be nonempty")
     trainable = [p for p in params if p.trainable]
     if not trainable:
         raise ConfigError("no trainable parameters")
-    X_tr, Y_tr = _stack(train_samples)
     state = nn.AdamState()
     best_mae = np.inf
     best_values = None
@@ -166,8 +159,8 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
         shuffle_rng = nn.rng_stream(seed, "shuffle", period_index, epoch)
         for batch_no, idx in enumerate(_batches(len(train_samples), batch_size, shuffle_rng)):
             try:
-                pred, record = forward(X_tr[idx], train=True)
-                loss = nn.mse_loss(record, pred, Y_tr[idx])
+                pred, record = forward(train_samples.X[idx][..., None], train=True)
+                loss = nn.mse_loss(record, pred, train_samples.Y[idx])
                 grads = nn.backward(record, loss)
             except nn.NonFiniteError:
                 raise TrainingAbort(epoch, batch_no, lr)
@@ -191,10 +184,10 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
 
 
 def _validation_mae(forward, val_samples, normalizer, batch_size):
-    X, Y = _stack(val_samples)
+    X, Y = val_samples.X, val_samples.Y
     abs_sum, count = 0.0, 0
     for idx in _batches(len(val_samples), batch_size):
-        pred, _ = forward(X[idx], train=False)
+        pred, _ = forward(X[idx][..., None], train=False)
         err = normalizer.invert(pred.value) - normalizer.invert(Y[idx])
         abs_sum += float(np.abs(err).sum())
         count += err.size
@@ -205,11 +198,11 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
                     horizon_mode: str = "at_step") -> dict:
     """Per-horizon metrics in original units over the full test split."""
     if not test_samples:
-        raise ConfigError("test sample list must be nonempty")
-    X, Y = _stack(test_samples)
+        raise ConfigError("test windows must be nonempty")
+    X, Y = test_samples.X, test_samples.Y
     preds = []
     for idx in _batches(len(test_samples), batch_size):
-        pred, _ = forward(X[idx], train=False)
+        pred, _ = forward(X[idx][..., None], train=False)
         preds.append(pred.value)
     pred = normalizer.invert(np.concatenate(preds, axis=0))
     truth = normalizer.invert(Y)
@@ -233,8 +226,10 @@ def _backbone_hash(backbone) -> str:
 
 def _fused_dispersion(backbone, pool, dataset):
     """Dispersion of (projected mean input + prompt) rows, one per node."""
-    X_mean = np.stack([s.input for s in dataset.train]).mean(axis=(0, 1))  # (N, t_in, n) -> (n,)
-    X_mean = X_mean.reshape(-1, 1)
+    # gathered like a batch: the strided view of a column-major segment (as
+    # ingestion's column reorder leaves it) would sum in another order
+    X = dataset.train.X[np.arange(len(dataset.train))]
+    X_mean = X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, t_in, n) -> (n, 1)
     proj = X_mean @ backbone.params["input_proj.W"].value + backbone.params["input_proj.b"].value
     fused = proj + (materialize(pool) if pool is not None else 0.0)
     return heterogeneity_D(fused)
@@ -303,7 +298,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
                         pool.B.trainable = False
         params = backbone.parameters() + (pool.parameters() if pool is not None else [])
 
-        if train_on == "new" and not new_ids:
+        if (train_on == "new" and not new_ids) or not any(p.trainable for p in params):
             warnings.warn("period %d adds no nodes; skipping training" % tau)
             train_on = "none"
         operator = graph_operator(backbone, graph.adjacency)

@@ -178,31 +178,41 @@ def read_distances(path, node_ids=None) -> np.ndarray:
     covered for off-diagonal pairs symmetrically.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip().split(",")) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise GraphStreamError("empty distance file %s" % path)
-    first = lines[0].split(",")
+    first = lines[0][1]
     is_edge_list = len(first) == 3 and not _is_float(first[0])
+    width = 3 if is_edge_list else len(first)
+    for no, cells in lines:
+        if len(cells) != width:
+            raise GraphStreamError("%s line %d has %d fields, expected %d"
+                                   % (path, no, len(cells), width))
     if not is_edge_list:
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines]
-        d = np.asarray(rows, dtype=float)
-        return _check_distances(d)
+        return _check_distances(np.asarray([_floats(cells, path, no) for no, cells in lines]))
     if node_ids is None:
         raise GraphStreamError("edge-list distances need an explicit node ordering")
     pos = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
     d = np.full((n, n), np.nan)
     np.fill_diagonal(d, 0.0)
-    for ln in lines:
-        src, dst, val = ln.split(",")
+    for no, (src, dst, val) in lines:
         if src not in pos or dst not in pos:
-            raise GraphStreamError("edge references unknown node in %s: %s" % (path, ln))
-        w = float(val)
+            raise GraphStreamError("edge references unknown node in %s line %d: %s,%s"
+                                   % (path, no, src, dst))
+        (w,) = _floats((val,), path, no)
         d[pos[src], pos[dst]] = w
         d[pos[dst], pos[src]] = w
     if np.isnan(d).any():
         raise GraphStreamError("edge list leaves node pairs without distances")
     return _check_distances(d)
+
+
+def _floats(cells, path, lineno: int) -> list:
+    try:
+        return [float(tok) for tok in cells]
+    except ValueError as exc:
+        raise GraphStreamError("non-numeric distance in %s line %d: %s" % (path, lineno, exc))
 
 
 def _is_float(tok: str) -> bool:

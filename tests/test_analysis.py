@@ -6,12 +6,23 @@ from growcast.analysis import (
     best_rank_k,
     dispersion_decomposition,
     heterogeneity_D,
-    heterogeneity_D_double_sum,
     metrics,
     neutralize_cross_covariance,
     random_projection_probe,
     svd_cumulative,
 )
+
+
+def heterogeneity_D_double_sum(X) -> float:
+    """O(n^2 d) definition of the dispersion; oracle for the closed form."""
+    x = np.asarray(X, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    total = 0.0
+    for i in range(n):
+        total += float(((x[i] - x) ** 2).sum())
+    return total / (n * n)
 
 
 class TestMetrics:

@@ -82,6 +82,26 @@ class TestRun:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_malformed_distances_exit_2(self, tmp_path, capsys, dense):
+        data_dir = tmp_path / "stream"
+        assert main(["synth", "--spec", SYNTH, "--out", str(data_dir)]) == 0
+        dist = data_dir / "period01_distances.csv"
+        if dense:
+            rows = dist.read_text().splitlines()
+            rows[1] = "abc" + rows[1][rows[1].index(","):]
+            dist.write_text("\n".join(rows) + "\n")
+        else:
+            ids = (data_dir / "period01_nodes.txt").read_text().split()
+            dist.write_text("".join("%s,%s,1.0\n" % (a, b) for a in ids for b in ids
+                                    if a < b) + "%s,%s,xx\n" % (ids[0], ids[1]))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--data",
+                   str(data_dir / "stream.json"), "--out", str(out)])
+        assert rc == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert "period01_distances.csv line" in error and error in capsys.readouterr().err
+
     def test_no_source_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
                    "--out", str(tmp_path / "out")])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from growcast import data_pipeline as dp
 from growcast.data_pipeline import (
     DataError,
     Normalizer,
     ObservationSeries,
+    Windows,
+    build_period_dataset,
     chrono_split,
     few_shot_subsample,
     ingest_period,
@@ -19,6 +22,15 @@ def series_of(T, n=2, tau=1):
     vals = np.arange(T * n, dtype=float).reshape(T, n)
     ids = tuple("n%d" % i for i in range(n))
     return ObservationSeries(node_ids=ids, values=vals, period_index=tau)
+
+
+def windows_of(count):
+    """`count` one-node windows; window i starts with the value i."""
+    return make_windows(np.arange(count + 23, dtype=float).reshape(-1, 1))
+
+
+def starts(windows):
+    return windows.X[:, 0, 0].tolist()
 
 
 def graph_of(ids):
@@ -64,6 +76,82 @@ class TestIngest:
         with pytest.raises(DataError, match="oops"):
             ingest_period(path, graph_of(["a"]))
 
+    def test_duplicated_header_id_named(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a,a\n0,1,100\n1,2,200\n")
+        with pytest.raises(DataError, match="duplicated.*'a'"):
+            ingest_period(path, graph_of(["a"]))
+
+    def test_header_only_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a,b\n")
+        series = ingest_period(path, graph_of(["a", "b"]))
+        assert series.values.shape == (0, 2)
+        with pytest.raises(DataError, match="train segment of 0 steps"):
+            chrono_split(series, t_in=12, t_out=12)
+
+    def test_all_blank_column_named(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a,b\n0,1,\n1,2,\n")
+        with pytest.raises(DataError, match="column 1 has no observed values"):
+            ingest_period(path, graph_of(["a", "b"]))
+
+
+def loop_impute(values):
+    """Reference forward-fill: one pass per column, then the column mean of
+    the filled values for leading gaps."""
+    out = values.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        last = np.nan
+        for i in range(col.size):
+            if np.isnan(col[i]):
+                col[i] = last
+            else:
+                last = col[i]
+        if np.isnan(col).any():
+            finite = col[~np.isnan(col)]
+            if finite.size == 0:
+                raise DataError("column %d has no observed values" % j)
+            col[np.isnan(col)] = finite.mean()
+    return out
+
+
+class TestImpute:
+    def test_matches_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            T, n = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            values = rng.standard_normal((T, n)) * 10 ** rng.uniform(-3, 3)
+            values[rng.random((T, n)) < rng.uniform(0, 0.9)] = np.nan
+            lead = rng.integers(0, T + 1, size=n)  # leading gaps of any length
+            for j in range(n):
+                values[:lead[j], j] = np.nan
+            values[:, rng.integers(n)] = rng.standard_normal(T)  # a fully observed column
+            if trial % 10 == 0:
+                values[:, rng.integers(n)] = np.nan  # an all-blank column
+            try:
+                want = loop_impute(values)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    dp._impute(values)
+                assert str(got.value) == str(exc)
+                continue
+            got = dp._impute(values)
+            assert got.tobytes() == want.tobytes()
+            assert not np.isnan(got).any()
+
+    def test_input_untouched(self):
+        values = np.array([[np.nan, 1.0], [2.0, np.nan]])
+        before = values.tobytes()
+        dp._impute(values)
+        assert values.tobytes() == before
+
+    def test_single_row(self):
+        assert np.array_equal(dp._impute(np.array([[3.0, 4.0]])), [[3.0, 4.0]])
+        with pytest.raises(DataError, match="column 1 has no observed values"):
+            dp._impute(np.array([[3.0, np.nan]]))
+
 
 class TestChronoSplit:
     def test_even_split(self):
@@ -79,13 +167,15 @@ class TestChronoSplit:
             chrono_split(series_of(70), t_in=12, t_out=12)
 
     def test_no_window_crosses_boundary(self):
-        series = series_of(200)
-        segs = chrono_split(series)
-        offsets = (0, 120, 160)
-        for seg, off in zip(segs, offsets):
-            for w in make_windows(seg, offset=off):
-                assert off <= w.start_index
-                assert w.start_index + 24 <= off + seg.shape[0]
+        series = series_of(200)  # every value occurs once
+        for seg in chrono_split(series):
+            ws = make_windows(seg)
+            assert len(ws) == seg.shape[0] - 23
+            for x, y in zip(ws.X, ws.Y):
+                start = np.flatnonzero(seg[:, 0] == x[0, 0])
+                assert start.size == 1
+                s = int(start[0])
+                assert np.array_equal(np.concatenate([x, y]), seg[s:s + 24])
 
 
 class TestMakeWindows:
@@ -106,8 +196,30 @@ class TestMakeWindows:
 
     def test_window_contiguity(self):
         seg = np.arange(30, dtype=float).reshape(30, 1)
-        for w in make_windows(seg, t_in=3, t_out=2):
-            assert w.target[0, 0] == w.input[-1, 0] + 1
+        ws = make_windows(seg, t_in=3, t_out=2)
+        assert ws.X.shape == (26, 3, 1) and ws.Y.shape == (26, 2, 1)
+        assert np.array_equal(ws.Y[:, 0, 0], ws.X[:, -1, 0] + 1)
+        assert starts(ws) == list(range(26))
+
+    def test_windows_are_read_only_views(self):
+        seg = np.arange(60, dtype=float).reshape(30, 2)
+        ws = make_windows(seg, t_in=3, t_out=2)
+        assert np.shares_memory(ws.X, seg) and np.shares_memory(ws.Y, seg)
+        with pytest.raises(ValueError):
+            ws.X[0, 0, 0] = 1.0
+
+    def test_dataset_windows_share_one_segment(self):
+        stream, series = synth_stream(6, 0, 1, 200, seed=3)
+        ds = build_period_dataset(stream.periods[0], series[0])
+        train_steps = chrono_split(series[0])[0].shape[0]
+        for ws in (ds.train, ds.val, ds.test):
+            assert np.shares_memory(ws.X, ws.Y)
+        # train.X and train.Y together span exactly one normalized (T_s, n)
+        # segment, so no dense (N, 12, n) copy exists
+        (x_lo, x_hi), (y_lo, y_hi) = (byte_bounds(ds.train.X), byte_bounds(ds.train.Y))
+        lo, hi = min(x_lo, y_lo), max(x_hi, y_hi)
+        assert hi - lo == train_steps * 6 * 8
+        assert len(ds.train) == train_steps - 23
 
 
 class TestNormalizer:
@@ -133,30 +245,35 @@ class TestNormalizer:
 
 class TestFewShot:
     def test_prefix(self):
-        train = list(range(50))
-        assert few_shot_subsample(train, 0.2) == list(range(10))
+        sub = few_shot_subsample(windows_of(50), 0.2)
+        assert isinstance(sub, Windows)
+        assert starts(sub) == list(range(10))
+        assert np.array_equal(sub.Y, windows_of(50).Y[:10])
 
     def test_identity(self):
-        train = list(range(7))
-        assert few_shot_subsample(train, 1.0) == train
+        train = windows_of(7)
+        sub = few_shot_subsample(train, 1.0)
+        assert np.array_equal(sub.X, train.X) and np.array_equal(sub.Y, train.Y)
 
     def test_empty_result_rejected(self):
         with pytest.raises(DataError):
-            few_shot_subsample([1, 2, 3], 0.2)
+            few_shot_subsample(windows_of(3), 0.2)
 
     def test_fraction_range(self):
         with pytest.raises(DataError):
-            few_shot_subsample([1], 0.0)
+            few_shot_subsample(windows_of(1), 0.0)
         with pytest.raises(DataError):
-            few_shot_subsample([1], 1.5)
+            few_shot_subsample(windows_of(1), 1.5)
 
     def test_random_policy_seeded(self):
-        train = list(range(40))
+        train = windows_of(40)
         a = few_shot_subsample(train, 0.25, seed=3, random_policy=True)
         b = few_shot_subsample(train, 0.25, seed=3, random_policy=True)
-        assert a == b
+        assert starts(a) == starts(b)
         assert len(a) == 10
-        assert a == sorted(a)
+        assert starts(a) == sorted(set(starts(a)))
+        # each kept target still follows its own input
+        assert np.array_equal(a.Y[:, 0, 0], a.X[:, -1, 0] + 1)
 
 
 class TestSynthStream:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from growcast import nn_core as nn
-from growcast.data_pipeline import Normalizer, WindowSample, synth_stream
+from growcast.data_pipeline import Normalizer, Windows, synth_stream
 from growcast.engine import (
     SCHEMES,
     ConfigError,
     ExperimentConfig,
+    _fused_dispersion,
     _validation_mae,
     evaluate_period,
     run_stream,
@@ -33,9 +34,11 @@ def scalar_forward(w):
 
 
 def scalar_samples(target_value, count=4):
-    return [WindowSample(input=np.zeros((1, 1)),
-                         target=np.full((1, 1), target_value),
-                         start_index=i) for i in range(count)]
+    return Windows(X=np.zeros((count, 1, 1)), Y=np.full((count, 1, 1), target_value))
+
+
+def constant_windows(count, value=0.0):
+    return Windows(X=np.full((count, 12, 2), value), Y=np.full((count, 12, 2), value))
 
 
 class TestConfig:
@@ -107,7 +110,7 @@ class TestTrainPeriod:
 
 class TestEvaluatePeriod:
     def perfect_forward(self, samples):
-        targets = np.stack([s.target for s in samples])
+        targets = samples.Y
 
         def forward(batch_x, train):
             rec = nn.ComputeRecord()
@@ -116,16 +119,14 @@ class TestEvaluatePeriod:
         return forward
 
     def test_perfect_predictor_all_zero(self):
-        samples = [WindowSample(np.full((12, 2), 0.5), np.full((12, 2), 0.5), i)
-                   for i in range(3)]
+        samples = constant_windows(3, 0.5)
         out = evaluate_period(self.perfect_forward(samples), samples,
                               Normalizer(5.0, 2.0), batch_size=8)
         for h in ("3", "6", "12", "avg"):
             assert out[h]["MAE"] == 0 and out[h]["RMSE"] == 0
 
     def test_constant_bias_passes_through(self):
-        samples = [WindowSample(np.zeros((12, 2)), np.zeros((12, 2)), i)
-                   for i in range(3)]
+        samples = constant_windows(3)
 
         def forward(batch_x, train):
             rec = nn.ComputeRecord()
@@ -136,8 +137,7 @@ class TestEvaluatePeriod:
             assert out[h]["MAE"] == pytest.approx(1.0)
 
     def test_horizon_slice_uses_single_step(self):
-        samples = [WindowSample(np.zeros((12, 2)), np.zeros((12, 2)), i)
-                   for i in range(4)]
+        samples = constant_windows(4)
 
         def forward(batch_x, train):
             rec = nn.ComputeRecord()
@@ -151,8 +151,7 @@ class TestEvaluatePeriod:
         assert out["avg"]["MAE"] == pytest.approx(1.0 / 12)
 
     def test_prefix_mode(self):
-        samples = [WindowSample(np.zeros((12, 2)), np.zeros((12, 2)), i)
-                   for i in range(2)]
+        samples = constant_windows(2)
 
         def forward(batch_x, train):
             rec = nn.ComputeRecord()
@@ -164,6 +163,33 @@ class TestEvaluatePeriod:
                               batch_size=8, horizon_mode="prefix")
         assert out["3"]["MAE"] == pytest.approx(1.0)
         assert out["6"]["MAE"] == pytest.approx(0.5)
+
+
+class TestFusedDispersion:
+    def test_matches_stacked_windows_bitwise(self):
+        # ingestion's column reorder leaves series column-major; the strided
+        # window view must still give the same bits as dense stacked windows
+        from growcast.analysis import heterogeneity_D
+        from growcast.backbone import build_backbone
+        from growcast.data_pipeline import ObservationSeries, build_period_dataset, chrono_split
+        from growcast.prompt_pool import init_pool, materialize
+        for seed in range(1, 4):
+            stream, series = tiny_stream(periods=1, n0=40, seed=seed)
+            for order in ("C", "F"):
+                values = np.asarray(series[0].values, order=order)
+                obs = ObservationSeries(series[0].node_ids, values, 1)
+                for fraction, random in ((None, False), (0.3, False), (0.3, True)):
+                    ds = build_period_dataset(stream.periods[0], obs, few_shot_fraction=fraction,
+                                              seed=seed, few_shot_random=random)
+                    bb = build_backbone("spatial", d=8, seed=seed)
+                    pool = init_pool(stream.periods[0].nodes, d=8, k=3, seed=seed)
+                    seg = ds.normalizer.apply(chrono_split(obs)[0])
+                    starts = [int(np.flatnonzero(seg[:, 0] == v)[0]) for v in ds.train.X[:, 0, 0]]
+                    dense = np.stack([seg[s:s + 12] for s in starts])
+                    x_mean = dense.mean(axis=(0, 1)).reshape(-1, 1)
+                    want = heterogeneity_D(x_mean @ bb.params["input_proj.W"].value
+                                           + bb.params["input_proj.b"].value + materialize(pool))
+                    assert _fused_dispersion(bb, pool, ds) == want
 
 
 class TestSchemes:
@@ -187,6 +213,17 @@ class TestSchemes:
         cfg = ExperimentConfig(scheme=scheme, seeds=(1,), freeze_old_segments=True, **TINY)
         reports, _ = run_stream(cfg, stream, series)
         assert [rep.tunable_param_count for rep in reports[1:]] == [growth * width] * 2
+
+    @pytest.mark.parametrize("scheme", ["EAC", "EAC_full"])
+    def test_freeze_old_segments_without_growth_skips(self, scheme):
+        # no new segment, so nothing is trainable: skip like ContinualNN does
+        stream, series = tiny_stream(periods=2, growth=0)
+        cfg = ExperimentConfig(scheme=scheme, seeds=(1,), freeze_old_segments=True, **TINY)
+        with pytest.warns(UserWarning, match="no nodes"):
+            reports, raw = run_stream(cfg, stream, series)
+        assert reports[1].epochs_run == 0
+        assert reports[1].tunable_param_count == 0
+        assert raw[1][1]["heterogeneity"]["D_trained"] == raw[1][1]["heterogeneity"]["D_init"]
 
     def test_eac_pool_growth_formula(self):
         stream, series = tiny_stream(periods=3)

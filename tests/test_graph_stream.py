@@ -222,3 +222,28 @@ class TestReadDistances:
         path.write_text("a,z,2.0\n")
         with pytest.raises(GraphStreamError):
             read_distances(path, node_ids=("a", "b"))
+
+    def test_dense_non_numeric_cell_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,1.5\nabc,0\n")
+        with pytest.raises(GraphStreamError, match=r"d\.csv line 2: .*'abc'"):
+            read_distances(path)
+
+    def test_dense_ragged_row_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,1.5,2\n1.5,0\n2,1,0\n")
+        with pytest.raises(GraphStreamError, match=r"d\.csv line 2 has 2 fields, expected 3"):
+            read_distances(path)
+
+    def test_edge_list_non_numeric_distance_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,2.0\na,c,xx\nb,c,3.0\n")
+        with pytest.raises(GraphStreamError, match=r"d\.csv line 2: .*'xx'"):
+            read_distances(path, node_ids=("a", "b", "c"))
+
+    @pytest.mark.parametrize("bad,count", [("a,c", 2), ("a,c,1.0,4", 4)])
+    def test_edge_list_wrong_field_count_named(self, tmp_path, bad, count):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,2.0\n%s\nb,c,3.0\n" % bad)
+        with pytest.raises(GraphStreamError, match=r"d\.csv line 2 has %d fields, expected 3" % count):
+            read_distances(path, node_ids=("a", "b", "c"))
