@@ -292,6 +292,20 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
 
                 check("%s%s:%d" % (name, "" if prompt is not None else "_noprompt", seed),
                       build, [W, b, mix] + ([] if prompt is None else [prompt]))
+
+        # input-gradient paths with frozen weights, as pool tuning runs them
+        H = nn.Parameter("H", rng.standard_normal((1, 3, n, d)))
+        for name, layer in (
+                ("temporal_conv_input",
+                 lambda r, h: nn.temporal_conv(r, h, r.constant(Wt.value),
+                                               r.constant(bt.value))),
+                ("graph_conv_spatial_input",
+                 lambda r, h: nn.graph_conv_spatial(r, A_hat, h, r.constant(Wg.value))),
+                ("graph_conv_cheb_input",
+                 lambda r, h: nn.graph_conv_cheb(r, basis, h, r.constant(th.value)))):
+            check("%s:%d" % (name, seed),
+                  lambda r, layer=layer: nn.mse_loss(r, layer(r, r.leaf(H)),
+                                                     np.zeros((1, 3, n, d))), [H])
     return rows
 
 

@@ -92,6 +92,14 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        for name in ("d", "kernel", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError("%s must be at least 1" % name)
+        if self.K_order < 0:
+            raise ConfigError("K_order must be at least 0")
+        for name in ("dropout_initial", "dropout_continual"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError("%s must lie in [0, 1)" % name)
         if not (0 < self.patience < self.epochs_max):
             raise ConfigError("patience must satisfy 0 < patience < epochs_max")
         if self.horizon_mode not in ("at_step", "prefix"):

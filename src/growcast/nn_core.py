@@ -163,13 +163,14 @@ def linear(record, x, W, b=None):
 
 
 def relu(record, x):
+    """max(x, 0); a -0.0 input maps to +0.0."""
     x = _as_node(record, x)
     mask = x.value > 0
 
     def grad_fn(g):
         return [g * mask]
 
-    return record.record("relu", x.value * mask, [x], grad_fn)
+    return record.record("relu", np.maximum(x.value, 0.0), [x], grad_fn)
 
 
 def concat_rows(record, parts):
@@ -191,10 +192,41 @@ def concat_rows(record, parts):
     return record.record("concat_rows", out, parts, grad_fn)
 
 
+def _taps(K, T):
+    """(k, input rows, output rows) of each kernel tap that reaches [0, T).
+
+    With same-length zero padding, tap k reads input row o + s into output
+    row o, where s = k - K // 2; a tap with |s| >= T reads only padding.
+    """
+    shifts = [(k, k - K // 2) for k in range(K)]
+    return [(k, slice(max(0, s), T - max(0, -s)), slice(max(0, -s), T - max(0, s)))
+            for k, s in shifts if abs(s) < T]
+
+
+def _tap_sum(src, mats, taps, shape):
+    """Sum over taps of src[:, a] @ mats[k] into rows c of a (B, T, ...) array.
+
+    Taps add in kernel order, and rows no tap reaches are zero, so the sum
+    rounds exactly as a loop over a zero-padded copy of src would.
+    """
+    out = np.empty(shape)
+    for j, (k, a, c) in enumerate(taps):
+        if j == 0:
+            out[:, :c.start] = 0.0
+            out[:, c.stop:] = 0.0
+            np.matmul(src[:, a], mats[k], out=out[:, c])
+        else:
+            out[:, c] += src[:, a] @ mats[k]
+    return out
+
+
 def temporal_conv(record, x, W, b):
     """1D convolution over the time axis, kernel K, same-length zero padding.
 
-    x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).
+    x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
+    one shifted (B, T - |s|, n) slab of x @ W[k]; the input gradient is
+    built the same way from g @ W[k]^T, and only the weight gradient
+    builds the zero-padded (B, T + K - 1, n, d_in) copy of x.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
@@ -202,25 +234,22 @@ def temporal_conv(record, x, W, b):
                  x.shape, W.shape, b.shape)
     K = W.shape[0]
     T = x.shape[1]
-    left = K // 2
-    pad = np.zeros((x.shape[0], T + K - 1, x.shape[2], x.shape[3]))
-    pad[:, left:left + T] = x.value
-    out = np.zeros(x.shape[:3] + (W.shape[2],))
-    for k in range(K):
-        out += pad[:, k:k + T] @ W.value[k]
+    taps = _taps(K, T)
+    out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
     out += b.value
 
     def grad_fn(g):
         gx, gW, gb = None, None, None
         if W.needs_grad:
+            left = K // 2
+            pad = np.zeros((x.shape[0], T + K - 1, x.shape[2], x.shape[3]))
+            pad[:, left:left + T] = x.value
             gW = np.zeros_like(W.value)
             for k in range(K):
                 gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
         if x.needs_grad:
-            gpad = np.zeros_like(pad)
-            for k in range(K):
-                gpad[:, k:k + T] += g @ W.value[k].T
-            gx = gpad[:, left:left + T]
+            gx = _tap_sum(g, W.value.transpose(0, 2, 1), [(k, c, a) for k, a, c in taps],
+                          x.shape)
         if b.needs_grad:
             gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
         return [gx, gW, gb]
@@ -238,12 +267,11 @@ def graph_conv_spatial(record, A_hat, h, W):
     A = np.asarray(A_hat, dtype=float)
     _shape_check("graph_conv_spatial", h.shape[-2] == A.shape[0]
                  and h.shape[-1] == W.shape[0], A.shape, h.shape, W.shape)
-    Ah = np.einsum("ij,...jd->...id", A, h.value, optimize=True)
+    Ah = np.matmul(A, h.value)
     out = Ah @ W.value
 
     def grad_fn(g):
-        gh = (np.einsum("ji,...jd->...id", A, g @ W.value.T, optimize=True)
-              if h.needs_grad else None)
+        gh = np.matmul(A.T, g @ W.value.T) if h.needs_grad else None
         gW = (np.einsum("...i,...j->ij", Ah, g, optimize=True)
               if W.needs_grad else None)
         return [gh, gW]
@@ -251,28 +279,35 @@ def graph_conv_spatial(record, A_hat, h, W):
     return record.record("graph_conv_spatial", out, [h, W], grad_fn)
 
 
+def _cheb_operator(basis, thetas):
+    """G = sum_k theta_k T_k: a Chebyshev layer is one n x n operator."""
+    return sum(th * Tk for th, Tk in zip(thetas, basis))
+
+
 def graph_conv_cheb(record, cheb_basis, h, thetas):
     """Spectral propagation: sum_k theta_k * T_k(L~) @ h.
 
     cheb_basis is the precomputed list [T_0, ..., T_K] of constant n x n
-    matrices; thetas is a length K+1 coefficient vector.
+    matrices; thetas is a length K+1 coefficient vector.  The terms are
+    collapsed into G = sum_k theta_k T_k first, so forward is one
+    propagation G h and the input gradient one G^T g; the coefficient
+    gradient is <T_k, S> with S = sum over windows of g h^T, one GEMM.
     """
     h, thetas = _as_node(record, h), _as_node(record, thetas)
     _shape_check("graph_conv_cheb", thetas.value.ndim == 1
                  and len(cheb_basis) == thetas.shape[0]
                  and h.shape[-2] == cheb_basis[0].shape[0],
                  thetas.shape, h.shape, cheb_basis[0].shape)
-    Tk_h = [np.einsum("ij,...jd->...id", Tk, h.value, optimize=True) for Tk in cheb_basis]
-    out = sum(th * v for th, v in zip(thetas.value, Tk_h))
+    G = _cheb_operator(cheb_basis, thetas.value)
+    out = np.matmul(G, h.value)
 
     def grad_fn(g):
-        gh = None
-        if h.needs_grad:
-            gh = np.zeros_like(h.value)
-            for th, Tk in zip(thetas.value, cheb_basis):
-                gh += th * np.einsum("ji,...jd->...id", Tk, g, optimize=True)
-        gth = (np.array([float(np.sum(v * g)) for v in Tk_h])
-               if thetas.needs_grad else None)
+        gh = np.matmul(G.T, g) if h.needs_grad else None
+        gth = None
+        if thetas.needs_grad:
+            axes = [a for a in range(g.ndim) if a != g.ndim - 2]
+            S = np.tensordot(g, h.value, axes=(axes, axes))  # (n, n)
+            gth = np.array([np.vdot(Tk, S) for Tk in cheb_basis])
         return [gh, gth]
 
     return record.record("graph_conv_cheb", out, [h, thetas], grad_fn)
@@ -311,7 +346,7 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
                  () if P is None else P.shape, *[Tk.shape for Tk in basis])
     parents = [W_in, b_in, weight] + ([] if P is None else [P])
     if spectral:
-        G, Wm = sum(th * Tk for th, Tk in zip(weight.value, basis)), np.eye(d)
+        G, Wm = _cheb_operator(basis, weight.value), np.eye(d)
     else:
         G, Wm = basis[0], weight.value
     U = W_in.value @ Wm
@@ -353,7 +388,7 @@ def mean_pool_time(record, x):
     out = x.value.mean(axis=1)
 
     def grad_fn(g):
-        return [np.repeat(g[:, None] / T, T, axis=1)]
+        return [np.broadcast_to(g[:, None] / T, x.shape)]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
 

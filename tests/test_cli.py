@@ -76,6 +76,16 @@ class TestRun:
         assert rc == 1
         assert "t_out" in json.loads((out / "manifest.json").read_text())["error"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("kernel", 0), ("batch_size", 0), ("K_order", -1),
+        ("dropout_initial", 1.5), ("dropout_continual", -0.1)])
+    def test_malformed_model_size_exits_1(self, tmp_path, field, value):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, **{field: value}),
+                   "--synth", SYNTH, "--out", str(out)])
+        assert rc == 1
+        assert field in json.loads((out / "manifest.json").read_text())["error"]
+
     def test_missing_data_file_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
                    "--data", str(tmp_path / "nope.json"),

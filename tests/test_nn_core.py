@@ -91,6 +91,118 @@ class TestForwardPrimitives:
         assert out.shape == (3, 3)
 
 
+def padded_temporal_conv(x, W, b, g):
+    """Oracle: forward, gx and gW of a loop over a zero-padded copy of x."""
+    K, T = W.shape[0], x.shape[1]
+    left = K // 2
+    pad = np.zeros((x.shape[0], T + K - 1) + x.shape[2:])
+    pad[:, left:left + T] = x
+    out = np.zeros(x.shape[:3] + (W.shape[2],))
+    gpad = np.zeros_like(pad)
+    gW = np.zeros_like(W)
+    for k in range(K):
+        out += pad[:, k:k + T] @ W[k]
+        gpad[:, k:k + T] += g @ W[k].T
+        gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
+    return out + b, gpad[:, left:left + T], gW
+
+
+def per_term_cheb(basis, h, thetas, g):
+    """Oracle: forward, gh and gtheta summed one Chebyshev term at a time."""
+    terms = [np.einsum("ij,...jd->...id", Tk, h) for Tk in basis]
+    out = sum(th * v for th, v in zip(thetas, terms))
+    gh = sum(th * np.einsum("ji,...jd->...id", Tk, g) for th, Tk in zip(thetas, basis))
+    gth = np.array([np.sum(v * g) for v in terms])
+    return out, gh, gth
+
+
+def primitive_grads(op, *args, g):
+    """Forward value and the parents' gradients for upstream gradient g."""
+    rec = nn.ComputeRecord()
+    node = op(rec, *[rec.leaf(nn.Parameter("a%d" % i, a)) if isinstance(a, np.ndarray)
+                     else a for i, a in enumerate(args)])
+    return node.value, node.grad_fn(g)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    def test_temporal_conv_bit_equal_to_padded_loop(self, K, T):
+        rng = np.random.default_rng(10 * K + T)
+        for shape in ((2, T, 3, 4), (16, T, 40, 16)):
+            x = np.maximum(rng.standard_normal(shape), 0.0)
+            W = rng.standard_normal((K, shape[-1], 5))
+            b = rng.standard_normal(5)
+            g = rng.standard_normal(shape[:3] + (5,))
+            out, (gx, gW, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
+            want_out, want_gx, want_gW = padded_temporal_conv(x, W, b, g)
+            assert out.tobytes() == want_out.tobytes()
+            assert gx.tobytes() == want_gx.tobytes()
+            assert gW.tobytes() == want_gW.tobytes()
+            assert np.array_equal(gb, g.sum(axis=(0, 1, 2)))
+
+    def test_graph_conv_cheb_matches_per_term_sum(self):
+        rng = np.random.default_rng(11)
+        for n, K_order in ((5, 0), (7, 2), (40, 3)):
+            L = rng.standard_normal((n, n)) / n  # not symmetric: a lost transpose shows
+            basis = [np.eye(n), L]
+            while len(basis) < K_order + 1:
+                basis.append(2 * L @ basis[-1] - basis[-2])
+            basis = basis[:K_order + 1]
+            h = rng.standard_normal((3, 4, n, 6))
+            thetas = rng.standard_normal(K_order + 1)
+            g = rng.standard_normal(h.shape)
+            out, (gh, gth) = primitive_grads(nn.graph_conv_cheb, basis, h, thetas, g=g)
+            for got, want in zip((out, gh, gth), per_term_cheb(basis, h, thetas, g)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_graph_conv_spatial_any_operator(self):
+        # the table's A_hat is symmetric; this operator is not
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((4, 4)) / 4
+        h = nn.Parameter("h", rng.standard_normal((2, 3, 4, 5)))
+        W = nn.Parameter("W", rng.standard_normal((5, 3)))
+        target = rng.standard_normal((2, 3, 4, 3))
+
+        def build(rec):
+            return nn.mse_loss(rec, nn.graph_conv_spatial(rec, A, rec.leaf(h),
+                                                          rec.leaf(W)), target)
+
+        assert nn.grad_check(build, [h, W]) < 1e-6
+
+    def test_relu_has_no_negative_zero(self):
+        x = np.array([[-0.0, 0.0, -1.5, 2.0], [-np.finfo(float).tiny, 3.0, -0.0, -7.0]])
+        g = np.arange(1.0, 9.0).reshape(2, 4)
+        out, (gx,) = primitive_grads(nn.relu, x, g=g)
+        assert not np.signbit(out).any()
+        assert np.array_equal(out, np.where(x > 0, x, 0.0))
+        assert np.array_equal(gx, g * (x > 0))
+
+    def test_mean_pool_time_gradient_spreads_evenly(self):
+        x = np.random.default_rng(12).standard_normal((2, 3, 4, 5))
+        g = np.random.default_rng(13).standard_normal((2, 4, 5))
+        _, (gx,) = primitive_grads(nn.mean_pool_time, x, g=g)
+        assert gx.shape == x.shape
+        assert np.array_equal(gx, np.repeat(g[:, None] / 3, 3, axis=1))
+
+    def test_nonfinite_output_names_the_op(self):
+        # each rewritten kernel still scans its own output
+        big = np.full((1, 2, 3, 4), 1e300)
+        cases = [
+            ("temporal_conv", lambda rec: nn.temporal_conv(
+                rec, big, np.full((3, 4, 4), 1e300), np.zeros(4))),
+            ("graph_conv_spatial", lambda rec: nn.graph_conv_spatial(
+                rec, np.full((3, 3), 1e300), big, np.eye(4))),
+            ("graph_conv_cheb", lambda rec: nn.graph_conv_cheb(
+                rec, [np.eye(3), np.full((3, 3), 1e300)], big, np.ones(2))),
+            ("relu", lambda rec: nn.relu(rec, np.array([np.nan, 1.0]))),
+            ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.inf * big)),
+        ]
+        for op, call in cases:
+            with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError, match=op):
+                call(nn.ComputeRecord())
+
+
 class TestBackward:
     def test_square_derivative(self):
         w = scalar_param("w", [3.0])
