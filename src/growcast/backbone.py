@@ -96,8 +96,9 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     """Run the network on a batch.
 
     inputs: (B, t_in, n, 1), one input channel; prompt: n x d matrix,
-    ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`
-    (a fresh record is created when none is given, for evaluation-only calls).
+    ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`.
+    When none is given, a fresh record is created that keeps a backward
+    tape only if `train` is set.  Dropout applies only when `train` is set.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -107,7 +108,7 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     if op_n != n:
         raise BackboneError("graph operator covers %d nodes, inputs have %d" % (op_n, n))
     if record is None:
-        record = nn.ComputeRecord()
+        record = nn.ComputeRecord(grad=train)
     p = backbone.params
     leaf = {name: record.leaf(param) for name, param in p.items()}
 
@@ -121,10 +122,10 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     drop_p = backbone.dropout_p if train else 0.0
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
                                        leaf["input_proj.b"], prompt,
-                                       leaf["gconv1.W" if spatial else "gconv1.theta"]))
-    h = nn.dropout(record, h, drop_p, rng)
-    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]))
-    h = nn.dropout(record, h, drop_p, rng)
+                                       leaf["gconv1.W" if spatial else "gconv1.theta"]),
+                drop_p, rng)
+    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]),
+                drop_p, rng)
     h = nn.relu(record, nn.graph_conv_spatial(record, operator, h, leaf["gconv2.W"])
                 if spatial else nn.graph_conv_cheb(record, operator, h, leaf["gconv2.theta"]))
     h = nn.mean_pool_time(record, h)  # (B, n, d)
@@ -133,5 +134,6 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     def grad_fn(g):
         return [np.transpose(g, (0, 2, 1))]
 
-    pred = record.record("transpose", np.transpose(out.value, (0, 2, 1)), [out], grad_fn)
+    pred = record.record("transpose", np.transpose(out.value, (0, 2, 1)), [out], grad_fn,
+                         scan=False)
     return pred, record

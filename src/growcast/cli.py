@@ -266,9 +266,15 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
               lambda r: nn.mse_loss(r, nn.relu(r, nn.linear(r, r.constant(np.eye(n)),
                                                             r.leaf(Wr))),
                                     np.zeros((n, n))), [Wr])
+        # the same dropout mask on every rebuild: the stream restarts each time
+        check("relu_dropout:%d" % seed,
+              lambda r: nn.mse_loss(r, nn.relu(r, nn.linear(r, r.constant(np.eye(n)),
+                                                            r.leaf(Wr)),
+                                               0.5, nn.rng_stream(seed, "gradcheck", "drop")),
+                                    np.zeros((n, n))), [Wr])
 
         for variant in ("spatial", "spectral"):
-            bb = build_backbone(variant, d=d, t_out=3, seed=seed, K_order=2)
+            bb = build_backbone(variant, d=d, t_out=3, seed=seed, K_order=2, dropout_p=0.3)
             op = graph_operator(bb, adj)
             prompt = nn.Parameter("prompt", 0.1 * rng.standard_normal((n, d)))
             target = rng.standard_normal((2, 3, n))
@@ -280,6 +286,16 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
 
             check("backbone_%s:%d" % (variant, seed),
                   build, bb.parameters() + [prompt])
+
+            # training mode: both dropouts, in place into fresh conv outputs
+            def build_train(r, bb=bb, op=op, prompt=prompt, target=target):
+                pred, _ = forward_predict(bb, op, x, prompt=r.leaf(prompt), record=r,
+                                          train=True,
+                                          rng=nn.rng_stream(seed, "gradcheck", "drop"))
+                return nn.mse_loss(r, pred, target)
+
+            check("backbone_%s_dropout:%d" % (variant, seed),
+                  build_train, bb.parameters() + [prompt])
 
         P = nn.Parameter("P", 0.3 * rng.standard_normal((n, d)))
         for name, op, mix in (("graph_input_spatial", A_hat, Wg),

@@ -92,9 +92,11 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        for name in ("d", "kernel", "batch_size"):
+        for name in ("d", "k", "kernel", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be at least 1" % name)
+        if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction <= 1.0:
+            raise ConfigError("few_shot_fraction must lie in (0, 1]")
         if self.K_order < 0:
             raise ConfigError("K_order must be at least 0")
         for name in ("dropout_initial", "dropout_continual"):
@@ -263,9 +265,12 @@ def _induced_subperiod(graph, series, new_ids, config, seed):
 
 
 def _make_forward(backbone, operator, pool, rng=None):
-    """forward(batch_x, train) over the live parameters, prompted by `pool` if given."""
+    """forward(batch_x, train) over the live parameters, prompted by `pool` if given.
+
+    An evaluation forward (train=False) records no backward tape.
+    """
     def forward(batch_x, train):
-        record = nn.ComputeRecord()
+        record = nn.ComputeRecord(grad=train)
         prompt = None
         if pool is not None:
             prompt = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])

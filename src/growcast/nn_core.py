@@ -5,6 +5,15 @@ operations); reverse-mode accumulation replays the tape backward and
 returns gradients for trainable parameters only.  Everything is double
 precision, and every random draw comes from a named stream derived from
 one experiment seed, so runs replay bit-for-bit on one platform.
+
+Non-finite values are caught where they can first appear: GEMM-like
+primitives and the loss scan their output; `relu` without dropout,
+`concat_rows` and the backbone's transpose map finite to finite and scan
+only unscanned inputs (leaves, constants).  The NonFiniteError names the
+primitive.  `relu` applies ReLU and dropout as one multiplier, in place
+into the fresh output of the primitive before it.  A record built with
+`grad=False` keeps no tape, so evaluation frees each intermediate once
+the next layer has read it.
 """
 from __future__ import annotations
 
@@ -28,7 +37,6 @@ __all__ = [
     "graph_conv_spatial",
     "graph_conv_cheb",
     "mean_pool_time",
-    "dropout",
     "mse_loss",
     "backward",
     "AdamState",
@@ -82,15 +90,16 @@ class Parameter:
 
 
 class Node:
-    """A value on the tape."""
+    """A value on the tape; `scanned` marks a value known to be finite."""
 
-    __slots__ = ("value", "parents", "grad_fn", "needs_grad")
+    __slots__ = ("value", "parents", "grad_fn", "needs_grad", "scanned")
 
-    def __init__(self, value, parents=(), grad_fn=None, needs_grad=False):
+    def __init__(self, value, parents=(), grad_fn=None, needs_grad=False, scanned=False):
         self.value = value
         self.parents = parents
         self.grad_fn = grad_fn
         self.needs_grad = needs_grad
+        self.scanned = scanned
 
     @property
     def shape(self):
@@ -98,36 +107,64 @@ class Node:
 
 
 class ComputeRecord:
-    """Ordered log of primitive applications, replayable once backward."""
+    """Ordered log of primitive applications, replayable once backward.
 
-    def __init__(self):
+    With grad=False nothing is kept for backward: nodes carry their value
+    only and are not listed, so each is freed when its last reader is done.
+    """
+
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.nodes = []
         self.consumed = False
         self._param_nodes = {}
+        self._fresh = None  # last output whose array no other node reads yet
 
     def leaf(self, param: Parameter) -> Node:
-        node = Node(param.value, needs_grad=param.trainable)
+        node = Node(param.value, needs_grad=self.grad and param.trainable)
         self._param_nodes[param.name] = (param, node)
-        self.nodes.append(node)
-        return node
+        return self._keep(node)
 
     def constant(self, value) -> Node:
-        node = Node(np.asarray(value, dtype=float))
-        self.nodes.append(node)
-        return node
+        return self._keep(Node(np.asarray(value, dtype=float)))
 
-    def record(self, op_name, value, parents, grad_fn) -> Node:
+    def record(self, op_name, value, parents, grad_fn, scan=True, fresh=False) -> Node:
+        """Add one primitive's output.
+
+        scan=False is for ops that map finite inputs to finite outputs:
+        only their unscanned inputs (leaves, constants) are checked.
+        fresh=True says `value` is an array the primitive allocated, which
+        a `relu` right after it may overwrite.
+        """
         value = np.asarray(value, dtype=float)
-        if not np.isfinite(value).all():
-            raise NonFiniteError("non-finite output of %s" % op_name)
-        node = Node(value, parents=tuple(parents), grad_fn=grad_fn,
-                    needs_grad=any(p.needs_grad for p in parents))
-        self.nodes.append(node)
+        if scan:
+            if not np.isfinite(value).all():
+                raise NonFiniteError("non-finite output of %s" % op_name)
+        else:
+            for p in parents:
+                if not (p.scanned or np.isfinite(p.value).all()):
+                    raise NonFiniteError("non-finite input of %s" % op_name)
+                p.scanned = True
+        if self.grad:
+            node = Node(value, tuple(parents), grad_fn,
+                        any(p.needs_grad for p in parents), scanned=True)
+        else:
+            node = Node(value, scanned=True)
+        self._fresh = node if fresh else None
+        return self._keep(node)
+
+    def _keep(self, node: Node) -> Node:
+        if self.grad:
+            self.nodes.append(node)
         return node
 
 
 def _as_node(record: ComputeRecord, x) -> Node:
-    return x if isinstance(x, Node) else record.constant(x)
+    if not isinstance(x, Node):
+        return record.constant(x)
+    if x.value is None:
+        raise NnError("a relu has overwritten this node in place; read the relu's output")
+    return x
 
 
 def _shape_check(op, cond, *shapes):
@@ -159,18 +196,48 @@ def linear(record, x, W, b=None):
                          if b.needs_grad else None)
         return grads
 
-    return record.record("linear", out, parents, grad_fn)
+    return record.record("linear", out, parents, grad_fn, fresh=True)
 
 
-def relu(record, x):
-    """max(x, 0); a -0.0 input maps to +0.0."""
+def relu(record, x, p=0.0, rng=None):
+    """max(x, 0) followed by inverted dropout at rate p, in one pass.
+
+    p = 0: np.maximum(x, 0) (-0.0 maps to +0.0), no rng; backward takes
+    its mask from the output.  p > 0: one rng.random(x.shape) call, as the
+    unfused dropout drew, gives the multiplier m = (x > 0) * (draw >= p)
+    / (1 - p); the output is x * m (so -0.0 where x < 0) and backward is
+    g * m.  The result overwrites x's array when x is the fresh output of
+    the primitive recorded just before; x's value is then gone.  Leaves,
+    constants and outputs another primitive read are never written.  Only
+    dropout scaling can overflow, so without it only an unscanned x (a
+    leaf or constant) is scanned.
+    """
     x = _as_node(record, x)
-    mask = x.value > 0
+    if not (0.0 <= p < 1.0):
+        raise NnError("dropout rate must lie in [0, 1), got %r" % p)
+    if p > 0.0 and rng is None:
+        raise NnError("dropout with p > 0 needs an explicit rng")
+    in_place = record._fresh is x
+    out = x.value if in_place else None
+    if p == 0.0:
+        out = np.maximum(x.value, 0.0, out=out)
 
-    def grad_fn(g):
-        return [g * mask]
+        def grad_fn(g):
+            return [g * (out > 0)]
+    else:
+        m = rng.random(x.shape)
+        keep = m >= p
+        keep &= x.value > 0
+        np.divide(keep, 1.0 - p, out=m)
+        out = np.multiply(x.value, m, out=out)
 
-    return record.record("relu", np.maximum(x.value, 0.0), [x], grad_fn)
+        def grad_fn(g):
+            return [g * m]
+
+    node = record.record("relu", out, [x], grad_fn, scan=p > 0.0)
+    if in_place:
+        x.value = None
+    return node
 
 
 def concat_rows(record, parts):
@@ -189,7 +256,7 @@ def concat_rows(record, parts):
             start += size
         return grads
 
-    return record.record("concat_rows", out, parts, grad_fn)
+    return record.record("concat_rows", out, parts, grad_fn, scan=False)
 
 
 def _taps(K, T):
@@ -254,7 +321,7 @@ def temporal_conv(record, x, W, b):
             gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
         return [gx, gW, gb]
 
-    return record.record("temporal_conv", out, [x, W, b], grad_fn)
+    return record.record("temporal_conv", out, [x, W, b], grad_fn, fresh=True)
 
 
 def graph_conv_spatial(record, A_hat, h, W):
@@ -276,7 +343,7 @@ def graph_conv_spatial(record, A_hat, h, W):
               if W.needs_grad else None)
         return [gh, gW]
 
-    return record.record("graph_conv_spatial", out, [h, W], grad_fn)
+    return record.record("graph_conv_spatial", out, [h, W], grad_fn, fresh=True)
 
 
 def _cheb_operator(basis, thetas):
@@ -310,7 +377,7 @@ def graph_conv_cheb(record, cheb_basis, h, thetas):
             gth = np.array([np.vdot(Tk, S) for Tk in cheb_basis])
         return [gh, gth]
 
-    return record.record("graph_conv_cheb", out, [h, thetas], grad_fn)
+    return record.record("graph_conv_cheb", out, [h, thetas], grad_fn, fresh=True)
 
 
 def graph_input(record, operator, x, W_in, b_in, prompt, weight):
@@ -377,7 +444,7 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
             gw = W_in.value.T @ gU + GM.T @ gC
         return [gW_in, gb, gw, gM][:len(parents)]
 
-    return record.record("graph_input", out, parents, grad_fn)
+    return record.record("graph_input", out, parents, grad_fn, fresh=True)
 
 
 def mean_pool_time(record, x):
@@ -391,23 +458,6 @@ def mean_pool_time(record, x):
         return [np.broadcast_to(g[:, None] / T, x.shape)]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
-
-
-def dropout(record, x, p, rng=None):
-    """Inverted dropout; p=0 is exactly the identity map."""
-    x = _as_node(record, x)
-    if not (0.0 <= p < 1.0):
-        raise NnError("dropout rate must lie in [0, 1), got %r" % p)
-    if p == 0.0:
-        return x
-    if rng is None:
-        raise NnError("dropout with p > 0 needs an explicit rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def grad_fn(g):
-        return [g * mask]
-
-    return record.record("dropout", x.value * mask, [x], grad_fn)
 
 
 def mse_loss(record, pred, target):
@@ -433,6 +483,8 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     """
     if record.consumed:
         raise NnError("compute record already consumed")
+    if not record.grad:
+        raise NnError("compute record was built with grad=False")
     if loss.value.shape != ():
         raise NnError("loss must be scalar, got shape %s" % (loss.value.shape,))
     record.consumed = True
@@ -524,9 +576,9 @@ def grad_check(build_loss, params, h=(1e-5, 1e-4)) -> float:
             best = np.inf
             for step in steps:
                 flat[i] = orig + step
-                lp = float(build_loss(ComputeRecord()).value)
+                lp = float(build_loss(ComputeRecord(grad=False)).value)
                 flat[i] = orig - step
-                lm = float(build_loss(ComputeRecord()).value)
+                lm = float(build_loss(ComputeRecord(grad=False)).value)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * step)
                 if not np.isfinite(fd):

@@ -129,6 +129,34 @@ class TestForward:
             assert np.allclose(fused.value, manual, atol=1e-12), (variant, trainable)
 
 
+class DrawLog:
+    """A Generator stand-in that logs the shape of each random() call."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = nn.rng_stream(seed, "dropout"), []
+
+    def random(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.rng.random(shape)
+
+
+class TestDropout:
+    def test_one_draw_per_dropout_in_layer_order(self):
+        # the unfused relu -> dropout chain drew one (B, T, n, d) array
+        # after the input block and one after the temporal conv
+        adj = small_graph(5)
+        x = np.random.default_rng(4).standard_normal((2, 12, 5, 1))
+        for variant in ("spatial", "spectral"):
+            bb = build_backbone(variant, d=6, seed=3, dropout_p=0.2)
+            op = graph_operator(bb, adj)
+            log = DrawLog(1)
+            forward_predict(bb, op, x, train=True, rng=log)
+            assert log.shapes == [(2, 12, 5, 6)] * 2
+            log = DrawLog(1)
+            forward_predict(bb, op, x, train=False, rng=log)
+            assert log.shapes == []
+
+
 class TestEndToEndGradients:
     def test_full_backbone_grad_check(self):
         for variant in ("spatial", "spectral"):

@@ -78,7 +78,8 @@ class TestRun:
 
     @pytest.mark.parametrize("field, value", [
         ("d", 0), ("kernel", 0), ("batch_size", 0), ("K_order", -1),
-        ("dropout_initial", 1.5), ("dropout_continual", -0.1)])
+        ("dropout_initial", 1.5), ("dropout_continual", -0.1),
+        ("k", 0), ("few_shot_fraction", 0.0), ("few_shot_fraction", 1.5)])
     def test_malformed_model_size_exits_1(self, tmp_path, field, value):
         out = tmp_path / "out"
         rc = main(["run", "--config", tiny_config(tmp_path, **{field: value}),

@@ -165,6 +165,32 @@ class TestEvaluatePeriod:
         assert out["6"]["MAE"] == pytest.approx(0.5)
 
 
+class TestMakeForward:
+    @pytest.mark.parametrize("variant", ["spatial", "spectral"])
+    def test_eval_forward_keeps_no_tape_and_matches_training_bits(self, variant):
+        from growcast.backbone import build_backbone, graph_operator
+        from growcast.engine import _make_forward
+        from growcast.prompt_pool import expand, init_pool
+        stream, _ = tiny_stream(periods=2)
+        graph = stream.periods[1]
+        pool = init_pool(stream.periods[0].nodes, d=6, k=2, seed=1)
+        expand(pool, graph.nodes[len(stream.periods[0].nodes):], period_index=2)
+        rng = np.random.default_rng(3)
+        for seg in pool.segments:
+            seg.A.value = rng.standard_normal(seg.A.value.shape)
+        bb = build_backbone(variant, d=6, seed=2)
+        forward = _make_forward(bb, graph_operator(bb, graph.adjacency), pool,
+                                nn.rng_stream(1, "dropout"))
+        x = rng.standard_normal((4, 12, len(graph.nodes), 1))
+        bb.dropout_p = 0.0
+        train_pred, train_rec = forward(x, train=True)
+        bb.dropout_p = 0.3  # evaluation never applies dropout
+        eval_pred, eval_rec = forward(x, train=False)
+        assert eval_pred.value.tobytes() == train_pred.value.tobytes()
+        assert train_rec.nodes and not eval_rec.nodes
+        assert eval_pred.parents == () and eval_pred.grad_fn is None
+
+
 class TestFusedDispersion:
     def test_matches_stacked_windows_bitwise(self):
         # ingestion's column reorder leaves series column-major; the strided

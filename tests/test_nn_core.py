@@ -46,17 +46,21 @@ class TestForwardPrimitives:
                                  rec.constant([0.0, 0.7]))
         assert np.allclose(out.value, 0.7 * L @ H)
 
-    def test_dropout_identity_at_zero(self):
+    def test_relu_dropout_zero_draws_nothing(self):
+        rng = nn.rng_stream(3, "drop")
+        state = rng.bit_generator.state
         rec = nn.ComputeRecord()
-        x = rec.constant(np.ones((2, 3)))
-        assert nn.dropout(rec, x, 0.0) is x
+        x = np.array([[-1.0, 2.0, 0.5], [3.0, -0.0, -4.0]])
+        out = nn.relu(rec, rec.constant(x), 0.0, rng)
+        assert np.array_equal(out.value, np.maximum(x, 0.0))
+        assert rng.bit_generator.state == state
 
-    def test_dropout_deterministic_under_seed(self):
+    def test_relu_dropout_deterministic_under_seed(self):
         x = np.ones((4, 5))
         outs = []
         for _ in range(2):
             rec = nn.ComputeRecord()
-            out = nn.dropout(rec, rec.constant(x), 0.5, nn.rng_stream(3, "drop"))
+            out = nn.relu(rec, rec.constant(x), 0.5, nn.rng_stream(3, "drop"))
             outs.append(out.value)
         assert np.array_equal(outs[0], outs[1])
 
@@ -114,6 +118,14 @@ def per_term_cheb(basis, h, thetas, g):
     gh = sum(th * np.einsum("ji,...jd->...id", Tk, g) for th, Tk in zip(thetas, basis))
     gth = np.array([np.sum(v * g) for v in terms])
     return out, gh, gth
+
+
+def relu_then_dropout(x, g, p, rng):
+    """Oracle: the unfused relu -> dropout composition, value and input gradient."""
+    if p == 0.0:
+        return np.maximum(x, 0.0), g * (x > 0)
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    return np.maximum(x, 0.0) * mask, (g * mask) * (x > 0)
 
 
 def primitive_grads(op, *args, g):
@@ -178,6 +190,27 @@ class TestKernelOracles:
         assert np.array_equal(out, np.where(x > 0, x, 0.0))
         assert np.array_equal(gx, g * (x > 0))
 
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+    def test_relu_dropout_matches_unfused_composition(self, p):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 4, 5, 6))
+        x[0, 0, 0, :4] = [0.0, -0.0, np.finfo(float).tiny, -np.finfo(float).tiny]
+        g = rng.standard_normal(x.shape)
+        oracle_rng = nn.rng_stream(7, "drop")
+        want, want_gx = relu_then_dropout(x, g, p, oracle_rng)
+        for fresh in (False, True):  # copy, then in place into a fresh output
+            rec = nn.ComputeRecord()
+            src = rec.record("src", x.copy(), [], None, fresh=fresh)
+            fused_rng = nn.rng_stream(7, "drop")
+            out = nn.relu(rec, src, p, fused_rng)
+            # equal values, except that a dropped or negative x may give -0.0
+            assert np.array_equal(out.value, want)
+            assert out.value[want != 0].tobytes() == want[want != 0].tobytes()
+            (gx,) = out.grad_fn(g)
+            assert gx.tobytes() == want_gx.tobytes()
+            # one rng.random(x.shape) draw with dropout, none without
+            assert fused_rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_mean_pool_time_gradient_spreads_evenly(self):
         x = np.random.default_rng(12).standard_normal((2, 3, 4, 5))
         g = np.random.default_rng(13).standard_normal((2, 4, 5))
@@ -201,6 +234,64 @@ class TestKernelOracles:
         for op, call in cases:
             with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError, match=op):
                 call(nn.ComputeRecord())
+
+
+class TestRecordContracts:
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_nonfinite_leaf_or_constant_into_relu_names_relu(self, p):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.array([[1.0, bad], [-2.0, 3.0]])
+            for make in (lambda rec: rec.constant(x),
+                         lambda rec: rec.leaf(nn.Parameter("w", x))):
+                rec = nn.ComputeRecord()
+                with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError, match="relu"):
+                    nn.relu(rec, make(rec), p, nn.rng_stream(0, "drop"))
+
+    def test_relu_writes_only_a_fresh_unread_output(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 4))
+        W = nn.Parameter("W", rng.standard_normal((4, 4)))
+        for p in (0.0, 0.5):
+            # a parameter's value and a constant's array stay as they were
+            rec = nn.ComputeRecord()
+            arr = x.copy()
+            for node in (rec.leaf(nn.Parameter("P", arr)), rec.constant(arr)):
+                out = nn.relu(rec, node, p, nn.rng_stream(0, "drop"))
+                assert node.value is arr and arr.tobytes() == x.tobytes()
+                assert not np.shares_memory(out.value, arr)
+            # an output another primitive has read is not written either
+            for read in (lambda rec, h: nn.linear(rec, h, rec.leaf(W)),
+                         lambda rec, h: nn.concat_rows(rec, [h])):
+                rec = nn.ComputeRecord()
+                h = nn.linear(rec, x, rec.leaf(W))
+                before = h.value.copy()
+                read(rec, h)
+                out = nn.relu(rec, h, p, nn.rng_stream(0, "drop"))
+                assert h.value.tobytes() == before.tobytes()
+                assert not np.shares_memory(out.value, h.value)
+            # a fresh, unread output is written in place and is then gone
+            rec = nn.ComputeRecord()
+            h = nn.linear(rec, x, rec.leaf(W))
+            arr = h.value
+            out = nn.relu(rec, h, p, nn.rng_stream(0, "drop"))
+            assert out.value is arr and h.value is None
+            with pytest.raises(nn.NnError, match="in place"):
+                nn.linear(rec, h, rec.leaf(W))
+
+    def test_gradient_free_record_keeps_nothing(self):
+        rng = np.random.default_rng(17)
+        W = nn.Parameter("W", rng.standard_normal((4, 4)))
+        x = rng.standard_normal((3, 4))
+        rec = nn.ComputeRecord(grad=False)
+        h = nn.relu(rec, nn.linear(rec, x, rec.leaf(W)))
+        loss = nn.mse_loss(rec, h, np.zeros((3, 4)))
+        assert rec.nodes == []
+        assert all(n.parents == () and n.grad_fn is None and not n.needs_grad
+                   for n in (h, loss))
+        with pytest.raises(nn.NnError, match="grad=False"):
+            nn.backward(rec, loss)
+        assert loss.value == nn.mse_loss(nn.ComputeRecord(), np.maximum(x @ W.value, 0.0),
+                                         np.zeros((3, 4))).value
 
 
 class TestBackward:
