@@ -98,21 +98,6 @@ def dispersion_decomposition(X, P) -> DispersionReport:
                             inequality_held=d_after >= d_before)
 
 
-def neutralize_cross_covariance(X, P) -> np.ndarray:
-    """Center P and remove its sample cross-covariance with centered X.
-
-    After this projection the dispersion shift equals the prompt-spread
-    term exactly, which is where the >= 0 claim is literally true.
-    """
-    x = np.asarray(X, dtype=float)
-    p = np.asarray(P, dtype=float)
-    xc = x - x.mean(axis=0)
-    pc = p - p.mean(axis=0)
-    # Least-squares removal of the component of P lying in the row space of Xc.
-    coef, *_ = np.linalg.lstsq(xc, pc, rcond=None)
-    return pc - xc @ coef
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     singular_values: tuple
@@ -138,6 +123,8 @@ def svd_cumulative(P, k: int | None = None) -> SpectralReport:
         ratios = None
     if k is None:
         k = min(p.shape) // 2 or 1
+    if k < 1:
+        raise AnalysisError("k must be >= 1, got %d" % k)
     err = float(np.sqrt((sigma[k:] ** 2).sum()))
     return SpectralReport(singular_values=tuple(float(v) for v in sigma),
                           cumulative_ratio=ratios, rank_k_error=err, k=k)
@@ -150,7 +137,7 @@ def best_rank_k(P, k: int) -> np.ndarray:
 
 
 def random_projection_probe(P, k: int, epsilon: float, trials: int,
-                            seed: int = 0, oracle_mode: bool = False) -> dict:
+                            seed: int = 0) -> dict:
     """Monte-Carlo check of the random-projection factorization construction.
 
     Each trial draws a k x n projection with N(0, 1/k) entries, forms the
@@ -159,9 +146,6 @@ def random_projection_probe(P, k: int, epsilon: float, trials: int,
     rate at epsilon, error quantiles, the best-rank-k SVD floor, and a note:
     for k < n the projector Phi^T Phi has rank k, so ||I - Phi^T Phi||_2 >= 1
     and the spectral-norm route cannot certify epsilon < 1.
-
-    oracle_mode swaps the random factors for the truncated SVD (exact when
-    rank(P) <= k).
     """
     p = np.asarray(P, dtype=float)
     if trials < 1 or k < 1:
@@ -173,12 +157,9 @@ def random_projection_probe(P, k: int, epsilon: float, trials: int,
     floor = float(np.linalg.norm(p - best_rank_k(p, k))) / norm
     errors = []
     for trial in range(trials):
-        if oracle_mode:
-            ab = best_rank_k(p, k)
-        else:
-            rng = rng_stream(seed, "probe", trial)
-            phi = rng.standard_normal((k, n)) / np.sqrt(k)
-            ab = phi.T @ (phi @ p)
+        rng = rng_stream(seed, "probe", trial)
+        phi = rng.standard_normal((k, n)) / np.sqrt(k)
+        ab = phi.T @ (phi @ p)
         errors.append(float(np.linalg.norm(p - ab)) / norm)
     errors_arr = np.array(errors)
     qs = np.quantile(errors_arr, [0.0, 0.25, 0.5, 0.75, 1.0])

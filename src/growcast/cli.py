@@ -29,7 +29,7 @@ from .backbone import build_backbone, forward_predict, graph_operator
 from .data_pipeline import DataError, load_stream_manifest, synth_stream, write_stream
 from .engine import ConfigError, ExperimentConfig, TrainingAbort, run_stream
 from .graph_stream import GraphStreamError, build_adjacency
-from .prompt_pool import PoolError, load_pool, materialize
+from .prompt_pool import PoolError
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -60,7 +60,10 @@ def _parse_synth_spec(spec: str) -> dict:
         key, val = tok.split("=", 1)
         if key not in fields:
             raise DataError("unknown synth spec key %r" % key)
-        fields[key] = int(val) if key in int_keys else float(val)
+        try:
+            fields[key] = int(val) if key in int_keys else float(val)
+        except ValueError:
+            raise DataError("bad value %r for synth spec key %r" % (val, key))
     return fields
 
 
@@ -84,7 +87,11 @@ def cmd_run(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (args.config, exc))
         if args.seeds:
-            raw_config["seeds"] = [int(s) for s in args.seeds.split(",")]
+            try:
+                raw_config["seeds"] = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise ConfigError("--seeds must be comma-separated integers, got %r"
+                                  % args.seeds)
         config = ExperimentConfig.from_dict(raw_config)
         manifest["config"] = raw_config
         manifest["inputs"][args.config] = _digest(args.config)
@@ -154,21 +161,21 @@ def _load_matrix(path) -> np.ndarray:
                 ln = ln.strip()
                 if ln:
                     rows.append([float(t) for t in ln.replace(",", " ").split()])
-        return np.asarray(rows, dtype=float)
+        matrix = np.asarray(rows, dtype=float)
     except (OSError, ValueError) as exc:
         raise DataError("cannot parse matrix file %s: %s" % (path, exc))
+    if not np.isfinite(matrix).all():
+        raise DataError("matrix file %s has non-finite cells" % path)
+    return matrix
 
 
 def cmd_analyze(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
-        if args.pool:
-            matrix = materialize(load_pool(args.pool))
-        elif args.matrix:
-            matrix = _load_matrix(args.matrix)
-        else:
-            print("error: --pool or --matrix required", file=sys.stderr)
+        if not args.matrix:
+            print("error: --matrix required", file=sys.stderr)
             return EXIT_CONFIG
+        matrix = _load_matrix(args.matrix)
 
         if args.what == "hetero":
             result = {"D": heterogeneity_D(matrix)}
@@ -190,12 +197,12 @@ def cmd_analyze(args) -> int:
             result = {f: getattr(rep, f) for f in rep.__dataclass_fields__}
             series = list(result.items())
         else:  # prop2
-            rep = random_projection_probe(matrix, k=args.k or 6,
+            rep = random_projection_probe(matrix, k=6 if args.k is None else args.k,
                                           epsilon=args.epsilon,
                                           trials=args.trials, seed=args.seed)
             series = list(enumerate(rep.pop("errors")))
             result = rep
-    except (DataError, PoolError, AnalysisError) as exc:
+    except (DataError, AnalysisError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 
@@ -345,7 +352,7 @@ def cmd_synth(args) -> int:
         fields = _parse_synth_spec(args.spec)
         stream, series = _build_synth(fields)
         path = write_stream(args.out, stream, series, r=fields["r"])
-    except DataError as exc:
+    except (DataError, GraphStreamError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     print("wrote %s" % path)
@@ -368,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run a standalone analysis")
     p_an.add_argument("--what", required=True,
                       choices=("hetero", "svd", "prop1", "prop2"))
-    p_an.add_argument("--pool", help="saved pool file")
     p_an.add_argument("--matrix", help="dense matrix text file")
     p_an.add_argument("--matrix2", help="second matrix (prop1 additive term)")
     p_an.add_argument("--k", type=int, default=None)

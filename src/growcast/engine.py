@@ -295,7 +295,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
                                       dropout_p=config.dropout_initial,
                                       seed=nn.hash_name((seed, "init", tau)))
         train_on = "all" if initial else scheme.later
-        new_ids = diff_nodes(stream.periods[tau - 2], graph)[0] if tau > 1 else []
+        new_ids = diff_nodes(stream.periods[tau - 2], graph) if tau > 1 else []
 
         if scheme.pool is not None:
             if tau == 1:

@@ -81,7 +81,7 @@ def _check_distances(distances: np.ndarray) -> np.ndarray:
     return d
 
 
-def build_adjacency(distances, r: float, sigma_override: float | None = None) -> np.ndarray:
+def build_adjacency(distances, r: float) -> np.ndarray:
     """Thresholded Gaussian-kernel adjacency from a distance matrix.
 
     Entry (i, j) is exp(-d_ij^2 / sigma^2) when that value clears the
@@ -93,15 +93,10 @@ def build_adjacency(distances, r: float, sigma_override: float | None = None) ->
     if not (0.0 <= r < 1.0):
         raise GraphStreamError("threshold r must lie in [0, 1), got %r" % r)
     n = d.shape[0]
-    if sigma_override is not None:
-        if sigma_override <= 0:
-            raise GraphStreamError("sigma_override must be positive")
-        sigma = float(sigma_override)
-    else:
-        off = d[~np.eye(n, dtype=bool)]
-        sigma = float(np.std(off)) if off.size else 0.0
-        if sigma == 0.0:
-            sigma = 1.0
+    off = d[~np.eye(n, dtype=bool)]
+    sigma = float(np.std(off)) if off.size else 0.0
+    if sigma == 0.0:
+        sigma = 1.0
     a = np.exp(-(d ** 2) / sigma ** 2)
     a[a < r] = 0.0
     np.fill_diagonal(a, 0.0)
@@ -153,20 +148,17 @@ def cheb_polynomials(L_tilde: np.ndarray, order: int) -> list:
     return mats
 
 
-def diff_nodes(prev: PeriodGraph, cur: PeriodGraph):
-    """New node ids in cur's order, plus the old-index to new-index map."""
-    cur_pos = {nid: i for i, nid in enumerate(cur.nodes)}
-    carry = {}
-    for old_i, nid in enumerate(prev.nodes):
-        if nid not in cur_pos:
+def diff_nodes(prev: PeriodGraph, cur: PeriodGraph) -> list:
+    """New node ids in cur's order; every node of prev must persist in cur."""
+    cur_set = set(cur.nodes)
+    for nid in prev.nodes:
+        if nid not in cur_set:
             raise ExpansionViolation(
                 "node %r from period %d missing in period %d"
                 % (nid, prev.period_index, cur.period_index)
             )
-        carry[old_i] = cur_pos[nid]
     prev_set = set(prev.nodes)
-    new_ids = [nid for nid in cur.nodes if nid not in prev_set]
-    return new_ids, carry
+    return [nid for nid in cur.nodes if nid not in prev_set]
 
 
 def read_distances(path, node_ids=None) -> np.ndarray:

@@ -42,8 +42,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "grad_check",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -552,16 +550,15 @@ def adam_step(params, grads: dict, state: AdamState, lr: float):
         p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def grad_check(build_loss, params, h=(1e-5, 1e-4)) -> float:
+def grad_check(build_loss, params) -> float:
     """Max relative error between tape gradients and central differences.
 
     build_loss(record) must rebuild the forward pass from the current
-    parameter values each time it is called.  Each coordinate keeps its
-    best step size: the small step bounds truncation error, the larger
-    one rescues near-zero gradients whose differences would otherwise
-    drown in float64 roundoff.
+    parameter values each time it is called.  Each coordinate keeps the
+    better of two step sizes: the small step (1e-5) bounds truncation
+    error, the larger one (1e-4) rescues near-zero gradients whose
+    differences would otherwise drown in float64 roundoff.
     """
-    steps = (h,) if np.isscalar(h) else tuple(h)
     record = ComputeRecord()
     loss = build_loss(record)
     analytic = backward(record, loss)
@@ -574,7 +571,7 @@ def grad_check(build_loss, params, h=(1e-5, 1e-4)) -> float:
         for i in range(flat.size):
             orig = flat[i]
             best = np.inf
-            for step in steps:
+            for step in (1e-5, 1e-4):
                 flat[i] = orig + step
                 lp = float(build_loss(ComputeRecord(grad=False)).value)
                 flat[i] = orig - step
@@ -588,37 +585,3 @@ def grad_check(build_loss, params, h=(1e-5, 1e-4)) -> float:
                 best = min(best, rel)
             worst = max(worst, best)
     return worst
-
-
-CHECKPOINT_HEADER = "growcast-params v1"
-
-
-def save_params(path, params, extra: str = ""):
-    """Versioned decimal-text checkpoint, one line per parameter."""
-    with open(path, "w") as fh:
-        fh.write(CHECKPOINT_HEADER + (" " + extra if extra else "") + "\n")
-        for p in params:
-            shape = "x".join(str(s) for s in p.value.shape) or "scalar"
-            vals = " ".join(repr(float(v)) for v in p.value.reshape(-1))
-            fh.write("%s %s %s\n" % (p.name, shape, vals))
-
-
-def load_params(path) -> dict:
-    """Read a checkpoint back into {name: ndarray}."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(CHECKPOINT_HEADER):
-            raise NnError("unknown checkpoint version: %r" % header)
-        out = {}
-        for line in fh:
-            parts = line.split()
-            if len(parts) < 2:
-                raise NnError("truncated checkpoint line: %r" % line)
-            name, shape_tok = parts[0], parts[1]
-            shape = () if shape_tok == "scalar" else tuple(int(s) for s in shape_tok.split("x"))
-            vals = np.array([float(v) for v in parts[2:]])
-            expected = int(np.prod(shape)) if shape else 1
-            if vals.size != expected:
-                raise NnError("checkpoint entry %r has wrong value count" % name)
-            out[name] = vals.reshape(shape)
-    return out

@@ -106,66 +106,3 @@ def param_count(pool: PromptPool) -> dict:
     materialized = pool.n * pool.d
     return {"tunable": tunable, "materialized": materialized,
             "ratio": tunable / materialized}
-
-
-POOL_HEADER = "eac-pool v1"
-
-
-def save_pool(path, pool: PromptPool) -> None:
-    with open(path, "w") as fh:
-        fh.write("%s k=%d d=%d mode=%s\n" % (POOL_HEADER, pool.k, pool.d, pool.mode))
-        for seg in pool.segments:
-            fh.write("nodes %d %s\n" % (seg.period_index, ",".join(seg.node_ids)))
-            for row in seg.A.value:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        if pool.mode == "lowrank":
-            fh.write("B\n")
-            for row in pool.B.value:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_pool(path, expect_d: int | None = None) -> PromptPool:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise PoolError("empty pool file %s" % path)
-    head = lines[0].split()
-    if len(head) < 5 or " ".join(head[:2]) != POOL_HEADER:
-        raise PoolError("unknown pool file version: %r" % lines[0])
-    fields = dict(tok.split("=", 1) for tok in head[2:])
-    k, d, mode = int(fields["k"]), int(fields["d"]), fields["mode"]
-    if expect_d is not None and d != expect_d:
-        raise PoolError("pool width d=%d does not match expected d=%d" % (d, expect_d))
-    width = k if mode == "lowrank" else d
-    segments = []
-    B = None
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("nodes "):
-            _, tau, ids = line.split(" ", 2)
-            node_ids = tuple(ids.split(","))
-            rows = []
-            i += 1
-            while i < len(lines) and lines[i] and not lines[i].startswith(("nodes ", "B")):
-                rows.append([float(v) for v in lines[i].split()])
-                i += 1
-            A = np.asarray(rows, dtype=float)
-            if A.shape != (len(node_ids), width):
-                raise PoolError("truncated segment for period %s" % tau)
-            segments.append(PoolSegment(period_index=int(tau), node_ids=node_ids,
-                                        A=Parameter("pool.A%s" % tau, A)))
-        elif line == "B":
-            rows = [[float(v) for v in ln.split()] for ln in lines[i + 1:] if ln]
-            B_arr = np.asarray(rows, dtype=float)
-            if B_arr.shape != (k, d):
-                raise PoolError("truncated adjustment matrix (got shape %s)" % (B_arr.shape,))
-            B = Parameter("pool.B", B_arr)
-            break
-        else:
-            raise PoolError("unexpected pool file line: %r" % line)
-    if mode == "lowrank" and B is None:
-        raise PoolError("pool file missing adjustment matrix")
-    if not segments:
-        raise PoolError("pool file has no segments")
-    return PromptPool(segments=segments, B=B, k=k, d=d, mode=mode)

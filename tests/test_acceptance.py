@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from growcast.analysis import (
-    best_rank_k,
-    dispersion_decomposition,
-    neutralize_cross_covariance,
-    svd_cumulative,
-)
+from growcast.analysis import best_rank_k, dispersion_decomposition, svd_cumulative
 from growcast.backbone import build_backbone, graph_operator
 from growcast.cli import gradcheck_table, main
 from growcast.data_pipeline import build_period_dataset, synth_stream
@@ -24,6 +19,7 @@ from growcast.engine import ExperimentConfig, _make_forward, run_stream, train_p
 from growcast.graph_stream import diff_nodes
 from growcast.nn_core import rng_stream
 from growcast.prompt_pool import expand, init_pool, param_count
+from oracles import neutralize_cross_covariance
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE_CONFIG = {"k": 6, "d": 16, "epochs_max": 8, "patience": 3,
@@ -161,7 +157,7 @@ def later_period_epochs(stream_series, tau, rounds):
     data = build_period_dataset(graph, series[tau - 1], seed=1)
     pool = init_pool(stream.periods[0].nodes, d=cfg.d, k=cfg.k, seed=1)
     for t in range(2, tau + 1):
-        expand(pool, diff_nodes(stream.periods[t - 2], stream.periods[t - 1])[0], t)
+        expand(pool, diff_nodes(stream.periods[t - 2], stream.periods[t - 1]), t)
     runs = {}
     for scheme, scheme_pool in (("EAC", pool), ("ContinualAN", None)):
         bb = build_backbone(cfg.variant, d=cfg.d, kernel=cfg.kernel, K_order=cfg.K_order,

@@ -113,6 +113,14 @@ class TestRun:
         error = json.loads((out / "manifest.json").read_text())["error"]
         assert "period01_distances.csv line" in error and error in capsys.readouterr().err
 
+    def test_malformed_synth_number_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path),
+                   "--synth", "n0=abc", "--out", str(out)])
+        assert rc == 2
+        assert "'n0'" in capsys.readouterr().err
+        assert "'n0'" in json.loads((out / "manifest.json").read_text())["error"]
+
     def test_no_source_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
                    "--out", str(tmp_path / "out")])
@@ -125,6 +133,14 @@ class TestRun:
         assert rc == 0
         hetero = json.loads((out / "heterogeneity.json").read_text())
         assert sorted(hetero) == ["7", "8"]
+
+    def test_malformed_seed_list_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--synth", SYNTH,
+                   "--seeds", "a,b", "--out", str(out)])
+        assert rc == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert "--seeds" in json.loads((out / "manifest.json").read_text())["error"]
 
     def test_inputs_not_mutated(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -162,6 +178,11 @@ class TestSynthRoundTrip:
         assert main(["synth", "--spec", "bogus=1",
                      "--out", str(tmp_path / "s")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, named", [("T=1.5", "'T'"), ("r=1.5", "threshold")])
+    def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec, named):
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "s")]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -228,6 +249,26 @@ class TestAnalyze:
         rc = main(["analyze", "--what", "hetero", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["hetero", "svd"])
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, what):
+        path = tmp_path / "nan.txt"
+        path.write_text("1 2\n3 nan\n")
+        rc = main(["analyze", "--what", what, "--matrix", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "nan.txt" in capsys.readouterr().err
+        assert not (tmp_path / "o" / ("%s.json" % what)).exists()
+
+    @pytest.mark.parametrize("what, k", [("svd", "-2"), ("svd", "0"), ("prop2", "0")])
+    def test_k_below_one_exits_2(self, tmp_path, capsys, what, k):
+        M = np.random.default_rng(4).standard_normal((6, 4))
+        out = tmp_path / "out"
+        rc = main(["analyze", "--what", what, "--k", k,
+                   "--matrix", self.write_matrix(tmp_path, M), "--out", str(out)])
+        assert rc == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not (out / ("%s.json" % what)).exists()
 
     def test_unparsable_matrix_exits_2(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -27,11 +27,12 @@ def make_graph(tau, ids, dist=None):
 
 class TestBuildAdjacency:
     def test_kernel_values(self):
-        d = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-        A = build_adjacency(d, r=0.1, sigma_override=1)
-        assert A[0][1] == pytest.approx(math.exp(-1))
-        assert A[1][2] == pytest.approx(math.exp(-1))
-        assert A[0][2] == 0.0  # exp(-4) ~ 0.0183 < 0.1
+        d = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        sigma = np.std(d[~np.eye(3, dtype=bool)])  # sqrt(2/9)
+        A = build_adjacency(d, r=0.001)
+        assert A[0][1] == pytest.approx(math.exp(-1 / sigma ** 2))
+        assert A[1][2] == pytest.approx(math.exp(-1 / sigma ** 2))
+        assert A[0][2] == 0.0  # exp(-18) < 0.001
 
     def test_zero_diagonal(self):
         rng = np.random.default_rng(0)
@@ -42,13 +43,13 @@ class TestBuildAdjacency:
         assert np.all(np.diag(A) == 0)
 
     def test_high_threshold_keeps_only_tiny_distances(self):
-        # exp(-x) >= 0.99 iff x <= -ln(0.99)
-        cut = -math.log(0.99)
-        d = np.array([[0, math.sqrt(cut * 0.99), 1],
-                      [math.sqrt(cut * 0.99), 0, 1],
-                      [1, 1, 0]])
-        A = build_adjacency(d, r=0.99, sigma_override=1)
-        assert A[0][1] > 0
+        # exp(-x^2 / sigma^2) >= 0.99 iff x <= sigma * sqrt(-ln(0.99))
+        d = np.array([[0, 0.04, 1], [0.04, 0, 1], [1, 1, 0]])
+        sigma = np.std(d[~np.eye(3, dtype=bool)])
+        reach = sigma * math.sqrt(-math.log(0.99))
+        assert 0.8 * reach < 0.04 < reach  # just inside the threshold
+        A = build_adjacency(d, r=0.99)
+        assert A[0][1] == pytest.approx(math.exp(-(0.04 / sigma) ** 2))
         assert A[0][2] == 0 and A[1][2] == 0
 
     def test_sigma_from_off_diagonal_spread(self):
@@ -85,8 +86,6 @@ class TestBuildAdjacency:
             build_adjacency(np.zeros((2, 2)), r=1.0)
         with pytest.raises(GraphStreamError):
             build_adjacency(np.zeros((2, 2)), r=-0.1)
-        with pytest.raises(GraphStreamError):
-            build_adjacency(np.zeros((2, 2)), r=0.5, sigma_override=-1)
 
 
 class TestNormalizeAdjacency:
@@ -165,15 +164,11 @@ class TestDiffNodes:
     def test_growth(self):
         prev = make_graph(1, ["a", "b"])
         cur = make_graph(2, ["a", "b", "c"])
-        new_ids, carry = diff_nodes(prev, cur)
-        assert new_ids == ["c"]
-        assert carry == {0: 0, 1: 1}
+        assert diff_nodes(prev, cur) == ["c"]
 
     def test_identity(self):
         g = make_graph(1, ["a", "b"])
-        new_ids, carry = diff_nodes(g, g)
-        assert new_ids == []
-        assert len(carry) == 2
+        assert diff_nodes(g, g) == []
 
     def test_removal_rejected(self):
         with pytest.raises(ExpansionViolation):
@@ -182,8 +177,7 @@ class TestDiffNodes:
     def test_count_matches_growth(self):
         prev = make_graph(1, ["a", "b", "c"])
         cur = make_graph(2, ["a", "b", "c", "d", "e"])
-        new_ids, _ = diff_nodes(prev, cur)
-        assert len(new_ids) == cur.n - prev.n
+        assert len(diff_nodes(prev, cur)) == cur.n - prev.n
 
 
 class TestStreamGraph:

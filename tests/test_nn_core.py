@@ -424,25 +424,6 @@ class TestGradCheck:
             rec, rec.constant(np.ones(2)), np.zeros(2)), [W]) == 0.0
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        params = [nn.Parameter("a.W", rng.standard_normal((2, 3))),
-                  nn.Parameter("a.b", rng.standard_normal(3)),
-                  nn.Parameter("s", np.asarray(rng.standard_normal()))]
-        path = tmp_path / "ckpt.txt"
-        nn.save_params(path, params, extra="variant=spatial")
-        loaded = nn.load_params(path)
-        for p in params:
-            assert loaded[p.name].tobytes() == p.value.tobytes()
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something v9\n")
-        with pytest.raises(nn.NnError):
-            nn.load_params(path)
-
-
 class TestRngStreams:
     def test_named_streams_stable(self):
         a = nn.rng_stream(1, "x").standard_normal(4)

@@ -7,10 +7,8 @@ from growcast.prompt_pool import (
     PoolError,
     expand,
     init_pool,
-    load_pool,
     materialize,
     param_count,
-    save_pool,
 )
 
 
@@ -122,43 +120,3 @@ class TestParamCount:
             full = n * d
             if k < d * n / (n + d):
                 assert lowrank < full
-
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        pool = random_pool(segments=2, seed=3)
-        path = tmp_path / "pool.txt"
-        save_pool(path, pool)
-        loaded = load_pool(path)
-        assert loaded.k == pool.k and loaded.mode == pool.mode
-        assert materialize(loaded).tobytes() == materialize(pool).tobytes()
-        assert loaded.node_ids == pool.node_ids
-
-    def test_full_mode_round_trip(self, tmp_path):
-        pool = init_pool(ids(5), d=4, mode="full")
-        pool.segments[0].A.value = np.arange(20.0).reshape(5, 4)
-        path = tmp_path / "pool.txt"
-        save_pool(path, pool)
-        assert np.array_equal(materialize(load_pool(path)), pool.segments[0].A.value)
-
-    def test_d_mismatch_rejected(self, tmp_path):
-        pool = random_pool()
-        path = tmp_path / "pool.txt"
-        save_pool(path, pool)
-        with pytest.raises(PoolError, match="d="):
-            load_pool(path, expect_d=99)
-
-    def test_unknown_version_named(self, tmp_path):
-        path = tmp_path / "pool.txt"
-        path.write_text("eac-pool v9 k=2 d=2 mode=lowrank\n")
-        with pytest.raises(PoolError, match="v9"):
-            load_pool(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        pool = random_pool()
-        path = tmp_path / "pool.txt"
-        save_pool(path, pool)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(PoolError):
-            load_pool(path)
