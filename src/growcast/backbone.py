@@ -4,6 +4,11 @@ The architecture is node-count-free: an input projection, two graph
 convolutions around one temporal convolution, and a pooled linear head,
 so the same parameter set serves every period of the stream.
 
+The two variants differ only in `graph_operator` and the graph weights:
+spatial layers propagate over [A_hat] with d x d weights `gconv*.W`,
+spectral ones over the Chebyshev basis [T_0, ..., T_K] with coefficients
+`gconv*.theta`.
+
 The n x d prompt is added to the projected input before the first graph
 convolution.  Raw inputs have one channel and nothing before the first
 ReLU is nonlinear, so projection, prompt and first convolution run as one
@@ -84,10 +89,10 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
                          t_out=t_out, dropout_p=dropout_p, params=params)
 
 
-def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray):
-    """Precompute the constant propagation operator for one period graph."""
+def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
+    """The graph layers' constant operator for one period: a list of n x n matrices."""
     if backbone.variant == "spatial":
-        return normalize_adjacency(adjacency)
+        return [normalize_adjacency(adjacency)]
     return cheb_polynomials(scaled_laplacian(adjacency), backbone.K_order)
 
 
@@ -104,9 +109,9 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     if x.ndim != 4 or x.shape[-1] != 1:
         raise BackboneError("inputs must be (B, t_in, n, 1), got %s" % (x.shape,))
     n = x.shape[2]
-    op_n = operator.shape[0] if backbone.variant == "spatial" else operator[0].shape[0]
-    if op_n != n:
-        raise BackboneError("graph operator covers %d nodes, inputs have %d" % (op_n, n))
+    if operator[0].shape[0] != n:
+        raise BackboneError("graph operator covers %d nodes, inputs have %d"
+                            % (operator[0].shape[0], n))
     if record is None:
         record = nn.ComputeRecord(grad=train)
     p = backbone.params
@@ -118,16 +123,14 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
             raise BackboneError("prompt shape %s does not match (%d, %d)"
                                 % (prompt.shape, n, backbone.d))
 
-    spatial = backbone.variant == "spatial"
+    weight = "W" if backbone.variant == "spatial" else "theta"
     drop_p = backbone.dropout_p if train else 0.0
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
-                                       leaf["input_proj.b"], prompt,
-                                       leaf["gconv1.W" if spatial else "gconv1.theta"]),
+                                       leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
                 drop_p, rng)
     h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]),
                 drop_p, rng)
-    h = nn.relu(record, nn.graph_conv_spatial(record, operator, h, leaf["gconv2.W"])
-                if spatial else nn.graph_conv_cheb(record, operator, h, leaf["gconv2.theta"]))
+    h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + weight]))
     h = nn.mean_pool_time(record, h)  # (B, n, d)
     out = nn.linear(record, h, leaf["head.W"], leaf["head.b"])  # (B, n, t_out)
 

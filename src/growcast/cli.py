@@ -28,7 +28,13 @@ from .analysis import (
 from .backbone import build_backbone, forward_predict, graph_operator
 from .data_pipeline import DataError, load_stream_manifest, synth_stream, write_stream
 from .engine import ConfigError, ExperimentConfig, TrainingAbort, run_stream
-from .graph_stream import GraphStreamError, build_adjacency
+from .graph_stream import (
+    GraphStreamError,
+    build_adjacency,
+    cheb_polynomials,
+    normalize_adjacency,
+    scaled_laplacian,
+)
 from .prompt_pool import PoolError
 
 EXIT_CONFIG = 1
@@ -115,7 +121,7 @@ def cmd_run(args) -> int:
         return _fail(out_dir, manifest, exc, EXIT_NUMERIC)
 
     report_path = os.path.join(out_dir, "reports.json")
-    _json_dump(report_path, [r.to_dict(include_timing=False) for r in reports])
+    _json_dump(report_path, [r.to_dict() for r in reports])
     timing_path = os.path.join(out_dir, "timings.json")
     _json_dump(timing_path, [{"period_index": r.period_index,
                               "wall_seconds_per_epoch": r.wall_seconds_per_epoch,
@@ -215,17 +221,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
+def gradcheck_table(seeds=range(20)) -> list:
     """Max relative finite-difference error for every primitive and the
-    composed network; the `corrupt` hook distorts one primitive's analytic
-    gradient to prove the check catches it."""
+    composed network."""
     n, t_in, d = 4, 6, 5
     rows = []
 
     def check(name, build, params):
         worst = nn.grad_check(build, params)
-        if corrupt == name:
-            worst += 1.0
         rows.append({"primitive": name, "max_rel_err": worst,
                      "passed": worst < 1e-4})
 
@@ -253,20 +256,16 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
         dist = (dist + dist.T) / 2
         np.fill_diagonal(dist, 0.0)
         adj = build_adjacency(dist, r=0.1)
-        from .graph_stream import cheb_polynomials, normalize_adjacency, scaled_laplacian
-        A_hat = normalize_adjacency(adj)
         Wg = nn.Parameter("Wg", rng.standard_normal((d, d)) * 0.3)
-        check("graph_conv_spatial:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.graph_conv_spatial(r, A_hat, r.constant(h0),
-                                                             r.leaf(Wg)),
-                                    np.zeros((2, t_in, n, d))), [Wg])
-
-        basis = cheb_polynomials(scaled_laplacian(adj), 2)
         th = nn.Parameter("th", rng.standard_normal(3) * 0.3)
-        check("graph_conv_cheb:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.graph_conv_cheb(r, basis, r.constant(h0),
-                                                          r.leaf(th)),
-                                    np.zeros((2, t_in, n, d))), [th])
+        # (label, operator, weight) of each graph layer form
+        graph_layers = (("spatial", [normalize_adjacency(adj)], Wg),
+                        ("cheb", cheb_polynomials(scaled_laplacian(adj), 2), th))
+        for name, op, w in graph_layers:
+            check("graph_conv_%s:%d" % (name, seed),
+                  lambda r, op=op, w=w: nn.mse_loss(
+                      r, nn.graph_conv(r, op, r.constant(h0), r.leaf(w)),
+                      np.zeros((2, t_in, n, d))), [w])
 
         Wr = nn.Parameter("Wr", rng.standard_normal((n, n)))
         check("relu:%d" % seed,
@@ -286,46 +285,38 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
             prompt = nn.Parameter("prompt", 0.1 * rng.standard_normal((n, d)))
             target = rng.standard_normal((2, 3, n))
 
-            def build(r, bb=bb, op=op, prompt=prompt, target=target):
-                pr = r.leaf(prompt)
-                pred, _ = forward_predict(bb, op, x, prompt=pr, record=r)
-                return nn.mse_loss(r, pred, target)
+            # training mode adds both dropouts, in place into fresh conv outputs
+            for suffix, train in (("", False), ("_dropout", True)):
+                def build(r, bb=bb, op=op, prompt=prompt, target=target, train=train):
+                    pred, _ = forward_predict(bb, op, x, prompt=r.leaf(prompt), record=r,
+                                              train=train,
+                                              rng=nn.rng_stream(seed, "gradcheck", "drop"))
+                    return nn.mse_loss(r, pred, target)
 
-            check("backbone_%s:%d" % (variant, seed),
-                  build, bb.parameters() + [prompt])
-
-            # training mode: both dropouts, in place into fresh conv outputs
-            def build_train(r, bb=bb, op=op, prompt=prompt, target=target):
-                pred, _ = forward_predict(bb, op, x, prompt=r.leaf(prompt), record=r,
-                                          train=True,
-                                          rng=nn.rng_stream(seed, "gradcheck", "drop"))
-                return nn.mse_loss(r, pred, target)
-
-            check("backbone_%s_dropout:%d" % (variant, seed),
-                  build_train, bb.parameters() + [prompt])
+                check("backbone_%s%s:%d" % (variant, suffix, seed),
+                      build, bb.parameters() + [prompt])
 
         P = nn.Parameter("P", 0.3 * rng.standard_normal((n, d)))
-        for name, op, mix in (("graph_input_spatial", A_hat, Wg),
-                              ("graph_input_cheb", basis, th)):
+        for name, op, w in graph_layers:
             for prompt in (P, None):
-                def build(r, op=op, mix=mix, prompt=prompt):
+                def build(r, op=op, w=w, prompt=prompt):
                     pr = None if prompt is None else r.leaf(prompt)
-                    out = nn.graph_input(r, op, x, r.leaf(W), r.leaf(b), pr, r.leaf(mix))
+                    out = nn.graph_input(r, op, x, r.leaf(W), r.leaf(b), pr, r.leaf(w))
                     return nn.mse_loss(r, out, np.zeros((2, t_in, n, d)))
 
-                check("%s%s:%d" % (name, "" if prompt is not None else "_noprompt", seed),
-                      build, [W, b, mix] + ([] if prompt is None else [prompt]))
+                check("graph_input_%s%s:%d" % (name, "" if prompt is not None else "_noprompt",
+                                               seed),
+                      build, [W, b, w] + ([] if prompt is None else [prompt]))
 
         # input-gradient paths with frozen weights, as pool tuning runs them
         H = nn.Parameter("H", rng.standard_normal((1, 3, n, d)))
-        for name, layer in (
-                ("temporal_conv_input",
-                 lambda r, h: nn.temporal_conv(r, h, r.constant(Wt.value),
-                                               r.constant(bt.value))),
-                ("graph_conv_spatial_input",
-                 lambda r, h: nn.graph_conv_spatial(r, A_hat, h, r.constant(Wg.value))),
-                ("graph_conv_cheb_input",
-                 lambda r, h: nn.graph_conv_cheb(r, basis, h, r.constant(th.value)))):
+        layers = [("temporal_conv_input",
+                   lambda r, h: nn.temporal_conv(r, h, r.constant(Wt.value),
+                                                 r.constant(bt.value)))]
+        layers += [("graph_conv_%s_input" % name,
+                    lambda r, h, op=op, w=w: nn.graph_conv(r, op, h, r.constant(w.value)))
+                   for name, op, w in graph_layers]
+        for name, layer in layers:
             check("%s:%d" % (name, seed),
                   lambda r, layer=layer: nn.mse_loss(r, layer(r, r.leaf(H)),
                                                      np.zeros((1, 3, n, d))), [H])
@@ -333,8 +324,7 @@ def gradcheck_table(seeds=range(20), corrupt: str | None = None) -> list:
 
 
 def cmd_gradcheck(args) -> int:
-    seeds = range(args.seeds)
-    rows = gradcheck_table(seeds=seeds, corrupt=args.corrupt)
+    rows = gradcheck_table(seeds=range(args.seeds))
     failed = [r for r in rows if not r["passed"]]
     width = max(len(r["primitive"]) for r in rows)
     for r in rows:
@@ -386,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p_gc.add_argument("--seeds", type=int, default=20)
-    p_gc.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_sy = sub.add_parser("synth", help="emit a synthetic stream to disk")

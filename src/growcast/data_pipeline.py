@@ -214,6 +214,10 @@ def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: in
     """
     if min(n0, growth_per_period + 1, periods, T_per_period) <= 0:
         raise DataError("synthetic stream sizes must be positive")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise DataError("synthetic noise must be finite and non-negative, got %r" % noise)
+    if not np.isfinite(offset_scale):
+        raise DataError("synthetic offset scale must be finite, got %r" % offset_scale)
     n_max = n0 + growth_per_period * (periods - 1)
     pos_rng = rng_stream(seed, "positions")
     positions = pos_rng.uniform(size=(n_max, 2))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .analysis import heterogeneity_D, metrics
-from .backbone import build_backbone, forward_predict, graph_operator
+from .backbone import VARIANTS, build_backbone, forward_predict, graph_operator
 from .data_pipeline import build_period_dataset
 from .graph_stream import diff_nodes
 from .prompt_pool import expand, init_pool, materialize
@@ -64,6 +64,16 @@ class TrainingAbort(RuntimeError):
                          % (epoch, batch, lr))
 
 
+# the JSON types each config field but `seeds` accepts (true is not an int)
+_FIELD_TYPES = {"scheme": (str,), "variant": (str,), "horizon_mode": (str,),
+                "few_shot_random": (bool,), "freeze_old_segments": (bool,),
+                "few_shot_fraction": (int, float, type(None)),
+                **dict.fromkeys(("k", "d", "epochs_max", "batch_size", "patience",
+                                 "K_order", "kernel"), (int,)),
+                **dict.fromkeys(("lr_initial", "lr_continual", "dropout_initial",
+                                 "dropout_continual"), (int, float))}
+
+
 @dataclass
 class ExperimentConfig:
     scheme: str
@@ -86,10 +96,19 @@ class ExperimentConfig:
     horizon_mode: str = "at_step"  # or "prefix": average over the first h steps
 
     def __post_init__(self):
+        for name, kinds in _FIELD_TYPES.items():
+            if type(getattr(self, name)) not in kinds:
+                raise ConfigError("config field %s has the wrong type: %r"
+                                  % (name, getattr(self, name)))
+        if type(self.seeds) not in (list, tuple) or any(type(s) is not int for s in self.seeds):
+            raise ConfigError("seeds must be a list of integers, got %r" % (self.seeds,))
         if self.scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r (one of %s)" % (self.scheme, tuple(SCHEMES)))
-        if self.lr_initial <= 0 or self.lr_continual <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.variant not in VARIANTS:
+            raise ConfigError("unknown variant %r (one of %s)" % (self.variant, VARIANTS))
+        for name in ("lr_initial", "lr_continual"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError("%s must be positive and finite" % name)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         for name in ("d", "k", "kernel", "batch_size"):
@@ -108,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError("horizon_mode must be at_step or prefix")
         if self.freeze_old_segments and SCHEMES[self.scheme].pool is None:
             raise ConfigError("freeze_old_segments only applies to pool schemes")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(self.seeds)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -131,10 +150,10 @@ class PeriodReport:
     epochs_run: float
     wall_seconds_per_epoch: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """The report fields without the wall-clock timing, which varies run to run."""
         out = asdict(self)
-        if not include_timing:
-            out.pop("wall_seconds_per_epoch")
+        out.pop("wall_seconds_per_epoch")
         return out
 
 
@@ -273,9 +292,8 @@ def _make_forward(backbone, operator, pool, rng=None):
         record = nn.ComputeRecord(grad=train)
         prompt = None
         if pool is not None:
-            prompt = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])
-            if pool.mode == "lowrank":
-                prompt = nn.linear(record, prompt, record.leaf(pool.B))
+            factors = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])
+            prompt = nn.linear(record, factors, record.leaf(pool.B))
         return forward_predict(backbone, operator, batch_x, prompt=prompt,
                                record=record, train=train, rng=rng)
     return forward
@@ -307,8 +325,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
                 if config.freeze_old_segments:
                     for seg in pool.segments:
                         seg.A.trainable = seg.period_index == tau
-                    if pool.B is not None:
-                        pool.B.trainable = False
+                    pool.B.trainable = False
         params = backbone.parameters() + (pool.parameters() if pool is not None else [])
 
         if (train_on == "new" and not new_ids) or not any(p.trainable for p in params):

@@ -11,9 +11,11 @@ primitives and the loss scan their output; `relu` without dropout,
 `concat_rows` and the backbone's transpose map finite to finite and scan
 only unscanned inputs (leaves, constants).  The NonFiniteError names the
 primitive.  `relu` applies ReLU and dropout as one multiplier, in place
-into the fresh output of the primitive before it.  A record built with
-`grad=False` keeps no tape, so evaluation frees each intermediate once
-the next layer has read it.
+into the fresh output of the primitive before it.  The graph layers,
+`graph_conv` and the fused `graph_input`, take a list of n x n matrices
+and a weight that is a channel mix or Chebyshev coefficients.  A record
+built with `grad=False` keeps no tape, so evaluation frees each
+intermediate once the next layer has read it.
 """
 from __future__ import annotations
 
@@ -34,8 +36,7 @@ __all__ = [
     "concat_rows",
     "graph_input",
     "temporal_conv",
-    "graph_conv_spatial",
-    "graph_conv_cheb",
+    "graph_conv",
     "mean_pool_time",
     "mse_loss",
     "backward",
@@ -322,71 +323,66 @@ def temporal_conv(record, x, W, b):
     return record.record("temporal_conv", out, [x, W, b], grad_fn, fresh=True)
 
 
-def graph_conv_spatial(record, A_hat, h, W):
-    """Normalized-adjacency propagation: A_hat @ h @ W.
+def _propagator(operator, weight):
+    """(G, W) of a graph layer over `operator`, a list of n x n matrices.
 
-    A_hat is a constant n x n operator; h may carry leading batch/time axes
-    with nodes on axis -2.
+    A coefficient vector weighs the basis [T_0, ..., T_K] into one
+    operator G = sum_k theta_k T_k and mixes no channels (W is None); a
+    matrix weight keeps G = operator[0] and mixes channels by W.
     """
-    h, W = _as_node(record, h), _as_node(record, W)
-    A = np.asarray(A_hat, dtype=float)
-    _shape_check("graph_conv_spatial", h.shape[-2] == A.shape[0]
-                 and h.shape[-1] == W.shape[0], A.shape, h.shape, W.shape)
-    Ah = np.matmul(A, h.value)
-    out = Ah @ W.value
+    if weight.ndim == 1:
+        return sum(th * Tk for th, Tk in zip(weight, operator)), None
+    return operator[0], weight
+
+
+def _fits(basis, weight, n, d):
+    """Whether a weight array suits a basis of n x n matrices and d input channels."""
+    return (len(basis) > 0 and all(Tk.shape == (n, n) for Tk in basis)
+            and (weight.shape == (len(basis),) if weight.ndim == 1
+                 else weight.ndim == 2 and len(basis) == 1 and weight.shape[0] == d))
+
+
+def graph_conv(record, operator, h, weight):
+    """Graph convolution G h W, with (G, W) as `_propagator` gives them.
+
+    operator is a list of constant n x n matrices: [A_hat] with a d x d_out
+    matrix weight (spatial), or the Chebyshev basis [T_0, ..., T_K] with
+    K+1 coefficients (spectral, no channel mix).  h may carry leading
+    batch/time axes with nodes on axis -2.  Forward is one propagation G h
+    and the input gradient one G^T g; a coefficient gradient is <T_k, S>
+    with S = sum over windows of g h^T, one GEMM.
+    """
+    h, weight = _as_node(record, h), _as_node(record, weight)
+    basis = [np.asarray(Tk, dtype=float) for Tk in operator]
+    _shape_check("graph_conv", h.value.ndim >= 2
+                 and _fits(basis, weight.value, h.shape[-2], h.shape[-1]),
+                 weight.shape, h.shape, *[Tk.shape for Tk in basis])
+    G, W = _propagator(basis, weight.value)
+    Gh = np.matmul(G, h.value)
+    out = Gh if W is None else Gh @ W
 
     def grad_fn(g):
-        gh = np.matmul(A.T, g @ W.value.T) if h.needs_grad else None
-        gW = (np.einsum("...i,...j->ij", Ah, g, optimize=True)
-              if W.needs_grad else None)
-        return [gh, gW]
-
-    return record.record("graph_conv_spatial", out, [h, W], grad_fn, fresh=True)
-
-
-def _cheb_operator(basis, thetas):
-    """G = sum_k theta_k T_k: a Chebyshev layer is one n x n operator."""
-    return sum(th * Tk for th, Tk in zip(thetas, basis))
-
-
-def graph_conv_cheb(record, cheb_basis, h, thetas):
-    """Spectral propagation: sum_k theta_k * T_k(L~) @ h.
-
-    cheb_basis is the precomputed list [T_0, ..., T_K] of constant n x n
-    matrices; thetas is a length K+1 coefficient vector.  The terms are
-    collapsed into G = sum_k theta_k T_k first, so forward is one
-    propagation G h and the input gradient one G^T g; the coefficient
-    gradient is <T_k, S> with S = sum over windows of g h^T, one GEMM.
-    """
-    h, thetas = _as_node(record, h), _as_node(record, thetas)
-    _shape_check("graph_conv_cheb", thetas.value.ndim == 1
-                 and len(cheb_basis) == thetas.shape[0]
-                 and h.shape[-2] == cheb_basis[0].shape[0],
-                 thetas.shape, h.shape, cheb_basis[0].shape)
-    G = _cheb_operator(cheb_basis, thetas.value)
-    out = np.matmul(G, h.value)
-
-    def grad_fn(g):
-        gh = np.matmul(G.T, g) if h.needs_grad else None
-        gth = None
-        if thetas.needs_grad:
+        gh = gw = None
+        if h.needs_grad:
+            gh = np.matmul(G.T, g if W is None else g @ W.T)
+        if weight.needs_grad and W is None:
             axes = [a for a in range(g.ndim) if a != g.ndim - 2]
             S = np.tensordot(g, h.value, axes=(axes, axes))  # (n, n)
-            gth = np.array([np.vdot(Tk, S) for Tk in cheb_basis])
-        return [gh, gth]
+            gw = np.array([np.vdot(Tk, S) for Tk in basis])
+        elif weight.needs_grad:
+            gw = np.einsum("...i,...j->ij", Gh, g, optimize=True)
+        return [gh, gw]
 
-    return record.record("graph_conv_cheb", out, [h, thetas], grad_fn, fresh=True)
+    return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
 
 
 def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     """Input projection, prompt and first graph convolution as one primitive.
 
     Computes G (x W_in + 1 b_in^T + P) W for a constant one-channel input
-    x of shape (B, T, n, 1).  Spatial: `operator` is the n x n A_hat and
-    `weight` the d x d_out matrix W, so G = A_hat.  Spectral: `operator`
-    is the Chebyshev basis [T_0, ..., T_K] and `weight` the K+1
-    coefficients, so G = sum_k theta_k T_k and W is the d x d identity.
-    `prompt` is an n x d matrix or None.
+    x of shape (B, T, n, 1), with (G, W) from `_propagator` as in
+    `graph_conv`; W is the d x d identity when `weight` holds
+    coefficients.  `prompt` is an n x d matrix or None.
 
     Everything here is linear and x has one channel, so the block factors
     exactly as (G x)(W_in W) + G (1 b_in^T + P) W: a rank-1 outer product
@@ -397,23 +393,18 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     W_in, b_in, weight = (_as_node(record, v) for v in (W_in, b_in, weight))
     P = None if prompt is None else _as_node(record, prompt)
     x = np.asarray(x, dtype=float)
-    spectral = weight.value.ndim == 1
-    basis = [np.asarray(Tk, dtype=float) for Tk in (operator if spectral else [operator])]
+    basis = [np.asarray(Tk, dtype=float) for Tk in operator]
     n = x.shape[2] if x.ndim == 4 else -1
     d = W_in.shape[-1] if W_in.value.ndim == 2 else -1
     _shape_check("graph_input", x.ndim == 4 and x.shape[-1] == 1
-                 and all(Tk.shape == (n, n) for Tk in basis)
                  and W_in.shape == (1, d) and b_in.shape == (d,)
-                 and (P is None or P.shape == (n, d))
-                 and (weight.shape == (len(basis),) if spectral
-                      else weight.value.ndim == 2 and weight.shape[0] == d),
+                 and (P is None or P.shape == (n, d)) and _fits(basis, weight.value, n, d),
                  x.shape, W_in.shape, b_in.shape, weight.shape,
                  () if P is None else P.shape, *[Tk.shape for Tk in basis])
     parents = [W_in, b_in, weight] + ([] if P is None else [P])
-    if spectral:
-        G, Wm = _cheb_operator(basis, weight.value), np.eye(d)
-    else:
-        G, Wm = basis[0], weight.value
+    G, Wm = _propagator(basis, weight.value)
+    spectral = Wm is None
+    Wm = np.eye(d) if spectral else Wm
     U = W_in.value @ Wm
     M = np.zeros((n, d)) + b_in.value
     if P is not None:

@@ -46,6 +46,14 @@ class TestBuild:
 
 
 class TestForward:
+    def test_graph_operator_is_a_list_of_matrices(self):
+        adj = small_graph(6)
+        for variant, K_order, length in (("spatial", 2, 1), ("spectral", 0, 1),
+                                         ("spectral", 3, 4)):
+            op = graph_operator(build_backbone(variant, d=4, K_order=K_order), adj)
+            assert isinstance(op, list) and len(op) == length
+            assert all(Tk.shape == (6, 6) for Tk in op)
+
     def test_output_shape(self):
         for variant in ("spatial", "spectral"):
             bb = build_backbone(variant, d=6, t_out=12)
@@ -111,7 +119,7 @@ class TestForward:
             if prompt is not None:
                 h = h + prompt[None, None]
             if variant == "spatial":
-                h = np.einsum("ij,btjd->btid", op, h) @ v["gconv1.W"]
+                h = np.einsum("ij,btjd->btid", op[0], h) @ v["gconv1.W"]
             else:
                 h = sum(th * np.einsum("ij,btjd->btid", Tk, h)
                         for th, Tk in zip(v["gconv1.theta"], op))
@@ -119,10 +127,8 @@ class TestForward:
             leaf = {n: rec.leaf(p) for n, p in bb.params.items()}
             h = rec.constant(np.maximum(h, 0.0))
             h = nn.relu(rec, nn.temporal_conv(rec, h, leaf["tconv.W"], leaf["tconv.b"]))
-            if variant == "spatial":
-                h = nn.graph_conv_spatial(rec, op, h, leaf["gconv2.W"])
-            else:
-                h = nn.graph_conv_cheb(rec, op, h, leaf["gconv2.theta"])
+            h = nn.graph_conv(rec, op, h, leaf["gconv2.W" if variant == "spatial"
+                                               else "gconv2.theta"])
             h = nn.mean_pool_time(rec, nn.relu(rec, h))
             out = nn.linear(rec, h, leaf["head.W"], leaf["head.b"])
             manual = np.transpose(out.value, (0, 2, 1))

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from growcast import nn_core as nn
 from growcast.cli import main
 
 SYNTH = "n0=5,growth=2,periods=2,T=160,seed=3"
@@ -79,13 +80,26 @@ class TestRun:
     @pytest.mark.parametrize("field, value", [
         ("d", 0), ("kernel", 0), ("batch_size", 0), ("K_order", -1),
         ("dropout_initial", 1.5), ("dropout_continual", -0.1),
-        ("k", 0), ("few_shot_fraction", 0.0), ("few_shot_fraction", 1.5)])
+        ("k", 0), ("few_shot_fraction", 0.0), ("few_shot_fraction", 1.5),
+        ("lr_initial", 0), ("lr_initial", float("nan")), ("lr_continual", float("inf"))])
     def test_malformed_model_size_exits_1(self, tmp_path, field, value):
         out = tmp_path / "out"
         rc = main(["run", "--config", tiny_config(tmp_path, **{field: value}),
                    "--synth", SYNTH, "--out", str(out)])
         assert rc == 1
         assert field in json.loads((out / "manifest.json").read_text())["error"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("variant", "mystery"), ("seeds", "ab"), ("seeds", [1.5]), ("d", "8"),
+        ("d", 8.0), ("k", True), ("lr_initial", "0.1"), ("few_shot_random", 1),
+        ("few_shot_fraction", "half"), ("scheme", ["EAC"])])
+    def test_mistyped_or_unknown_value_exits_1(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, **{field: value}),
+                   "--synth", SYNTH, "--out", str(out)])
+        assert rc == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert field in error and error in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
@@ -120,6 +134,19 @@ class TestRun:
         assert rc == 2
         assert "'n0'" in capsys.readouterr().err
         assert "'n0'" in json.loads((out / "manifest.json").read_text())["error"]
+
+    @pytest.mark.parametrize("spec, named", [
+        ("noise=nan", "noise"), ("noise=-0.1", "noise"), ("noise=inf", "noise"),
+        ("offsets=nan", "offset"), ("offsets=-inf", "offset")])
+    def test_non_finite_synth_value_exits_2(self, tmp_path, capsys, spec, named):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path),
+                   "--synth", SYNTH + "," + spec, "--out", str(out)])
+        assert rc == 2
+        assert named in json.loads((out / "manifest.json").read_text())["error"]
+        assert not (out / "reports.json").exists()
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "s")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_no_source_exits_2(self, tmp_path):
         rc = main(["run", "--config", tiny_config(tmp_path),
@@ -285,7 +312,20 @@ class TestGradcheck:
         assert "backbone_spectral:0" in out
         assert "FAIL" not in out
 
-    def test_corrupt_hook_detected(self, capsys):
-        rc = main(["gradcheck", "--seeds", "1", "--corrupt", "relu:0"])
+    def test_scaled_relu_gradient_detected(self, capsys, monkeypatch):
+        # a relu whose analytic gradient is 1% too large must fail its rows
+        relu = nn.relu
+
+        def scaled_relu(record, x, p=0.0, rng=None):
+            node = relu(record, x, p, rng)
+            if node.grad_fn is not None:
+                grad_fn = node.grad_fn
+                node.grad_fn = lambda g: [1.01 * gx for gx in grad_fn(g)]
+            return node
+
+        monkeypatch.setattr(nn, "relu", scaled_relu)
+        rc = main(["gradcheck", "--seeds", "1"])
         assert rc == 3
-        assert "relu:0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "relu:0" in err and "relu_dropout:0" in err
+        assert "linear:0" not in err and "temporal_conv:0" not in err

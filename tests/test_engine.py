@@ -299,8 +299,8 @@ class TestSchemes:
         cfg = ExperimentConfig(scheme="ContinualAN", seeds=(1, 2), **TINY)
         r1, _ = run_stream(cfg, stream, series)
         r2, _ = run_stream(cfg, stream, series)
-        a = json.dumps([rep.to_dict(include_timing=False) for rep in r1], sort_keys=True)
-        b = json.dumps([rep.to_dict(include_timing=False) for rep in r2], sort_keys=True)
+        a = json.dumps([rep.to_dict() for rep in r1], sort_keys=True)
+        b = json.dumps([rep.to_dict() for rep in r2], sort_keys=True)
         assert a == b
 
     def test_single_seed_std_zero(self):

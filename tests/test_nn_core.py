@@ -16,8 +16,8 @@ class TestForwardPrimitives:
 
     def test_graph_conv_spatial_example(self):
         rec = nn.ComputeRecord()
-        out = nn.graph_conv_spatial(rec, [[0.5, 0.5], [0.5, 0.5]],
-                                    np.array([[2.0], [0.0]]), np.array([[1.0]]))
+        out = nn.graph_conv(rec, [[[0.5, 0.5], [0.5, 0.5]]],
+                            np.array([[2.0], [0.0]]), np.array([[1.0]]))
         assert np.allclose(out.value, [[1.0], [1.0]])
 
     def test_mse_example(self):
@@ -42,8 +42,7 @@ class TestForwardPrimitives:
         H = rng.standard_normal((3, 2))
         basis = [np.eye(3), L]
         rec = nn.ComputeRecord()
-        out = nn.graph_conv_cheb(rec, basis, rec.constant(H),
-                                 rec.constant([0.0, 0.7]))
+        out = nn.graph_conv(rec, basis, rec.constant(H), rec.constant([0.0, 0.7]))
         assert np.allclose(out.value, 0.7 * L @ H)
 
     def test_relu_dropout_zero_draws_nothing(self):
@@ -72,8 +71,18 @@ class TestForwardPrimitives:
             nn.mse_loss(rec, rec.constant(np.ones(2)), np.ones(3))
         # the fused input block is exact for one input channel only
         with pytest.raises(nn.ShapeError, match="graph_input"):
-            nn.graph_input(rec, np.eye(3), np.ones((1, 2, 3, 2)), np.ones((2, 4)),
+            nn.graph_input(rec, [np.eye(3)], np.ones((1, 2, 3, 2)), np.ones((2, 4)),
                            np.ones(4), None, np.eye(4))
+
+    def test_graph_conv_shape_errors_name_the_op(self):
+        h = np.ones((2, 3, 4))
+        basis = [np.eye(3), np.eye(3), np.eye(3)]
+        for operator, weight in ((basis, np.ones(2)),         # 2 coefficients, 3 matrices
+                                 (basis[:2], np.eye(4)),      # matrix weight, 2 matrices
+                                 ([np.eye(5)], np.eye(4)),    # 5-node operator, 3-node h
+                                 ([np.eye(5)] * 2, np.ones(2))):
+            with pytest.raises(nn.ShapeError, match="graph_conv"):
+                nn.graph_conv(nn.ComputeRecord(), operator, h, weight)
 
     def test_nonfinite_output_rejected(self):
         rec = nn.ComputeRecord()
@@ -164,7 +173,7 @@ class TestKernelOracles:
             h = rng.standard_normal((3, 4, n, 6))
             thetas = rng.standard_normal(K_order + 1)
             g = rng.standard_normal(h.shape)
-            out, (gh, gth) = primitive_grads(nn.graph_conv_cheb, basis, h, thetas, g=g)
+            out, (gh, gth) = primitive_grads(nn.graph_conv, basis, h, thetas, g=g)
             for got, want in zip((out, gh, gth), per_term_cheb(basis, h, thetas, g)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -177,8 +186,8 @@ class TestKernelOracles:
         target = rng.standard_normal((2, 3, 4, 3))
 
         def build(rec):
-            return nn.mse_loss(rec, nn.graph_conv_spatial(rec, A, rec.leaf(h),
-                                                          rec.leaf(W)), target)
+            return nn.mse_loss(rec, nn.graph_conv(rec, [A], rec.leaf(h), rec.leaf(W)),
+                               target)
 
         assert nn.grad_check(build, [h, W]) < 1e-6
 
@@ -224,9 +233,9 @@ class TestKernelOracles:
         cases = [
             ("temporal_conv", lambda rec: nn.temporal_conv(
                 rec, big, np.full((3, 4, 4), 1e300), np.zeros(4))),
-            ("graph_conv_spatial", lambda rec: nn.graph_conv_spatial(
-                rec, np.full((3, 3), 1e300), big, np.eye(4))),
-            ("graph_conv_cheb", lambda rec: nn.graph_conv_cheb(
+            ("graph_conv", lambda rec: nn.graph_conv(
+                rec, [np.full((3, 3), 1e300)], big, np.eye(4))),
+            ("graph_conv", lambda rec: nn.graph_conv(
                 rec, [np.eye(3), np.full((3, 3), 1e300)], big, np.ones(2))),
             ("relu", lambda rec: nn.relu(rec, np.array([np.nan, 1.0]))),
             ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.inf * big)),
@@ -396,7 +405,7 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         L = rng.standard_normal((4, 4)) / 4
         x = rng.standard_normal((2, 3, 4, 1))
-        for operator, mix in ((L, rng.standard_normal((5, 3))),
+        for operator, mix in (([L], rng.standard_normal((5, 3))),
                               ([np.eye(4), L, 2 * L @ L - np.eye(4)],
                                rng.standard_normal(3))):
             for trainable in (True, False):
@@ -412,6 +421,17 @@ class TestGradCheck:
                     return nn.mse_loss(rec, out, target)
 
                 assert nn.grad_check(build, [W_in, b_in, weight, P]) < 1e-6
+
+    def test_table_rows_per_seed(self):
+        from growcast.cli import gradcheck_table
+        labels = [r["primitive"] for r in gradcheck_table(seeds=range(1))]
+        assert labels == [
+            "linear:0", "temporal_conv:0", "graph_conv_spatial:0", "graph_conv_cheb:0",
+            "relu:0", "relu_dropout:0", "backbone_spatial:0", "backbone_spatial_dropout:0",
+            "backbone_spectral:0", "backbone_spectral_dropout:0", "graph_input_spatial:0",
+            "graph_input_spatial_noprompt:0", "graph_input_cheb:0",
+            "graph_input_cheb_noprompt:0", "temporal_conv_input:0",
+            "graph_conv_spatial_input:0", "graph_conv_cheb_input:0"]
 
     def test_all_primitives_many_seeds(self):
         from growcast.cli import gradcheck_table

@@ -40,6 +40,19 @@ class TestInit:
         pool = init_pool(ids(100), d=64, mode="full", seed=0)
         assert param_count(pool)["tunable"] == 6400
 
+    def test_full_is_rank_d_over_frozen_identity(self):
+        pools = [init_pool(ids(12), d=8, k=3, mode="full", seed=seed) for seed in (0, 1)]
+        pool = pools[0]
+        assert pool.k == 8 and pool.B.name == "pool.B" and not pool.B.trainable
+        assert pool.B.value.tobytes() == np.eye(8).tobytes() == pools[1].B.value.tobytes()
+        assert [p.name for p in pool.parameters() if p.trainable] == ["pool.A1"]
+        assert param_count(pool)["tunable"] == 12 * 8
+        expand(pool, ids(3, "new"), period_index=2)
+        assert param_count(pool)["tunable"] == 15 * 8
+        A = np.random.default_rng(0).standard_normal((15, 8))
+        pool.segments[0].A.value, pool.segments[1].A.value = A[:12], A[12:]
+        assert materialize(pool).tobytes() == A.tobytes()
+
     def test_k_range_enforced(self):
         with pytest.raises(PoolError):
             init_pool(ids(4), d=64, k=5)
