@@ -15,6 +15,18 @@ ReLU is nonlinear, so projection, prompt and first convolution run as one
 fused primitive (`nn_core.graph_input`): G (x W_in + 1 b^T + P) W equals
 (G x)(W_in W) + G (1 b^T + P) W exactly, a rank-1 term per window plus
 one n x d constant, and no (B, T, n, d) tensor crosses the graph.
+
+Evaluation shares steps.  Consecutive windows of a split overlap in all
+but one step, so when the record is gradient-free, dropout is off and
+the batch is a run of consecutive windows (the engine passes slices of
+the strided window view; `x.strides[0] == x.strides[1]` proves x[i+1, t]
+is x[i, t+1]), every layer up to the time pooling runs once per distinct
+step: layer 1 on the B + T - 1 step timeline, the temporal conv's
+interior rows once per step and only its padded edge rows per window,
+and the second graph conv on both.  The windows are gathered back for
+pooling and the head.  Predictions are bit-identical to the windowed
+path: each step meets the same per-step products in the same order, and
+the layer-1 GEMM still runs over all B*T window rows (see `graph_input`).
 """
 from __future__ import annotations
 
@@ -48,9 +60,6 @@ class STGNNBackbone:
     def set_trainable(self, trainable: bool) -> None:
         for p in self.params.values():
             p.trainable = trainable
-
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
 
 
 def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
@@ -104,6 +113,8 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`.
     When none is given, a fresh record is created that keeps a backward
     tape only if `train` is set.  Dropout applies only when `train` is set.
+    A gradient-free, dropout-free run of consecutive windows takes the
+    shared-step path (module docstring).
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -125,13 +136,19 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
 
     weight = "W" if backbone.variant == "spatial" else "theta"
     drop_p = backbone.dropout_p if train else 0.0
+    shared = not (record.grad or train) and x.strides[0] == x.strides[1]
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
-                                       leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
+                                       leaf["input_proj.b"], prompt, leaf["gconv1." + weight],
+                                       shared=shared),
                 drop_p, rng)
-    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]),
+    B, T = x.shape[:2]
+    window = T if h.value.ndim == 3 else None  # graph_input returned the step timeline
+    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"],
+                                         window=window),
                 drop_p, rng)
     h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + weight]))
-    h = nn.mean_pool_time(record, h)  # (B, n, d)
+    rows = None if window is None else nn.step_rows(B, T, backbone.kernel)
+    h = nn.mean_pool_time(record, h, rows)  # (B, n, d)
     out = nn.linear(record, h, leaf["head.W"], leaf["head.b"])  # (B, n, t_out)
 
     def grad_fn(g):

@@ -25,16 +25,10 @@ from .analysis import (
     random_projection_probe,
     svd_cumulative,
 )
-from .backbone import build_backbone, forward_predict, graph_operator
 from .data_pipeline import DataError, load_stream_manifest, synth_stream, write_stream
 from .engine import ConfigError, ExperimentConfig, TrainingAbort, run_stream
-from .graph_stream import (
-    GraphStreamError,
-    build_adjacency,
-    cheb_polynomials,
-    normalize_adjacency,
-    scaled_laplacian,
-)
+from .gradcheck import gradcheck_table
+from .graph_stream import GraphStreamError
 from .prompt_pool import PoolError
 
 EXIT_CONFIG = 1
@@ -125,7 +119,10 @@ def cmd_run(args) -> int:
     timing_path = os.path.join(out_dir, "timings.json")
     _json_dump(timing_path, [{"period_index": r.period_index,
                               "wall_seconds_per_epoch": r.wall_seconds_per_epoch,
-                              "epochs_run": r.epochs_run} for r in reports])
+                              "epochs_run": r.epochs_run,
+                              "best_epoch": {str(seed): results[r.period_index - 1]["best_epoch"]
+                                             for seed, results in seed_results.items()}}
+                             for r in reports])
     table_path = os.path.join(out_dir, "aggregate.csv")
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -219,108 +216,6 @@ def cmd_analyze(args) -> int:
         writer.writerows(series)
     print("wrote %s" % os.path.join(args.out, "%s.json" % args.what))
     return 0
-
-
-def gradcheck_table(seeds=range(20)) -> list:
-    """Max relative finite-difference error for every primitive and the
-    composed network."""
-    n, t_in, d = 4, 6, 5
-    rows = []
-
-    def check(name, build, params):
-        worst = nn.grad_check(build, params)
-        rows.append({"primitive": name, "max_rel_err": worst,
-                     "passed": worst < 1e-4})
-
-    for seed in seeds:
-        rng = nn.rng_stream(seed, "gradcheck")
-        x = rng.standard_normal((2, t_in, n, 1))
-        # keep relu probes away from the kink
-        x = np.where(np.abs(x) < 1e-3, 1e-3, x)
-
-        W = nn.Parameter("W", rng.standard_normal((1, d)))
-        b = nn.Parameter("b", rng.standard_normal(d))
-        check("linear:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.linear(r, r.constant(x), r.leaf(W), r.leaf(b)),
-                                    np.zeros((2, t_in, n, d))), [W, b])
-
-        h0 = rng.standard_normal((2, t_in, n, d))
-        Wt = nn.Parameter("Wt", 0.3 * rng.standard_normal((3, d, d)))
-        bt = nn.Parameter("bt", 0.3 * rng.standard_normal(d))
-        check("temporal_conv:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.temporal_conv(r, r.constant(h0), r.leaf(Wt),
-                                                        r.leaf(bt)),
-                                    np.zeros((2, t_in, n, d))), [Wt, bt])
-
-        dist = np.abs(rng.standard_normal((n, n)))
-        dist = (dist + dist.T) / 2
-        np.fill_diagonal(dist, 0.0)
-        adj = build_adjacency(dist, r=0.1)
-        Wg = nn.Parameter("Wg", rng.standard_normal((d, d)) * 0.3)
-        th = nn.Parameter("th", rng.standard_normal(3) * 0.3)
-        # (label, operator, weight) of each graph layer form
-        graph_layers = (("spatial", [normalize_adjacency(adj)], Wg),
-                        ("cheb", cheb_polynomials(scaled_laplacian(adj), 2), th))
-        for name, op, w in graph_layers:
-            check("graph_conv_%s:%d" % (name, seed),
-                  lambda r, op=op, w=w: nn.mse_loss(
-                      r, nn.graph_conv(r, op, r.constant(h0), r.leaf(w)),
-                      np.zeros((2, t_in, n, d))), [w])
-
-        Wr = nn.Parameter("Wr", rng.standard_normal((n, n)))
-        check("relu:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.relu(r, nn.linear(r, r.constant(np.eye(n)),
-                                                            r.leaf(Wr))),
-                                    np.zeros((n, n))), [Wr])
-        # the same dropout mask on every rebuild: the stream restarts each time
-        check("relu_dropout:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.relu(r, nn.linear(r, r.constant(np.eye(n)),
-                                                            r.leaf(Wr)),
-                                               0.5, nn.rng_stream(seed, "gradcheck", "drop")),
-                                    np.zeros((n, n))), [Wr])
-
-        for variant in ("spatial", "spectral"):
-            bb = build_backbone(variant, d=d, t_out=3, seed=seed, K_order=2, dropout_p=0.3)
-            op = graph_operator(bb, adj)
-            prompt = nn.Parameter("prompt", 0.1 * rng.standard_normal((n, d)))
-            target = rng.standard_normal((2, 3, n))
-
-            # training mode adds both dropouts, in place into fresh conv outputs
-            for suffix, train in (("", False), ("_dropout", True)):
-                def build(r, bb=bb, op=op, prompt=prompt, target=target, train=train):
-                    pred, _ = forward_predict(bb, op, x, prompt=r.leaf(prompt), record=r,
-                                              train=train,
-                                              rng=nn.rng_stream(seed, "gradcheck", "drop"))
-                    return nn.mse_loss(r, pred, target)
-
-                check("backbone_%s%s:%d" % (variant, suffix, seed),
-                      build, bb.parameters() + [prompt])
-
-        P = nn.Parameter("P", 0.3 * rng.standard_normal((n, d)))
-        for name, op, w in graph_layers:
-            for prompt in (P, None):
-                def build(r, op=op, w=w, prompt=prompt):
-                    pr = None if prompt is None else r.leaf(prompt)
-                    out = nn.graph_input(r, op, x, r.leaf(W), r.leaf(b), pr, r.leaf(w))
-                    return nn.mse_loss(r, out, np.zeros((2, t_in, n, d)))
-
-                check("graph_input_%s%s:%d" % (name, "" if prompt is not None else "_noprompt",
-                                               seed),
-                      build, [W, b, w] + ([] if prompt is None else [prompt]))
-
-        # input-gradient paths with frozen weights, as pool tuning runs them
-        H = nn.Parameter("H", rng.standard_normal((1, 3, n, d)))
-        layers = [("temporal_conv_input",
-                   lambda r, h: nn.temporal_conv(r, h, r.constant(Wt.value),
-                                                 r.constant(bt.value)))]
-        layers += [("graph_conv_%s_input" % name,
-                    lambda r, h, op=op, w=w: nn.graph_conv(r, op, h, r.constant(w.value)))
-                   for name, op, w in graph_layers]
-        for name, layer in layers:
-            check("%s:%d" % (name, seed),
-                  lambda r, layer=layer: nn.mse_loss(r, layer(r, r.leaf(H)),
-                                                     np.zeros((1, 3, n, d))), [H])
-    return rows
 
 
 def cmd_gradcheck(args) -> int:

@@ -5,6 +5,12 @@ normalized units, early stopping on validation MAE in original units, and
 evaluation on the period's test split right after its training phase.
 Schemes differ only in what state crosses period boundaries and what
 trains after period 1; `SCHEMES` is the one place a scheme is defined.
+
+Training batches are shuffled windows, gathered into fresh arrays.
+Validation and test batches are slices of the split's strided window
+view, consecutive windows whose memory overlaps, so the backbone
+evaluates each of their time steps once (`backbone` module docstring)
+with the same bits as gathered batches would give.
 """
 from __future__ import annotations
 
@@ -56,12 +62,17 @@ SCHEMES = {
 
 
 class TrainingAbort(RuntimeError):
-    """Non-finite loss; carries (epoch, batch, lr) diagnostics."""
+    """A non-finite value in a training step, and where it happened.
 
-    def __init__(self, epoch, batch, lr):
+    The message keeps the primitive's own (`non-finite output of ...`) and
+    adds the period, seed, epoch, batch and learning rate.
+    """
+
+    def __init__(self, cause, period_index, seed, epoch, batch, lr):
+        self.period_index, self.seed = period_index, seed
         self.epoch, self.batch, self.lr = epoch, batch, lr
-        super().__init__("non-finite loss at epoch %d, batch %d, lr %g"
-                         % (epoch, batch, lr))
+        super().__init__("%s in period %d, seed %d, epoch %d, batch %d, lr %g"
+                         % (cause, period_index, seed, epoch, batch, lr))
 
 
 # the JSON types each config field but `seeds` accepts (true is not an int)
@@ -157,10 +168,16 @@ class PeriodReport:
         return out
 
 
-def _batches(n_samples, batch_size, rng=None):
-    order = np.arange(n_samples) if rng is None else rng.permutation(n_samples)
+def _batches(n_samples, batch_size, rng):
+    order = rng.permutation(n_samples)
     for start in range(0, n_samples, batch_size):
         yield order[start:start + batch_size]
+
+
+def _runs(n_samples, batch_size):
+    """Consecutive batches as slices: a slice of a window view stays a view."""
+    for start in range(0, n_samples, batch_size):
+        yield slice(start, start + batch_size)
 
 
 def train_period(forward, params, train_samples, val_samples, normalizer,
@@ -191,8 +208,8 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
                 pred, record = forward(train_samples.X[idx][..., None], train=True)
                 loss = nn.mse_loss(record, pred, train_samples.Y[idx])
                 grads = nn.backward(record, loss)
-            except nn.NonFiniteError:
-                raise TrainingAbort(epoch, batch_no, lr)
+            except nn.NonFiniteError as exc:
+                raise TrainingAbort(exc, period_index, seed, epoch, batch_no, lr) from exc
             nn.adam_step(params, grads, state, lr)
         wall += time.perf_counter() - t0
         epochs_run = epoch
@@ -215,9 +232,9 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
 def _validation_mae(forward, val_samples, normalizer, batch_size):
     X, Y = val_samples.X, val_samples.Y
     abs_sum, count = 0.0, 0
-    for idx in _batches(len(val_samples), batch_size):
-        pred, _ = forward(X[idx][..., None], train=False)
-        err = normalizer.invert(pred.value) - normalizer.invert(Y[idx])
+    for run in _runs(len(val_samples), batch_size):
+        pred, _ = forward(X[run][..., None], train=False)
+        err = normalizer.invert(pred.value) - normalizer.invert(Y[run])
         abs_sum += float(np.abs(err).sum())
         count += err.size
     return abs_sum / count
@@ -230,8 +247,8 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
         raise ConfigError("test windows must be nonempty")
     X, Y = test_samples.X, test_samples.Y
     preds = []
-    for idx in _batches(len(test_samples), batch_size):
-        pred, _ = forward(X[idx][..., None], train=False)
+    for run in _runs(len(test_samples), batch_size):
+        pred, _ = forward(X[run][..., None], train=False)
         preds.append(pred.value)
     pred = normalizer.invert(np.concatenate(preds, axis=0))
     truth = normalizer.invert(Y)
@@ -340,11 +357,11 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
 
         hetero = None if pool is None else {"D_init": _fused_dispersion(backbone, pool, dataset)}
         if train_on == "none":
-            epochs_run, wall_per_epoch = 0, 0.0
+            epochs_run, wall_per_epoch, best_epoch = 0, 0.0, 0
         else:
             forward = _make_forward(backbone, train_operator, pool,
                                     nn.rng_stream(seed, "dropout", tau))
-            epochs_run, wall_per_epoch, _ = train_period(
+            epochs_run, wall_per_epoch, best_epoch = train_period(
                 forward, params, train_dataset.train, train_dataset.val,
                 train_dataset.normalizer,
                 config.lr_initial if initial else config.lr_continual,
@@ -359,6 +376,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
             "period_index": tau,
             "metrics": horizon_metrics,
             "epochs_run": epochs_run,
+            "best_epoch": best_epoch,
             "wall_seconds_per_epoch": wall_per_epoch,
             "tunable_param_count": (0 if train_on == "none" else
                                     sum(p.value.size for p in params if p.trainable)),
@@ -380,7 +398,7 @@ def run_stream(config: ExperimentConfig, stream, series_list):
     """Run every seed of the configured scheme over the stream.
 
     Returns (reports, seed_results): aggregated PeriodReports plus the raw
-    per-seed results (metrics, hashes, timings, dispersion series).
+    per-seed results (metrics, hashes, timings, best epochs, dispersion series).
     """
     if not stream.periods:
         raise ConfigError("stream has no periods")

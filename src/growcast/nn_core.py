@@ -16,6 +16,17 @@ into the fresh output of the primitive before it.  The graph layers,
 and a weight that is a channel mix or Chebyshev coefficients.  A record
 built with `grad=False` keeps no tape, so evaluation frees each
 intermediate once the next layer has read it.
+
+Shared-step evaluation runs consecutive windows, which overlap in all but
+one step, once per distinct step: `graph_input(..., shared=True)` returns
+the step timeline, `temporal_conv(..., window=T)` stacks the rows shared
+by all windows and each window's padded edge rows, and
+`mean_pool_time(..., rows=step_rows(B, T, K))` gathers the windows back.
+The backbone takes this path only for a gradient-free record without
+dropout over stride-aliased windows.  The layer-1 GEMM still runs over
+every window row, because BLAS rounds a row differently with the number
+of rows in the product; the results are bit-identical to the windowed
+path.
 """
 from __future__ import annotations
 
@@ -36,6 +47,7 @@ __all__ = [
     "concat_rows",
     "graph_input",
     "temporal_conv",
+    "step_rows",
     "graph_conv",
     "mean_pool_time",
     "mse_loss",
@@ -286,22 +298,92 @@ def _tap_sum(src, mats, taps, shape):
     return out
 
 
-def temporal_conv(record, x, W, b):
+def _step_layout(B, T, K):
+    """(edge rows, shared row count) of B consecutive T-step windows under a K-tap conv.
+
+    Window row o is an edge row when a tap reads padding for it: the first
+    K // 2 rows and the last K - 1 - K // 2.  The other rows of all windows
+    cover B + T - K timeline steps (none when every row is an edge).
+    """
+    edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
+    return edges, (B - 1 + T - len(edges) if len(edges) < T else 0)
+
+
+def step_rows(B, T, K):
+    """(B, T) map from window rows to the rows `temporal_conv(..., window=T)` stacks.
+
+    Shared row i + o - K // 2 holds interior row o of window i; each
+    window's edge rows follow the shared ones, window by window.
+    """
+    edges, n_shared = _step_layout(B, T, K)
+    interior = np.arange(K // 2, K // 2 + T - len(edges))
+    rows = np.empty((B, T), dtype=np.intp)
+    i = np.arange(B)[:, None]
+    rows[:, interior] = i + interior - K // 2
+    rows[:, edges] = n_shared + i * len(edges) + np.arange(len(edges))
+    return rows
+
+
+def _shared_tap_sum(steps, mats, taps, T):
+    """`_tap_sum` of the B = L - T + 1 consecutive windows of an L-step timeline.
+
+    Returns the rows `step_rows` indexes.  Every row adds the same per-step
+    products in the same order as `_tap_sum`, so the bits agree.
+    """
+    K = mats.shape[0]
+    B = steps.shape[0] - T + 1
+    edges, n_shared = _step_layout(B, T, K)
+    out = np.empty((n_shared + B * len(edges),) + steps.shape[1:-1] + (mats.shape[2],))
+    shared = out[:n_shared]
+    edge = out[n_shared:].reshape((B, len(edges)) + out.shape[1:])
+    for j, (k, a, c) in enumerate(taps):
+        s = k - K // 2
+        if n_shared:  # every tap reaches the shared rows, so taps[0] starts their sum
+            src = steps[K // 2 + s:K // 2 + s + n_shared]
+            if j == 0:
+                np.matmul(src, mats[k], out=shared)
+            else:
+                shared += src @ mats[k]
+        for e, o in enumerate(edges):
+            if not c.start <= o < c.stop:
+                if j == 0:
+                    edge[:, e] = 0.0
+            elif j == 0:
+                np.matmul(steps[o + s:o + s + B], mats[k], out=edge[:, e])
+            else:
+                edge[:, e] += steps[o + s:o + s + B] @ mats[k]
+    return out
+
+
+def temporal_conv(record, x, W, b, window=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
 
     x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
     one shifted (B, T - |s|, n) slab of x @ W[k]; the input gradient is
     built the same way from g @ W[k]^T, and only the weight gradient
     builds the zero-padded (B, T + K - 1, n, d_in) copy of x.
+
+    window=T (shared-step evaluation, gradient-free records only): x is the
+    (L, n, d_in) timeline of B = L - T + 1 consecutive T-step windows.
+    Rows whose taps all land inside their window are computed once per
+    timeline step; only the K - 1 rows per window that touch padding are
+    computed per window.  The output stacks both as `step_rows` maps them.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
-    _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
-                 and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],),
+    shared = window is not None
+    _shape_check("temporal_conv", x.value.ndim == (3 if shared else 4) and W.value.ndim == 3
+                 and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],)
+                 and (not shared or 1 <= window <= x.shape[0]),
                  x.shape, W.shape, b.shape)
+    if shared and record.grad:
+        raise NnError("temporal_conv over shared steps needs a grad=False record")
     K = W.shape[0]
-    T = x.shape[1]
+    T = window if shared else x.shape[1]
     taps = _taps(K, T)
-    out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
+    if shared:
+        out = _shared_tap_sum(x.value, W.value, taps, T)
+    else:
+        out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
     out += b.value
 
     def grad_fn(g):
@@ -376,7 +458,12 @@ def graph_conv(record, operator, h, weight):
     return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
 
 
-def graph_input(record, operator, x, W_in, b_in, prompt, weight):
+def _timeline(windows):
+    """The B + T - 1 steps of B consecutive (B, T, ...) windows: window 0, then each last step."""
+    return np.concatenate([windows[0], windows[1:, -1]])
+
+
+def graph_input(record, operator, x, W_in, b_in, prompt, weight, shared=False):
     """Input projection, prompt and first graph convolution as one primitive.
 
     Computes G (x W_in + 1 b_in^T + P) W for a constant one-channel input
@@ -389,6 +476,13 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     per window plus one n x d_out constant.  No (B, T, n, d) tensor is
     propagated: the input crosses G as one (B*T, n) GEMM, and backward
     sums the gradient over (B, T) before it meets G^T and W^T.
+
+    shared=True (x a run of consecutive windows): the output is the
+    (B + T - 1, n, d_out) timeline of distinct steps.  The GEMM still runs
+    over all B*T rows, since BLAS rounds a row differently with the row
+    count; the timeline is taken only if consecutive windows then agree
+    bit for bit on the steps they share (a threaded BLAS splits rows
+    unevenly and may not), and the output stays (B, T, n, d_out) otherwise.
     """
     W_in, b_in, weight = (_as_node(record, v) for v in (W_in, b_in, weight))
     P = None if prompt is None else _as_node(record, prompt)
@@ -411,6 +505,10 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
         M += P.value
     GM = G @ M
     Gx = x.reshape(-1, n) @ G.T  # (B*T, n)
+    if shared:
+        bits = Gx.reshape(x.shape[:3]).view(np.int64)
+        if np.array_equal(bits[1:, :-1], bits[:-1, 1:]):
+            Gx, x = _timeline(Gx.reshape(x.shape[:3])), _timeline(x)
     out = Gx.reshape(x.shape) * U[0]
     out += GM @ Wm
 
@@ -436,15 +534,25 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     return record.record("graph_input", out, parents, grad_fn, fresh=True)
 
 
-def mean_pool_time(record, x):
-    """Mean over the time axis of a (B, T, n, d) tensor."""
+def mean_pool_time(record, x, rows=None):
+    """Mean over the time axis of a (B, T, n, d) tensor, or of x[rows].
+
+    rows: a (B, T) integer index into a stack of steps (as `step_rows`
+    gives for shared-step evaluation); the windows are gathered first.
+    """
     x = _as_node(record, x)
-    _shape_check("mean_pool_time", x.value.ndim == 4, x.shape)
-    T = x.shape[1]
-    out = x.value.mean(axis=1)
+    windows = x.value if rows is None else x.value[rows]
+    _shape_check("mean_pool_time", windows.ndim == 4, x.shape)
+    T = windows.shape[1]
+    out = windows.mean(axis=1)
 
     def grad_fn(g):
-        return [np.broadcast_to(g[:, None] / T, x.shape)]
+        gw = np.broadcast_to(g[:, None] / T, windows.shape)
+        if rows is None:
+            return [gw]
+        gx = np.zeros(x.shape)
+        np.add.at(gx, rows, gw)
+        return [gx]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
 

@@ -40,10 +40,6 @@ class PromptPool:
             out.extend(seg.node_ids)
         return tuple(out)
 
-    @property
-    def n(self) -> int:
-        return sum(len(seg.node_ids) for seg in self.segments)
-
     def parameters(self) -> list:
         return [seg.A for seg in self.segments] + [self.B]
 
@@ -89,10 +85,3 @@ def expand(pool: PromptPool, new_node_ids, period_index: int) -> None:
 def materialize(pool: PromptPool) -> np.ndarray:
     """The n x d prompt matrix in stream node order."""
     return np.concatenate([seg.A.value for seg in pool.segments], axis=0) @ pool.B.value
-
-
-def param_count(pool: PromptPool) -> dict:
-    tunable = sum(p.value.size for p in pool.parameters() if p.trainable)
-    materialized = pool.n * pool.d
-    return {"tunable": tunable, "materialized": materialized,
-            "ratio": tunable / materialized}

@@ -1,6 +1,8 @@
 """Reference implementations that tests compare the program against."""
 import numpy as np
 
+from growcast import nn_core as nn
+
 
 def heterogeneity_D_double_sum(X) -> float:
     """O(n^2 d) definition of the dispersion; oracle for the closed form."""
@@ -12,6 +14,19 @@ def heterogeneity_D_double_sum(X) -> float:
     for i in range(n):
         total += float(((x[i] - x) ** 2).sum())
     return total / (n * n)
+
+
+def backbone_param_count(backbone) -> int:
+    """Every backbone weight, trainable or not."""
+    return sum(p.value.size for p in backbone.params.values())
+
+
+def pool_param_count(pool) -> dict:
+    """Trainable pool entries against the n x d prompt they materialize."""
+    tunable = sum(p.value.size for p in pool.parameters() if p.trainable)
+    materialized = len(pool.node_ids) * pool.d
+    return {"tunable": tunable, "materialized": materialized,
+            "ratio": tunable / materialized}
 
 
 def neutralize_cross_covariance(X, P) -> np.ndarray:
@@ -27,3 +42,23 @@ def neutralize_cross_covariance(X, P) -> np.ndarray:
     # Least-squares removal of the component of P lying in the row space of Xc.
     coef, *_ = np.linalg.lstsq(xc, pc, rcond=None)
     return pc - xc @ coef
+
+
+def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None) -> np.ndarray:
+    """The backbone's prediction with every layer over all B*T window rows.
+
+    The primitives composed in `forward_predict`'s order without shared
+    steps, as every batch ran before evaluation shared them.
+    """
+    record = nn.ComputeRecord(grad=train)
+    leaf = {name: record.leaf(p) for name, p in backbone.params.items()}
+    w = "W" if backbone.variant == "spatial" else "theta"
+    p = backbone.dropout_p if train else 0.0
+    prompt = None if prompt is None else record.constant(prompt)
+    h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
+                                       leaf["input_proj.b"], prompt, leaf["gconv1." + w]),
+                p, rng)
+    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]), p, rng)
+    h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + w]))
+    out = nn.linear(record, nn.mean_pool_time(record, h), leaf["head.W"], leaf["head.b"])
+    return np.transpose(out.value, (0, 2, 1))

@@ -13,13 +13,14 @@ import pytest
 
 from growcast.analysis import best_rank_k, dispersion_decomposition, svd_cumulative
 from growcast.backbone import build_backbone, graph_operator
-from growcast.cli import gradcheck_table, main
+from growcast.cli import main
+from growcast.gradcheck import gradcheck_table
 from growcast.data_pipeline import build_period_dataset, synth_stream
 from growcast.engine import ExperimentConfig, _make_forward, run_stream, train_period
 from growcast.graph_stream import diff_nodes
 from growcast.nn_core import rng_stream
-from growcast.prompt_pool import expand, init_pool, param_count
-from oracles import neutralize_cross_covariance
+from growcast.prompt_pool import expand, init_pool
+from oracles import neutralize_cross_covariance, pool_param_count
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE_CONFIG = {"k": 6, "d": 16, "epochs_max": 8, "patience": 3,
@@ -192,7 +193,7 @@ def test_criterion_6_per_epoch_speedup(stream_series):
 
 def test_criterion_7_lightweight_ratio():
     pool = init_pool(["n%d" % i for i in range(500)], k=6, d=64, seed=0)
-    counts = param_count(pool)
+    counts = pool_param_count(pool)
     exact = (500 * 6 + 6 * 64) / (500 * 64)
     report(7, "lightweight pool ratio",
            counts["tunable"] == 500 * 6 + 6 * 64

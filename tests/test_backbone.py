@@ -3,12 +3,15 @@ import pytest
 
 from growcast import nn_core as nn
 from growcast.backbone import (
+    VARIANTS,
     BackboneError,
     build_backbone,
     forward_predict,
     graph_operator,
 )
+from growcast.data_pipeline import make_windows
 from growcast.graph_stream import build_adjacency
+from oracles import backbone_param_count, windowed_forward
 
 
 def small_graph(n, seed=0):
@@ -28,15 +31,15 @@ class TestBuild:
     def test_param_count_formula(self):
         bb = build_backbone("spatial", d=64, t_out=12)
         expected = (1 * 64 + 64) + 2 * (64 * 64) + (3 * 64 * 64 + 64) + (64 * 12 + 12)
-        assert bb.param_count() == expected
+        assert backbone_param_count(bb) == expected
 
     def test_count_invariant_under_node_count(self):
         bb = build_backbone("spatial", d=16)
-        count = bb.param_count()
+        count = backbone_param_count(bb)
         for n in (10, 100):
             pred, _ = forward_predict(bb, graph_operator(bb, small_graph(n)),
                                       np.zeros((2, 12, n, 1)))
-            assert bb.param_count() == count
+            assert backbone_param_count(bb) == count
 
     def test_bad_inputs(self):
         with pytest.raises(BackboneError):
@@ -161,6 +164,75 @@ class TestDropout:
             log = DrawLog(1)
             forward_predict(bb, op, x, train=False, rng=log)
             assert log.shapes == []
+
+
+def consecutive_windows(B, n, order, seed=0, nan_at=None):
+    """x[s:s + B] of a split's window view, as the engine slices evaluation batches.
+
+    The segment is laid out in `order`: ingestion of `--data` streams
+    leaves it column-major ("F"), synthetic streams row-major ("C").
+    """
+    seg = np.random.default_rng(seed).standard_normal((B + 40, n))
+    if nan_at is not None:
+        seg[nan_at] = np.nan
+    X = make_windows(np.asarray(seg, order=order)).X
+    return X[3:3 + B][..., None]
+
+
+class TestSharedSteps:
+    """Evaluation over consecutive windows shares steps and keeps the windowed bits."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("B", [1, 2, 37])
+    def test_bit_equal_to_gathered_windows(self, variant, kernel, B, monkeypatch):
+        shared = []
+        step_rows = nn.step_rows
+        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        bb = build_backbone(variant, d=5, kernel=kernel, seed=kernel)
+        op = graph_operator(bb, small_graph(6))
+        P = np.random.default_rng(B).standard_normal((6, 5))
+        for order in ("C", "F"):
+            x = consecutive_windows(B, 6, order, seed=B)
+            gathered = np.array(x)
+            for prompt in (None, P):
+                rec = nn.ComputeRecord(grad=False)
+                node = None if prompt is None else rec.constant(prompt)
+                got, _ = forward_predict(bb, op, x, prompt=node, record=rec)
+                want, _ = forward_predict(bb, op, gathered, prompt=node)
+                assert got.value.tobytes() == want.value.tobytes()
+                assert got.value.tobytes() == windowed_forward(bb, op, gathered,
+                                                               prompt).tobytes()
+        assert shared == [(B, 12, kernel)] * 4
+
+    @pytest.mark.parametrize("nan_at", [(3, 2), (3 + 36 + 11, 5)])
+    def test_nan_input_names_the_primitive(self, nan_at):
+        # the first step of the first window, the last step of the last one
+        for variant in VARIANTS:
+            bb = build_backbone(variant, d=5, seed=1)
+            x = consecutive_windows(37, 6, "F", nan_at=nan_at)
+            with pytest.raises(nn.NonFiniteError, match="non-finite output of graph_input"):
+                forward_predict(bb, graph_operator(bb, small_graph(6)), x)
+
+    def test_training_and_gathered_batches_keep_windowed_bits(self):
+        for variant in VARIANTS:
+            bb = build_backbone(variant, d=5, seed=2, dropout_p=0.3)
+            op = graph_operator(bb, small_graph(6))
+            x = consecutive_windows(9, 6, "C")
+            gathered = np.array(x)
+            for inputs in (x, gathered):
+                got, rec = forward_predict(bb, op, inputs, train=True,
+                                           rng=nn.rng_stream(1, "dropout"))
+                want = windowed_forward(bb, op, gathered, train=True,
+                                        rng=nn.rng_stream(1, "dropout"))
+                assert got.value.tobytes() == want.tobytes()
+                assert rec.nodes
+            got, _ = forward_predict(bb, op, gathered)
+            assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
+            # a record that keeps a tape never shares steps
+            got, rec = forward_predict(bb, op, x, record=nn.ComputeRecord())
+            assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
+            assert nn.backward(rec, nn.mse_loss(rec, got, np.zeros(got.shape)))
 
 
 class TestEndToEndGradients:

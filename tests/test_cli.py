@@ -41,6 +41,19 @@ class TestRun:
         assert manifest["error"] is None
         assert manifest["config"]["scheme"] == "EAC"
 
+    def test_timings_give_each_seeds_best_epoch(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, scheme="PretrainST", epochs_max=3),
+                   "--synth", SYNTH, "--out", str(out), "--seeds", "1,2"])
+        assert rc == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert [t["period_index"] for t in timings] == [1, 2]
+        assert sorted(timings[0]["best_epoch"]) == ["1", "2"]
+        assert all(1 <= e <= 3 and type(e) is int for e in timings[0]["best_epoch"].values())
+        # PretrainST trains only in period 1
+        assert timings[1]["best_epoch"] == {"1": 0, "2": 0}
+        assert "best_epoch" not in (out / "reports.json").read_text()
+
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         cfg = tiny_config(tmp_path)
         outs = []

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from growcast import nn_core as nn
+from growcast.analysis import metrics
 from growcast.data_pipeline import Normalizer, Windows, synth_stream
 from growcast.engine import (
+    HORIZONS,
     SCHEMES,
     ConfigError,
     ExperimentConfig,
+    TrainingAbort,
     _fused_dispersion,
     _validation_mae,
     evaluate_period,
@@ -106,6 +109,84 @@ class TestTrainPeriod:
                          batch_size=64, seed=seed, period_index=1)
             after = _validation_mae(forward, ds.val, ds.normalizer, 64)
             assert after < 0.8 * before
+
+    def test_non_finite_step_aborts_naming_primitive_period_and_seed(self):
+        from growcast.backbone import build_backbone, graph_operator
+        from growcast.engine import _make_forward
+        stream, _ = tiny_stream(periods=1)
+        bb = build_backbone("spatial", d=4, seed=1)
+        forward = _make_forward(bb, graph_operator(bb, stream.periods[0].adjacency), None)
+        n = len(stream.periods[0].nodes)
+        X = np.zeros((6, 12, n))
+        X[4, 7, 2] = np.nan  # in the second batch of the first epoch
+        train = Windows(X=X, Y=np.zeros((6, 12, n)))
+        with pytest.raises(TrainingAbort) as info:
+            train_period(forward, bb.parameters(), train, train, Normalizer(0.0, 1.0), lr=0.01,
+                         epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
+        abort = info.value
+        assert isinstance(abort.__cause__, nn.NonFiniteError)
+        assert str(abort) == ("non-finite output of graph_input in period 2, seed 7, "
+                              "epoch 1, batch %d, lr 0.01" % abort.batch)
+        assert (abort.period_index, abort.seed, abort.epoch) == (2, 7, 1)
+        order = nn.rng_stream(7, "shuffle", 2, 1).permutation(6)
+        assert 4 in order[4 * abort.batch:4 * abort.batch + 4]
+
+
+def gathered_validation_mae(forward, samples, normalizer, batch_size):
+    """_validation_mae as it ran over gathered index batches."""
+    abs_sum, count = 0.0, 0
+    for start in range(0, len(samples), batch_size):
+        idx = np.arange(len(samples))[start:start + batch_size]
+        pred, _ = forward(samples.X[idx][..., None], train=False)
+        err = normalizer.invert(pred.value) - normalizer.invert(samples.Y[idx])
+        abs_sum += float(np.abs(err).sum())
+        count += err.size
+    return abs_sum / count
+
+
+def gathered_predictions(forward, samples, batch_size):
+    """evaluate_period's predictions as they ran over gathered index batches."""
+    idx = np.arange(len(samples))
+    preds = [forward(samples.X[idx[s:s + batch_size]][..., None], train=False)[0].value
+             for s in range(0, len(samples), batch_size)]
+    return np.concatenate(preds)
+
+
+class TestSlicedEvaluation:
+    @pytest.mark.parametrize("variant", ["spatial", "spectral"])
+    def test_slices_match_gathered_batches_bitwise(self, variant, monkeypatch):
+        from growcast.backbone import build_backbone, graph_operator
+        from growcast.data_pipeline import ObservationSeries, build_period_dataset
+        from growcast.engine import _make_forward
+        from growcast.prompt_pool import init_pool
+        stream, series = tiny_stream(periods=1, n0=12)
+        graph = stream.periods[0]
+        bb = build_backbone(variant, d=6, seed=3)
+        pool = init_pool(graph.nodes, d=6, k=2, seed=3)
+        pool.segments[0].A.value = np.random.default_rng(3).standard_normal((12, 2))
+        forward = _make_forward(bb, graph_operator(bb, graph.adjacency), pool)
+        shared = []  # one entry per batch that took the shared-step path
+        step_rows = nn.step_rows
+        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        for order in ("C", "F"):
+            obs = ObservationSeries(series[0].node_ids,
+                                    np.asarray(series[0].values, order=order), 1)
+            ds = build_period_dataset(graph, obs)
+            for batch_size in (7, 64):
+                for samples in (ds.val, ds.test):
+                    del shared[:]
+                    got = _validation_mae(forward, samples, ds.normalizer, batch_size)
+                    assert len(shared) == -(-len(samples) // batch_size)
+                    assert got == gathered_validation_mae(forward, samples, ds.normalizer,
+                                                          batch_size)
+                del shared[:]
+                got = evaluate_period(forward, ds.test, ds.normalizer, batch_size)
+                assert len(shared) == -(-len(ds.test) // batch_size)
+                pred = ds.normalizer.invert(gathered_predictions(forward, ds.test, batch_size))
+                truth = ds.normalizer.invert(ds.test.Y)
+                assert got["avg"] == metrics(pred, truth)
+                for h in HORIZONS:
+                    assert got[str(h)] == metrics(pred[:, h - 1], truth[:, h - 1])
 
 
 class TestEvaluatePeriod:

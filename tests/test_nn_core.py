@@ -245,6 +245,84 @@ class TestKernelOracles:
                 call(nn.ComputeRecord())
 
 
+def consecutive(arr, B, T):
+    """The B consecutive T-step windows of arr as an overlapping strided view."""
+    view = np.lib.stride_tricks.sliding_window_view(arr, T, axis=0)[:B]
+    return np.moveaxis(view, -1, 1)
+
+
+class TestSharedSteps:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 12, 13, 25])
+    @pytest.mark.parametrize("T", [1, 3, 12])
+    @pytest.mark.parametrize("B", [1, 2, 9])
+    def test_temporal_conv_on_a_timeline_matches_windows(self, K, T, B):
+        rng = np.random.default_rng(100 * K + 10 * T + B)
+        steps = np.maximum(rng.standard_normal((B + T - 1, 5, 4)), 0.0)
+        steps[0, 0, :2] = [0.0, -0.0]
+        W = rng.standard_normal((K, 4, 3))
+        b = rng.standard_normal(3)
+        windows = np.ascontiguousarray(consecutive(steps, B, T))
+        want = nn.temporal_conv(nn.ComputeRecord(grad=False), windows, W, b).value
+        got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps, W, b, window=T).value
+        rows = nn.step_rows(B, T, K)
+        # B + T - K interior rows serve every window; each window adds K - 1 edge rows
+        assert got.shape[0] == (B + T - K + B * (K - 1) if K <= T else B * T)
+        assert np.array_equal(np.unique(rows), np.arange(got.shape[0]))
+        assert got[rows].tobytes() == want.tobytes()
+
+    def test_temporal_conv_on_a_timeline_keeps_no_backward(self):
+        with pytest.raises(nn.NnError, match="grad=False"):
+            nn.temporal_conv(nn.ComputeRecord(), np.zeros((4, 2, 3)), np.zeros((3, 3, 3)),
+                             np.zeros(3), window=2)
+
+    @pytest.mark.parametrize("weight_shape", [(4, 4), (3,)])
+    def test_graph_input_timeline_matches_windows(self, weight_shape):
+        rng = np.random.default_rng(16)
+        n, B, T = 5, 7, 12
+        op = [rng.standard_normal((n, n)) for _ in range(3 if len(weight_shape) == 1 else 1)]
+        args = (rng.standard_normal((1, 4)), rng.standard_normal(4),
+                rng.standard_normal((n, 4)), rng.standard_normal(weight_shape))
+        x = consecutive(rng.standard_normal((B + T - 1, n, 1)), B, T)
+        want = nn.graph_input(nn.ComputeRecord(grad=False), op, np.array(x), *args[:2],
+                              args[2], args[3]).value
+        got = nn.graph_input(nn.ComputeRecord(grad=False), op, x, *args, shared=True).value
+        assert got.shape == (B + T - 1, n, 4)
+        assert np.ascontiguousarray(consecutive(got, B, T)).tobytes() == want.tobytes()
+        # windows that do not overlap keep the windowed output
+        apart = rng.standard_normal((B, T, n, 1))
+        kept = nn.graph_input(nn.ComputeRecord(grad=False), op, apart, *args, shared=True)
+        assert kept.value.tobytes() == nn.graph_input(
+            nn.ComputeRecord(grad=False), op, apart, *args).value.tobytes()
+
+    def test_graph_input_timeline_gradients(self):
+        # the timeline output is differentiable like the windowed one
+        rng = np.random.default_rng(17)
+        n, B, T = 4, 3, 5
+        op = [rng.standard_normal((n, n)) / n for _ in range(3)]
+        x = consecutive(rng.standard_normal((B + T - 1, n, 1)), B, T)
+        W, b = nn.Parameter("W", rng.standard_normal((1, 3))), nn.Parameter("b", np.ones(3))
+        P, th = nn.Parameter("P", rng.standard_normal((n, 3))), nn.Parameter("th", np.ones(3))
+        target = rng.standard_normal((B + T - 1, n, 3))
+
+        def build(rec):
+            out = nn.graph_input(rec, op, x, rec.leaf(W), rec.leaf(b), rec.leaf(P),
+                                 rec.leaf(th), shared=True)
+            return nn.mse_loss(rec, out, target)
+
+        assert nn.grad_check(build, [W, b, P, th]) < 1e-6
+
+    def test_mean_pool_time_over_rows(self):
+        rng = np.random.default_rng(18)
+        stack = nn.Parameter("s", rng.standard_normal((6, 3, 2)))
+        rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
+        got = nn.mean_pool_time(nn.ComputeRecord(), stack.value, rows).value
+        assert got.tobytes() == stack.value[rows].mean(axis=1).tobytes()
+        target = rng.standard_normal((3, 3, 2))
+        build = lambda rec: nn.mse_loss(rec, nn.mean_pool_time(rec, rec.leaf(stack), rows),
+                                        target)
+        assert nn.grad_check(build, [stack]) < 1e-6
+
+
 class TestRecordContracts:
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_nonfinite_leaf_or_constant_into_relu_names_relu(self, p):
@@ -423,7 +501,7 @@ class TestGradCheck:
                 assert nn.grad_check(build, [W_in, b_in, weight, P]) < 1e-6
 
     def test_table_rows_per_seed(self):
-        from growcast.cli import gradcheck_table
+        from growcast.gradcheck import gradcheck_table
         labels = [r["primitive"] for r in gradcheck_table(seeds=range(1))]
         assert labels == [
             "linear:0", "temporal_conv:0", "graph_conv_spatial:0", "graph_conv_cheb:0",
@@ -434,7 +512,7 @@ class TestGradCheck:
             "graph_conv_spatial_input:0", "graph_conv_cheb_input:0"]
 
     def test_all_primitives_many_seeds(self):
-        from growcast.cli import gradcheck_table
+        from growcast.gradcheck import gradcheck_table
         rows = gradcheck_table(seeds=range(3))
         assert all(r["passed"] for r in rows)
 

@@ -8,8 +8,8 @@ from growcast.prompt_pool import (
     expand,
     init_pool,
     materialize,
-    param_count,
 )
+from oracles import pool_param_count as param_count
 
 
 def ids(n, prefix="n"):
@@ -102,7 +102,7 @@ class TestMaterialize:
 
     def test_row_count_matches_segments(self):
         pool = random_pool(segments=3)
-        assert materialize(pool).shape[0] == pool.n == 26
+        assert materialize(pool).shape[0] == len(pool.node_ids) == 26
 
     def test_rank_bounded_by_k(self):
         for seed in range(5):
