@@ -21,12 +21,14 @@ but one step, so when the record is gradient-free, dropout is off and
 the batch is a run of consecutive windows (the engine passes slices of
 the strided window view; `x.strides[0] == x.strides[1]` proves x[i+1, t]
 is x[i, t+1]), every layer up to the time pooling runs once per distinct
-step: layer 1 on the B + T - 1 step timeline, the temporal conv's
-interior rows once per step and only its padded edge rows per window,
-and the second graph conv on both.  The windows are gathered back for
-pooling and the head.  Predictions are bit-identical to the windowed
-path: each step meets the same per-step products in the same order, and
-the layer-1 GEMM still runs over all B*T window rows (see `graph_input`).
+step: layer 1 on the B + T - 1 step timeline, passed as one window, the
+temporal conv's interior rows once per step and only its padded edge
+rows per window, and the second graph conv on both.  The windows are
+gathered back for pooling and the head.  Every layer after the first
+meets each step with the same products in the same order as the
+windowed path; the layer-1 GEMM has B + T - 1 rows instead of B*T, and
+BLAS may round a row differently with the row count, so predictions
+match per-window evaluation up to last-digit rounding.
 """
 from __future__ import annotations
 
@@ -136,13 +138,13 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
 
     weight = "W" if backbone.variant == "spatial" else "theta"
     drop_p = backbone.dropout_p if train else 0.0
-    shared = not (record.grad or train) and x.strides[0] == x.strides[1]
-    h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
-                                       leaf["input_proj.b"], prompt, leaf["gconv1." + weight],
-                                       shared=shared),
-                drop_p, rng)
     B, T = x.shape[:2]
-    window = T if h.value.ndim == 3 else None  # graph_input returned the step timeline
+    window = T if not (record.grad or train) and x.strides[0] == x.strides[1] else None
+    if window is not None:  # one window of B + T - 1 steps: window 0, then each last step
+        x = np.concatenate([x[0], x[1:, -1]])[None]
+    h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
+                                       leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
+                drop_p, rng)
     h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"],
                                          window=window),
                 drop_p, rng)

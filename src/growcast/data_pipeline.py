@@ -35,13 +35,14 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """T x n readings for one period, columns in graph node order."""
+    """T x n readings for one period, columns in graph node order, stored row-major."""
 
     node_ids: tuple
     values: np.ndarray
     period_index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values))
         if self.values.ndim != 2 or self.values.shape[1] != len(self.node_ids):
             raise DataError("observation matrix shape %s does not match %d nodes"
                             % (self.values.shape, len(self.node_ids)))
@@ -254,26 +255,32 @@ def load_stream_manifest(path):
     """Load a stream from a JSON manifest listing per-period file paths.
 
     Schema: {"r": 0.5, "periods": [{"nodes": p, "distances": p,
-    "observations": p}, ...]}; paths are relative to the manifest.
+    "observations": p}, ...]}; paths are strings relative to the
+    manifest, and `r` (optional, also per period) is a number.
     """
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError("cannot read stream manifest %s: %s" % (path, exc))
-    if "periods" not in manifest or not manifest["periods"]:
-        raise DataError("stream manifest lists no periods")
-    r = float(manifest.get("r", 0.5))
+    if not isinstance(manifest, dict):
+        raise DataError("stream manifest must be a JSON object, got %r" % (manifest,))
+    periods = manifest.get("periods")
+    if not (isinstance(periods, list) and periods):
+        raise DataError("stream manifest field 'periods' must be a nonempty list, got %r"
+                        % (periods,))
+    r = _manifest_number(manifest, "r", 0.5, "stream manifest")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     graphs, series = [], []
-    for tau, entry in enumerate(manifest["periods"], start=1):
+    for tau, entry in enumerate(periods, start=1):
         for key in ("nodes", "distances", "observations"):
-            if key not in entry:
-                raise DataError("period %d manifest entry missing %r" % (tau, key))
+            if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
+                raise DataError("period %d manifest entry needs a path string %r, got %r"
+                                % (tau, key, entry))
         try:
             with open(resolve(entry["nodes"])) as fh:
                 nodes = tuple(ln.strip() for ln in fh if ln.strip())
@@ -285,7 +292,7 @@ def load_stream_manifest(path):
         if dist.shape[0] != len(nodes):
             raise DataError("period %d distance matrix size %d vs %d nodes"
                             % (tau, dist.shape[0], len(nodes)))
-        adj = build_adjacency(dist, r=float(entry.get("r", r)))
+        adj = build_adjacency(dist, r=_manifest_number(entry, "r", r, "period %d" % tau))
         graph = PeriodGraph(period_index=tau, nodes=nodes, distances=dist, adjacency=adj)
         graphs.append(graph)
         try:
@@ -293,6 +300,13 @@ def load_stream_manifest(path):
         except OSError as exc:
             raise DataError("period %d file unreadable: %s" % (tau, exc))
     return StreamGraph(periods=tuple(graphs)), series
+
+
+def _manifest_number(fields: dict, key, default, where) -> float:
+    value = fields.get(key, default)
+    if type(value) not in (int, float):
+        raise DataError("%s field %r must be a number, got %r" % (where, key, value))
+    return float(value)
 
 
 def write_stream(out_dir, stream: StreamGraph, series, r: float = 0.5) -> str:

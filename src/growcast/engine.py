@@ -9,8 +9,9 @@ trains after period 1; `SCHEMES` is the one place a scheme is defined.
 Training batches are shuffled windows, gathered into fresh arrays.
 Validation and test batches are slices of the split's strided window
 view, consecutive windows whose memory overlaps, so the backbone
-evaluates each of their time steps once (`backbone` module docstring)
-with the same bits as gathered batches would give.
+evaluates each of their time steps once (`backbone` module docstring);
+predictions match gathered batches up to last-digit rounding of the
+layer-1 GEMM.
 """
 from __future__ import annotations
 
@@ -272,10 +273,7 @@ def _backbone_hash(backbone) -> str:
 
 def _fused_dispersion(backbone, pool, dataset):
     """Dispersion of (projected mean input + prompt) rows, one per node."""
-    # gathered like a batch: the strided view of a column-major segment (as
-    # ingestion's column reorder leaves it) would sum in another order
-    X = dataset.train.X[np.arange(len(dataset.train))]
-    X_mean = X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, t_in, n) -> (n, 1)
+    X_mean = dataset.train.X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, t_in, n) -> (n, 1)
     proj = X_mean @ backbone.params["input_proj.W"].value + backbone.params["input_proj.b"].value
     fused = proj + (materialize(pool) if pool is not None else 0.0)
     return heterogeneity_D(fused)

@@ -18,15 +18,15 @@ built with `grad=False` keeps no tape, so evaluation frees each
 intermediate once the next layer has read it.
 
 Shared-step evaluation runs consecutive windows, which overlap in all but
-one step, once per distinct step: `graph_input(..., shared=True)` returns
-the step timeline, `temporal_conv(..., window=T)` stacks the rows shared
-by all windows and each window's padded edge rows, and
-`mean_pool_time(..., rows=step_rows(B, T, K))` gathers the windows back.
-The backbone takes this path only for a gradient-free record without
-dropout over stride-aliased windows.  The layer-1 GEMM still runs over
-every window row, because BLAS rounds a row differently with the number
-of rows in the product; the results are bit-identical to the windowed
-path.
+one step, once per distinct step: the backbone hands `graph_input` the
+step timeline as one (1, L, n, 1) window, `temporal_conv(..., window=T)`
+stacks the rows shared by all windows and each window's padded edge rows,
+and `mean_pool_time(..., rows=step_rows(B, T, K))` gathers the windows
+back.  Both keywords are forward-only (gradient-free records).  Every
+layer after the first meets each step with the same products in the same
+order as the windowed path; the layer-1 GEMM has L rows instead of B*T,
+and BLAS may round a row differently with the row count, so predictions
+agree with per-window evaluation up to that last-digit rounding.
 """
 from __future__ import annotations
 
@@ -364,16 +364,16 @@ def temporal_conv(record, x, W, b, window=None):
     builds the zero-padded (B, T + K - 1, n, d_in) copy of x.
 
     window=T (shared-step evaluation, gradient-free records only): x is the
-    (L, n, d_in) timeline of B = L - T + 1 consecutive T-step windows.
+    (1, L, n, d_in) timeline of B = L - T + 1 consecutive T-step windows.
     Rows whose taps all land inside their window are computed once per
     timeline step; only the K - 1 rows per window that touch padding are
     computed per window.  The output stacks both as `step_rows` maps them.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     shared = window is not None
-    _shape_check("temporal_conv", x.value.ndim == (3 if shared else 4) and W.value.ndim == 3
+    _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
                  and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],)
-                 and (not shared or 1 <= window <= x.shape[0]),
+                 and (not shared or (x.shape[0] == 1 and 1 <= window <= x.shape[1])),
                  x.shape, W.shape, b.shape)
     if shared and record.grad:
         raise NnError("temporal_conv over shared steps needs a grad=False record")
@@ -381,7 +381,7 @@ def temporal_conv(record, x, W, b, window=None):
     T = window if shared else x.shape[1]
     taps = _taps(K, T)
     if shared:
-        out = _shared_tap_sum(x.value, W.value, taps, T)
+        out = _shared_tap_sum(x.value[0], W.value, taps, T)
     else:
         out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
     out += b.value
@@ -458,12 +458,7 @@ def graph_conv(record, operator, h, weight):
     return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
 
 
-def _timeline(windows):
-    """The B + T - 1 steps of B consecutive (B, T, ...) windows: window 0, then each last step."""
-    return np.concatenate([windows[0], windows[1:, -1]])
-
-
-def graph_input(record, operator, x, W_in, b_in, prompt, weight, shared=False):
+def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     """Input projection, prompt and first graph convolution as one primitive.
 
     Computes G (x W_in + 1 b_in^T + P) W for a constant one-channel input
@@ -476,13 +471,6 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight, shared=False):
     per window plus one n x d_out constant.  No (B, T, n, d) tensor is
     propagated: the input crosses G as one (B*T, n) GEMM, and backward
     sums the gradient over (B, T) before it meets G^T and W^T.
-
-    shared=True (x a run of consecutive windows): the output is the
-    (B + T - 1, n, d_out) timeline of distinct steps.  The GEMM still runs
-    over all B*T rows, since BLAS rounds a row differently with the row
-    count; the timeline is taken only if consecutive windows then agree
-    bit for bit on the steps they share (a threaded BLAS splits rows
-    unevenly and may not), and the output stays (B, T, n, d_out) otherwise.
     """
     W_in, b_in, weight = (_as_node(record, v) for v in (W_in, b_in, weight))
     P = None if prompt is None else _as_node(record, prompt)
@@ -505,10 +493,6 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight, shared=False):
         M += P.value
     GM = G @ M
     Gx = x.reshape(-1, n) @ G.T  # (B*T, n)
-    if shared:
-        bits = Gx.reshape(x.shape[:3]).view(np.int64)
-        if np.array_equal(bits[1:, :-1], bits[:-1, 1:]):
-            Gx, x = _timeline(Gx.reshape(x.shape[:3])), _timeline(x)
     out = Gx.reshape(x.shape) * U[0]
     out += GM @ Wm
 
@@ -537,22 +521,20 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight, shared=False):
 def mean_pool_time(record, x, rows=None):
     """Mean over the time axis of a (B, T, n, d) tensor, or of x[rows].
 
-    rows: a (B, T) integer index into a stack of steps (as `step_rows`
-    gives for shared-step evaluation); the windows are gathered first.
+    rows (shared-step evaluation, gradient-free records only): a (B, T)
+    integer index into a stack of steps, as `step_rows` gives; the windows
+    are gathered first.
     """
     x = _as_node(record, x)
+    if rows is not None and record.grad:
+        raise NnError("mean_pool_time over shared steps needs a grad=False record")
     windows = x.value if rows is None else x.value[rows]
     _shape_check("mean_pool_time", windows.ndim == 4, x.shape)
     T = windows.shape[1]
     out = windows.mean(axis=1)
 
     def grad_fn(g):
-        gw = np.broadcast_to(g[:, None] / T, windows.shape)
-        if rows is None:
-            return [gw]
-        gx = np.zeros(x.shape)
-        np.add.at(gx, rows, gw)
-        return [gx]
+        return [np.broadcast_to(g[:, None] / T, x.shape)]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -169,8 +173,8 @@ class TestDropout:
 def consecutive_windows(B, n, order, seed=0, nan_at=None):
     """x[s:s + B] of a split's window view, as the engine slices evaluation batches.
 
-    The segment is laid out in `order`: ingestion of `--data` streams
-    leaves it column-major ("F"), synthetic streams row-major ("C").
+    The segment is laid out in `order`: observation series store it
+    row-major ("C"); "F" shows that sharing does not depend on the layout.
     """
     seg = np.random.default_rng(seed).standard_normal((B + 40, n))
     if nan_at is not None:
@@ -233,6 +237,57 @@ class TestSharedSteps:
             got, rec = forward_predict(bb, op, x, record=nn.ComputeRecord())
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
             assert nn.backward(rec, nn.mse_loss(rec, got, np.zeros(got.shape)))
+
+
+SPY_STEP_ROWS = """
+from growcast import nn_core as nn
+from growcast.backbone import build_backbone, forward_predict, graph_operator
+from test_backbone import consecutive_windows, small_graph
+
+calls = []
+step_rows = nn.step_rows
+nn.step_rows = lambda *a: calls.append(a) or step_rows(*a)
+for variant in ("spatial", "spectral"):
+    bb = build_backbone(variant, d=4, seed=1)
+    for n in (200, 250, 300):
+        op = graph_operator(bb, small_graph(n))
+        for B in (37, 77, 127, 128):
+            del calls[:]
+            forward_predict(bb, op, consecutive_windows(B, n, "C", seed=B))
+            print(variant, n, B, len(calls))
+"""
+
+
+class TestSharedStepsAtScale:
+    def test_shared_path_does_not_depend_on_blas_threads(self):
+        # a threaded BLAS splits the rows of a GEMM among threads, which
+        # must not decide whether a batch shares its steps
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", SPY_STEP_ROWS], env=env,
+                              capture_output=True, text=True, cwd=os.path.dirname(__file__))
+        assert proc.returncode == 0, proc.stderr
+        batches = [line.split() for line in proc.stdout.splitlines()]
+        assert len(batches) == 24
+        assert [b for b in batches if b[-1] != "1"] == []
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_within_last_digit_rounding_of_windows(self, variant, n, monkeypatch):
+        # the layer-1 GEMM has B + 11 rows here and B * 12 in the windowed
+        # path, and BLAS may round a row differently with the row count
+        shared = []
+        step_rows = nn.step_rows
+        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        bb = build_backbone(variant, d=8, seed=n)
+        op = graph_operator(bb, small_graph(n))
+        P = np.random.default_rng(n).standard_normal((n, 8))
+        for B in (37, 128):
+            x = consecutive_windows(B, n, "C", seed=B)
+            got, _ = forward_predict(bb, op, x, prompt=P)
+            want = windowed_forward(bb, op, np.array(x), P)
+            assert np.abs(got.value - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(shared) == 2
 
 
 class TestEndToEndGradients:

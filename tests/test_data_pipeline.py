@@ -46,6 +46,18 @@ class TestIngest:
         out = ingest_period(path, graph_of(["a", "b"]))
         assert np.array_equal(out.values, [[1, 10], [2, 20]])
 
+    def test_values_stored_row_major(self, tmp_path):
+        # reordering columns yields a column-major array; the series stores it row-major
+        path = tmp_path / "obs.csv"
+        path.write_text("time,c,b,a\n0,3,2,1\n1,6,5,4\n2,9,8,7\n")
+        out = ingest_period(path, graph_of(["a", "b", "c"]))
+        assert out.values.flags.c_contiguous
+        assert np.array_equal(out.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        values = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        series = ObservationSeries(node_ids=("a", "b", "c"), values=values, period_index=1)
+        assert series.values.flags.c_contiguous
+        assert np.array_equal(series.values, values)
+
     def test_forward_fill(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("time,a\n0,5\n1,\n2,7\n")

@@ -13,6 +13,7 @@ from growcast.engine import (
     ExperimentConfig,
     TrainingAbort,
     _fused_dispersion,
+    _induced_subperiod,
     _validation_mae,
     evaluate_period,
     run_stream,
@@ -274,8 +275,8 @@ class TestMakeForward:
 
 class TestFusedDispersion:
     def test_matches_stacked_windows_bitwise(self):
-        # ingestion's column reorder leaves series column-major; the strided
-        # window view must still give the same bits as dense stacked windows
+        # series built from a column-major array are stored row-major, so the
+        # strided window view gives the same bits as dense stacked windows
         from growcast.analysis import heterogeneity_D
         from growcast.backbone import build_backbone
         from growcast.data_pipeline import ObservationSeries, build_period_dataset, chrono_split
@@ -297,6 +298,25 @@ class TestFusedDispersion:
                     want = heterogeneity_D(x_mean @ bb.params["input_proj.W"].value
                                            + bb.params["input_proj.b"].value + materialize(pool))
                     assert _fused_dispersion(bb, pool, ds) == want
+
+
+class TestInducedSubperiod:
+    def test_series_stored_row_major(self, monkeypatch):
+        # the new nodes' columns, values[:, idx], come out column-major
+        from growcast import engine
+        seen = []
+        build = engine.build_period_dataset
+        monkeypatch.setattr(engine, "build_period_dataset",
+                            lambda graph, series, **kw: seen.append(series) or build(
+                                graph, series, **kw))
+        stream, series = tiny_stream(periods=2, growth=3)
+        new_ids = stream.periods[1].nodes[-3:]
+        cfg = ExperimentConfig(scheme="ContinualNN", seeds=(1,), **TINY)
+        ds = _induced_subperiod(stream.periods[1], series[1], new_ids, cfg, seed=1)
+        (sub,) = seen
+        assert sub.node_ids == new_ids and sub.values.flags.c_contiguous
+        assert np.array_equal(sub.values, series[1].values[:, -3:])
+        assert ds.train.X.shape[2] == 3
 
 
 class TestSchemes:

@@ -263,7 +263,7 @@ class TestSharedSteps:
         b = rng.standard_normal(3)
         windows = np.ascontiguousarray(consecutive(steps, B, T))
         want = nn.temporal_conv(nn.ComputeRecord(grad=False), windows, W, b).value
-        got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps, W, b, window=T).value
+        got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps[None], W, b, window=T).value
         rows = nn.step_rows(B, T, K)
         # B + T - K interior rows serve every window; each window adds K - 1 edge rows
         assert got.shape[0] == (B + T - K + B * (K - 1) if K <= T else B * T)
@@ -272,55 +272,32 @@ class TestSharedSteps:
 
     def test_temporal_conv_on_a_timeline_keeps_no_backward(self):
         with pytest.raises(nn.NnError, match="grad=False"):
-            nn.temporal_conv(nn.ComputeRecord(), np.zeros((4, 2, 3)), np.zeros((3, 3, 3)),
+            nn.temporal_conv(nn.ComputeRecord(), np.zeros((1, 4, 2, 3)), np.zeros((3, 3, 3)),
                              np.zeros(3), window=2)
 
     @pytest.mark.parametrize("weight_shape", [(4, 4), (3,)])
     def test_graph_input_timeline_matches_windows(self, weight_shape):
+        # the (1, L, n, 1) timeline is an ordinary one-window batch
         rng = np.random.default_rng(16)
         n, B, T = 5, 7, 12
         op = [rng.standard_normal((n, n)) for _ in range(3 if len(weight_shape) == 1 else 1)]
         args = (rng.standard_normal((1, 4)), rng.standard_normal(4),
                 rng.standard_normal((n, 4)), rng.standard_normal(weight_shape))
-        x = consecutive(rng.standard_normal((B + T - 1, n, 1)), B, T)
-        want = nn.graph_input(nn.ComputeRecord(grad=False), op, np.array(x), *args[:2],
-                              args[2], args[3]).value
-        got = nn.graph_input(nn.ComputeRecord(grad=False), op, x, *args, shared=True).value
-        assert got.shape == (B + T - 1, n, 4)
-        assert np.ascontiguousarray(consecutive(got, B, T)).tobytes() == want.tobytes()
-        # windows that do not overlap keep the windowed output
-        apart = rng.standard_normal((B, T, n, 1))
-        kept = nn.graph_input(nn.ComputeRecord(grad=False), op, apart, *args, shared=True)
-        assert kept.value.tobytes() == nn.graph_input(
-            nn.ComputeRecord(grad=False), op, apart, *args).value.tobytes()
-
-    def test_graph_input_timeline_gradients(self):
-        # the timeline output is differentiable like the windowed one
-        rng = np.random.default_rng(17)
-        n, B, T = 4, 3, 5
-        op = [rng.standard_normal((n, n)) / n for _ in range(3)]
-        x = consecutive(rng.standard_normal((B + T - 1, n, 1)), B, T)
-        W, b = nn.Parameter("W", rng.standard_normal((1, 3))), nn.Parameter("b", np.ones(3))
-        P, th = nn.Parameter("P", rng.standard_normal((n, 3))), nn.Parameter("th", np.ones(3))
-        target = rng.standard_normal((B + T - 1, n, 3))
-
-        def build(rec):
-            out = nn.graph_input(rec, op, x, rec.leaf(W), rec.leaf(b), rec.leaf(P),
-                                 rec.leaf(th), shared=True)
-            return nn.mse_loss(rec, out, target)
-
-        assert nn.grad_check(build, [W, b, P, th]) < 1e-6
+        steps = rng.standard_normal((B + T - 1, n, 1))
+        want = nn.graph_input(nn.ComputeRecord(grad=False), op,
+                              np.array(consecutive(steps, B, T)), *args).value
+        got = nn.graph_input(nn.ComputeRecord(grad=False), op, steps[None], *args).value
+        assert got.shape == (1, B + T - 1, n, 4)
+        assert np.ascontiguousarray(consecutive(got[0], B, T)).tobytes() == want.tobytes()
 
     def test_mean_pool_time_over_rows(self):
         rng = np.random.default_rng(18)
-        stack = nn.Parameter("s", rng.standard_normal((6, 3, 2)))
+        stack = rng.standard_normal((6, 3, 2))
         rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
-        got = nn.mean_pool_time(nn.ComputeRecord(), stack.value, rows).value
-        assert got.tobytes() == stack.value[rows].mean(axis=1).tobytes()
-        target = rng.standard_normal((3, 3, 2))
-        build = lambda rec: nn.mse_loss(rec, nn.mean_pool_time(rec, rec.leaf(stack), rows),
-                                        target)
-        assert nn.grad_check(build, [stack]) < 1e-6
+        got = nn.mean_pool_time(nn.ComputeRecord(grad=False), stack, rows).value
+        assert got.tobytes() == stack[rows].mean(axis=1).tobytes()
+        with pytest.raises(nn.NnError, match="grad=False"):
+            nn.mean_pool_time(nn.ComputeRecord(), stack, rows)
 
 
 class TestRecordContracts:
