@@ -16,19 +16,22 @@ fused primitive (`nn_core.graph_input`): G (x W_in + 1 b^T + P) W equals
 (G x)(W_in W) + G (1 b^T + P) W exactly, a rank-1 term per window plus
 one n x d constant, and no (B, T, n, d) tensor crosses the graph.
 
-Evaluation shares steps.  Consecutive windows of a split overlap in all
-but one step, so when the record is gradient-free, dropout is off and
-the batch is a run of consecutive windows (the engine passes slices of
-the strided window view; `x.strides[0] == x.strides[1]` proves x[i+1, t]
-is x[i, t+1]), every layer up to the time pooling runs once per distinct
-step: layer 1 on the B + T - 1 step timeline, passed as one window, the
-temporal conv's interior rows once per step and only its padded edge
-rows per window, and the second graph conv on both.  The windows are
-gathered back for pooling and the head.  Every layer after the first
-meets each step with the same products in the same order as the
-windowed path; the layer-1 GEMM has B + T - 1 rows instead of B*T, and
-BLAS may round a row differently with the row count, so predictions
-match per-window evaluation up to last-digit rounding.
+Batches share steps.  Windows of one split overlap: consecutive ones in
+all but one step, and a shuffled training batch of 128 of 457 windows
+reads only about 460 distinct steps in its 1,536 window rows.  When the
+caller passes the windows' start offsets and the batch draws no dropout
+mask, every layer up to the time pooling runs once per distinct step:
+layer 1 on the sorted distinct steps, passed as one window, the temporal
+conv's interior rows once per step and only its padded edge rows per
+window, and the second graph conv on both.  The windows are gathered
+back for pooling and the head, and backward adds each window's gradient
+into the rows it shares.  Every layer after the first meets each step with the
+same products in the same order as the windowed path; the layer-1 GEMM
+has one row per distinct step instead of B*T, and BLAS may round a row
+differently with the row count, so predictions match the windowed path
+up to last-digit rounding, and gradients, which sum the windows in
+another order, too.  A batch that draws dropout masks keeps the windowed
+path and its (B, T, n, d) draws.
 """
 from __future__ import annotations
 
@@ -107,16 +110,47 @@ def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
     return cheb_polynomials(scaled_laplacian(adjacency), backbone.K_order)
 
 
+def _shared_steps(x, starts, kernel):
+    """(timeline, window, rows) that run windows x starting at `starts` once per step.
+
+    The timeline is the sorted distinct steps of all windows, (1, L, n, 1);
+    window[i, o] is the timeline row of step o of window i, and rows maps
+    window rows to the temporal conv's stacked output (`nn.step_rows`).
+    None when that stack would have more rows than the B*T window rows.
+    Raises BackboneError when the windows do not agree with their starts.
+    """
+    B, T = x.shape[:2]
+    starts = np.asarray(starts)
+    if starts.shape != (B,) or starts.dtype.kind not in "iu":
+        raise BackboneError("starts must be %d integer window offsets, got %s of %s"
+                            % (B, starts.shape, starts.dtype))
+    steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
+    # the stack holds L - K + 1 shared rows and K - 1 edge rows per window
+    if kernel <= T and len(steps) - kernel + 1 > B * (T - kernel + 1):
+        return None
+    window = window.reshape(B, T)
+    rows = nn.step_rows(window, kernel)
+    x = x[..., 0]
+    timeline = np.empty((len(steps),) + x.shape[2:])
+    timeline[window] = x
+    got = timeline[window]
+    if not ((got == x).all() or np.array_equal(got, x, equal_nan=True)):
+        raise BackboneError("windows do not agree with their start offsets")
+    return timeline[None, ..., None], window, rows
+
+
 def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
-                    record=None, train: bool = False, rng=None):
+                    record=None, train: bool = False, rng=None, starts=None):
     """Run the network on a batch.
 
     inputs: (B, t_in, n, 1), one input channel; prompt: n x d matrix,
     ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`.
     When none is given, a fresh record is created that keeps a backward
     tape only if `train` is set.  Dropout applies only when `train` is set.
-    A gradient-free, dropout-free run of consecutive windows takes the
-    shared-step path (module docstring).
+    starts: each window's offset in its segment.  A batch with starts that
+    draws no dropout mask takes the shared-step path (module docstring),
+    unless its windows overlap too little; windows that disagree with
+    their starts raise BackboneError there.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -138,10 +172,11 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
 
     weight = "W" if backbone.variant == "spatial" else "theta"
     drop_p = backbone.dropout_p if train else 0.0
-    B, T = x.shape[:2]
-    window = T if not (record.grad or train) and x.strides[0] == x.strides[1] else None
-    if window is not None:  # one window of B + T - 1 steps: window 0, then each last step
-        x = np.concatenate([x[0], x[1:, -1]])[None]
+    shared = None if starts is None or drop_p > 0.0 else _shared_steps(x, starts,
+                                                                       backbone.kernel)
+    window = rows = None
+    if shared is not None:
+        x, window, rows = shared
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
                                        leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
                 drop_p, rng)
@@ -149,7 +184,6 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
                                          window=window),
                 drop_p, rng)
     h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + weight]))
-    rows = None if window is None else nn.step_rows(B, T, backbone.kernel)
     h = nn.mean_pool_time(record, h, rows)  # (B, n, d)
     out = nn.linear(record, h, leaf["head.W"], leaf["head.b"])  # (B, n, t_out)
 

@@ -111,7 +111,7 @@ def cmd_run(args) -> int:
         return _fail(out_dir, manifest, exc, EXIT_CONFIG)
     except (DataError, GraphStreamError, PoolError) as exc:
         return _fail(out_dir, manifest, exc, EXIT_DATA)
-    except (TrainingAbort, nn.NonFiniteError) as exc:
+    except (TrainingAbort, nn.NonFiniteError, AnalysisError) as exc:
         return _fail(out_dir, manifest, exc, EXIT_NUMERIC)
 
     report_path = os.path.join(out_dir, "reports.json")

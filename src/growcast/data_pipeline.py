@@ -2,9 +2,10 @@
 
 The raw timeline of each period is split 6:2:2 first and windowed inside
 each segment, so no supervised sample ever straddles a split boundary.
-A split's windows are one `Windows(X, Y)` record: X is (N, t_in, n) and Y
-is (N, t_out, n), both read-only strided views over the split's
-normalized (T_s, n) segment, so windowing copies nothing.
+A split's windows are one `Windows(X, Y, starts)` record: X is (N, t_in, n)
+and Y is (N, t_out, n), both read-only strided views over the split's
+normalized (T_s, n) segment, so windowing copies nothing; starts gives
+each window's first step in the segment.
 """
 from __future__ import annotations
 
@@ -52,10 +53,14 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class Windows:
-    """N supervised windows: Y[i] is the t_out steps right after X[i]."""
+    """N supervised windows: Y[i] is the t_out steps right after X[i].
+
+    X[i] is segment steps starts[i] .. starts[i] + t_in - 1.
+    """
 
     X: np.ndarray  # N x t_in x n
     Y: np.ndarray  # N x t_out x n
+    starts: np.ndarray  # N integer offsets into the segment
 
     def __len__(self):
         return self.X.shape[0]
@@ -69,9 +74,14 @@ class Normalizer:
     std: float
 
     @classmethod
-    def fit(cls, train_segment: np.ndarray) -> "Normalizer":
-        return cls(mean=float(train_segment.mean()),
-                   std=max(float(train_segment.std()), 1e-8))
+    def fit(cls, train_segment: np.ndarray, period_index: int) -> "Normalizer":
+        """Statistics of one period's train segment; they must be finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(train_segment.mean()), float(train_segment.std())
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise DataError("period %d training observations overflow the normalizer "
+                            "(mean %r, std %r)" % (period_index, mean, std))
+        return cls(mean=mean, std=max(std, 1e-8))
 
     def apply(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.std
@@ -172,7 +182,7 @@ def make_windows(segment: np.ndarray, t_in: int = T_IN, t_out: int = T_OUT) -> W
                         % (T_s, t_in + t_out))
     view = np.lib.stride_tricks.sliding_window_view(segment, t_in + t_out, axis=0)
     view = view.swapaxes(1, 2)  # (N, n, t_in + t_out) -> (N, t_in + t_out, n)
-    return Windows(X=view[:, :t_in], Y=view[:, t_in:])
+    return Windows(X=view[:, :t_in], Y=view[:, t_in:], starts=np.arange(view.shape[0]))
 
 
 def few_shot_subsample(train: Windows, fraction: float = 0.2, seed: int = 0,
@@ -186,7 +196,7 @@ def few_shot_subsample(train: Windows, fraction: float = 0.2, seed: int = 0,
         raise DataError("few-shot fraction %r leaves an empty training set" % fraction)
     idx = slice(keep) if not random_policy else np.sort(
         rng_stream(seed, "few_shot").choice(len(train), size=keep, replace=False))
-    return Windows(X=train.X[idx], Y=train.Y[idx])
+    return Windows(X=train.X[idx], Y=train.Y[idx], starts=train.starts[idx])
 
 
 def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
@@ -194,7 +204,7 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
                          few_shot_random: bool = False) -> PeriodDataset:
     """Split, normalize on train statistics, window each segment."""
     train_seg, val_seg, test_seg = chrono_split(series, t_in=T_IN, t_out=T_OUT)
-    norm = Normalizer.fit(train_seg)
+    norm = Normalizer.fit(train_seg, series.period_index)
     train, val, test = (make_windows(norm.apply(seg)) for seg in (train_seg, val_seg, test_seg))
     if few_shot_fraction is not None:
         train = few_shot_subsample(train, few_shot_fraction, seed, few_shot_random)

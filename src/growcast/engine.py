@@ -6,12 +6,14 @@ evaluation on the period's test split right after its training phase.
 Schemes differ only in what state crosses period boundaries and what
 trains after period 1; `SCHEMES` is the one place a scheme is defined.
 
-Training batches are shuffled windows, gathered into fresh arrays.
-Validation and test batches are slices of the split's strided window
-view, consecutive windows whose memory overlaps, so the backbone
-evaluates each of their time steps once (`backbone` module docstring);
-predictions match gathered batches up to last-digit rounding of the
-layer-1 GEMM.
+Training batches are shuffled windows, gathered into fresh arrays;
+validation and test batches are slices of the split's strided window
+view.  Every batch passes its windows' start offsets, so the backbone
+computes each distinct time step of a batch once (`backbone` module
+docstring) unless the batch draws dropout masks: period-1 training and
+RetrainST keep the windowed path, while pool tuning and the later
+periods of ContinualAN and ContinualNN share steps.  Shared results
+match the windowed ones up to last-digit rounding.
 """
 from __future__ import annotations
 
@@ -186,8 +188,8 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
     """Adam + early stopping; returns (epochs_run, wall_seconds_per_epoch,
     best_epoch), where best_epoch is the epoch whose parameters are kept.
 
-    `forward(batch_x, train)` must rebuild the tape from the live parameter
-    values; best-validation parameters are restored before returning.
+    `forward(batch_x, train, starts)` must rebuild the tape from the live
+    parameter values; best-validation parameters are restored before returning.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and val windows must be nonempty")
@@ -206,7 +208,8 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
         shuffle_rng = nn.rng_stream(seed, "shuffle", period_index, epoch)
         for batch_no, idx in enumerate(_batches(len(train_samples), batch_size, shuffle_rng)):
             try:
-                pred, record = forward(train_samples.X[idx][..., None], train=True)
+                pred, record = forward(train_samples.X[idx][..., None], train=True,
+                                       starts=train_samples.starts[idx])
                 loss = nn.mse_loss(record, pred, train_samples.Y[idx])
                 grads = nn.backward(record, loss)
             except nn.NonFiniteError as exc:
@@ -234,7 +237,7 @@ def _validation_mae(forward, val_samples, normalizer, batch_size):
     X, Y = val_samples.X, val_samples.Y
     abs_sum, count = 0.0, 0
     for run in _runs(len(val_samples), batch_size):
-        pred, _ = forward(X[run][..., None], train=False)
+        pred, _ = forward(X[run][..., None], train=False, starts=val_samples.starts[run])
         err = normalizer.invert(pred.value) - normalizer.invert(Y[run])
         abs_sum += float(np.abs(err).sum())
         count += err.size
@@ -249,7 +252,7 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
     X, Y = test_samples.X, test_samples.Y
     preds = []
     for run in _runs(len(test_samples), batch_size):
-        pred, _ = forward(X[run][..., None], train=False)
+        pred, _ = forward(X[run][..., None], train=False, starts=test_samples.starts[run])
         preds.append(pred.value)
     pred = normalizer.invert(np.concatenate(preds, axis=0))
     truth = normalizer.invert(Y)
@@ -299,18 +302,19 @@ def _induced_subperiod(graph, series, new_ids, config, seed):
 
 
 def _make_forward(backbone, operator, pool, rng=None):
-    """forward(batch_x, train) over the live parameters, prompted by `pool` if given.
+    """forward(batch_x, train, starts) over the live parameters, prompted by `pool` if given.
 
-    An evaluation forward (train=False) records no backward tape.
+    An evaluation forward (train=False) records no backward tape; starts
+    are the windows' segment offsets, or None (`forward_predict`).
     """
-    def forward(batch_x, train):
+    def forward(batch_x, train, starts=None):
         record = nn.ComputeRecord(grad=train)
         prompt = None
         if pool is not None:
             factors = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])
             prompt = nn.linear(record, factors, record.leaf(pool.B))
         return forward_predict(backbone, operator, batch_x, prompt=prompt,
-                               record=record, train=train, rng=rng)
+                               record=record, train=train, rng=rng, starts=starts)
     return forward
 
 

@@ -72,12 +72,19 @@ class StreamGraph:
                 )
 
 
-def _check_distances(distances: np.ndarray) -> np.ndarray:
+# the Gaussian kernel squares every distance, so a cell must square to a finite value
+_MAX_DISTANCE = np.sqrt(np.finfo(float).max)
+
+
+def _check_distances(distances: np.ndarray, source="distance matrix") -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise GraphStreamError("distance matrix must be square, got shape %s" % (d.shape,))
     if np.any(d < 0):
         raise GraphStreamError("negative distance entries are not allowed")
+    if not (d <= _MAX_DISTANCE).all():
+        raise GraphStreamError("%s has a non-finite distance or one whose square overflows"
+                               % source)
     return d
 
 
@@ -181,7 +188,8 @@ def read_distances(path, node_ids=None) -> np.ndarray:
             raise GraphStreamError("%s line %d has %d fields, expected %d"
                                    % (path, no, len(cells), width))
     if not is_edge_list:
-        return _check_distances(np.asarray([_floats(cells, path, no) for no, cells in lines]))
+        return _check_distances(np.asarray([_floats(cells, path, no) for no, cells in lines]),
+                                path)
     if node_ids is None:
         raise GraphStreamError("edge-list distances need an explicit node ordering")
     pos = {nid: i for i, nid in enumerate(node_ids)}
@@ -197,7 +205,7 @@ def read_distances(path, node_ids=None) -> np.ndarray:
         d[pos[dst], pos[src]] = w
     if np.isnan(d).any():
         raise GraphStreamError("edge list leaves node pairs without distances")
-    return _check_distances(d)
+    return _check_distances(d, path)
 
 
 def _floats(cells, path, lineno: int) -> list:

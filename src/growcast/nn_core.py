@@ -17,16 +17,19 @@ and a weight that is a channel mix or Chebyshev coefficients.  A record
 built with `grad=False` keeps no tape, so evaluation frees each
 intermediate once the next layer has read it.
 
-Shared-step evaluation runs consecutive windows, which overlap in all but
-one step, once per distinct step: the backbone hands `graph_input` the
-step timeline as one (1, L, n, 1) window, `temporal_conv(..., window=T)`
-stacks the rows shared by all windows and each window's padded edge rows,
-and `mean_pool_time(..., rows=step_rows(B, T, K))` gathers the windows
-back.  Both keywords are forward-only (gradient-free records).  Every
-layer after the first meets each step with the same products in the same
-order as the windowed path; the layer-1 GEMM has L rows instead of B*T,
-and BLAS may round a row differently with the row count, so predictions
-agree with per-window evaluation up to that last-digit rounding.
+Shared steps run overlapping windows once per distinct step: the
+backbone hands `graph_input` the batch's distinct steps as one
+(1, L, n, 1) timeline, `temporal_conv(..., window=)` stacks the rows the
+windows share and each window's padded edge rows, and
+`mean_pool_time(..., rows=step_rows(window, K))` gathers the windows
+back.  Both keywords have backward passes that add each window's
+gradient into the rows it read, so training batches share steps too.
+Every layer after the first meets each step with the same products in
+the same order as the windowed path; the layer-1 GEMM has L rows instead
+of B*T, and BLAS may round a row differently with the row count, so
+predictions agree with per-window evaluation up to that last-digit
+rounding.  Gradients sum the windows' contributions in another order,
+so they agree up to rounding too.
 """
 from __future__ import annotations
 
@@ -298,41 +301,74 @@ def _tap_sum(src, mats, taps, shape):
     return out
 
 
-def _step_layout(B, T, K):
-    """(edge rows, shared row count) of B consecutive T-step windows under a K-tap conv.
+def _step_layout(window, K):
+    """(edge rows, shared row count) of windows laid over a timeline, under a K-tap conv.
 
-    Window row o is an edge row when a tap reads padding for it: the first
-    K // 2 rows and the last K - 1 - K // 2.  The other rows of all windows
-    cover B + T - K timeline steps (none when every row is an edge).
+    window[i, o] is the timeline row of step o of window i.  Window row o
+    is an edge row when a tap reads padding for it: the first K // 2 rows
+    and the last K - 1 - K // 2.  Shared row j is the interior row at
+    timeline row j + K // 2, for every timeline row up to the last one a
+    window reads (none when every row is an edge).
     """
+    T = window.shape[1]
     edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
-    return edges, (B - 1 + T - len(edges) if len(edges) < T else 0)
+    return edges, (int(window.max()) + 2 - K if len(edges) < T else 0)
 
 
-def step_rows(B, T, K):
-    """(B, T) map from window rows to the rows `temporal_conv(..., window=T)` stacks.
+def step_rows(window, K):
+    """(B, T) map from window rows to the rows `temporal_conv(..., window=window)` stacks.
 
-    Shared row i + o - K // 2 holds interior row o of window i; each
+    Interior row o of window i is shared row window[i, o] - K // 2; each
     window's edge rows follow the shared ones, window by window.
     """
-    edges, n_shared = _step_layout(B, T, K)
+    edges, n_shared = _step_layout(window, K)
+    B, T = window.shape
     interior = np.arange(K // 2, K // 2 + T - len(edges))
     rows = np.empty((B, T), dtype=np.intp)
-    i = np.arange(B)[:, None]
-    rows[:, interior] = i + interior - K // 2
-    rows[:, edges] = n_shared + i * len(edges) + np.arange(len(edges))
+    rows[:, interior] = window[:, interior] - K // 2
+    rows[:, edges] = n_shared + np.arange(B)[:, None] * len(edges) + np.arange(len(edges))
     return rows
 
 
-def _shared_tap_sum(steps, mats, taps, T):
-    """`_tap_sum` of the B = L - T + 1 consecutive windows of an L-step timeline.
+def _fits_timeline(window, L):
+    """Whether window is a (B, T) integer map of consecutive rows of an L-row timeline."""
+    return (isinstance(window, np.ndarray) and window.ndim == 2 and window.dtype.kind in "iu"
+            and window.size > 0 and window.min() >= 0 and window.max() < L
+            and bool((np.diff(window, axis=1) == 1).all()))
+
+
+def _window_heads(window):
+    """Each window's first timeline row: an int when the windows follow one
+    another step by step (their rows are then slices), else a (B,) array."""
+    first = window[:, 0]
+    if np.array_equal(first, first[0] + np.arange(len(first))):
+        return int(first[0])
+    return first
+
+
+def _at(first, o, B):
+    """Index of row o of every window, from `_window_heads`."""
+    return slice(first + o, first + o + B) if isinstance(first, int) else first + o
+
+
+def _add_rows(out, idx, values):
+    """out[idx] += values along axis 0; a repeated index adds every time."""
+    if isinstance(idx, slice) or len(np.unique(idx)) == len(idx):
+        out[idx] += values
+    else:
+        np.add.at(out, idx, values)
+
+
+def _shared_tap_sum(steps, mats, taps, window):
+    """`_tap_sum` of the windows `window` lays over an (L, ...) timeline of steps.
 
     Returns the rows `step_rows` indexes.  Every row adds the same per-step
     products in the same order as `_tap_sum`, so the bits agree.
     """
     K = mats.shape[0]
-    B = steps.shape[0] - T + 1
-    edges, n_shared = _step_layout(B, T, K)
+    B = window.shape[0]
+    edges, n_shared = _step_layout(window, K)
+    first = _window_heads(window)
     out = np.empty((n_shared + B * len(edges),) + steps.shape[1:-1] + (mats.shape[2],))
     shared = out[:n_shared]
     edge = out[n_shared:].reshape((B, len(edges)) + out.shape[1:])
@@ -349,10 +385,40 @@ def _shared_tap_sum(steps, mats, taps, T):
                 if j == 0:
                     edge[:, e] = 0.0
             elif j == 0:
-                np.matmul(steps[o + s:o + s + B], mats[k], out=edge[:, e])
+                np.matmul(steps[_at(first, o + s, B)], mats[k], out=edge[:, e])
             else:
-                edge[:, e] += steps[o + s:o + s + B] @ mats[k]
+                edge[:, e] += steps[_at(first, o + s, B)] @ mats[k]
     return out
+
+
+def _shared_tap_grads(steps, g, mats, taps, window, want_x, want_W):
+    """Input and weight gradients of `_shared_tap_sum` for the stacked gradient g.
+
+    Each shared row's gradient already sums over the windows that share
+    it, so the shared rows meet each tap once; edge rows add into their
+    window's steps.  A gradient not wanted is None.
+    """
+    K = mats.shape[0]
+    B = window.shape[0]
+    edges, n_shared = _step_layout(window, K)
+    first = _window_heads(window)
+    mats_T = np.ascontiguousarray(mats.transpose(0, 2, 1))
+    g_shared = g[:n_shared]
+    g_edge = g[n_shared:].reshape((B, len(edges)) + g.shape[1:])
+    gx = np.zeros(steps.shape) if want_x else None
+    gW = np.zeros(mats.shape) if want_W else None
+    lead = list(range(g.ndim - 1))
+    for k, a, c in taps:
+        s = k - K // 2
+        parts = [(slice(K // 2 + s, K // 2 + s + n_shared), g_shared)] if n_shared else []
+        parts += [(_at(first, o + s, B), g_edge[:, e])
+                  for e, o in enumerate(edges) if c.start <= o < c.stop]
+        for idx, gk in parts:
+            if want_x:
+                _add_rows(gx, idx, gk @ mats_T[k])
+            if want_W:
+                gW[k] += np.tensordot(steps[idx], gk, axes=(lead, lead))
+    return gx, gW
 
 
 def temporal_conv(record, x, W, b, window=None):
@@ -363,41 +429,46 @@ def temporal_conv(record, x, W, b, window=None):
     built the same way from g @ W[k]^T, and only the weight gradient
     builds the zero-padded (B, T + K - 1, n, d_in) copy of x.
 
-    window=T (shared-step evaluation, gradient-free records only): x is the
-    (1, L, n, d_in) timeline of B = L - T + 1 consecutive T-step windows.
-    Rows whose taps all land inside their window are computed once per
-    timeline step; only the K - 1 rows per window that touch padding are
-    computed per window.  The output stacks both as `step_rows` maps them.
+    window (shared steps): x is a (1, L, n, d_in) timeline of steps and
+    window a (B, T) integer array, window[i, o] the timeline row of step o
+    of window i, each window's rows consecutive.  Rows whose taps all land
+    inside their window are computed once per timeline step; only the
+    K - 1 rows per window that touch padding are computed per window.  The
+    output stacks both as `step_rows` maps them.  Backward sums each
+    stacked row's gradient into the steps its taps read.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     shared = window is not None
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
                  and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],)
-                 and (not shared or (x.shape[0] == 1 and 1 <= window <= x.shape[1])),
-                 x.shape, W.shape, b.shape)
-    if shared and record.grad:
-        raise NnError("temporal_conv over shared steps needs a grad=False record")
+                 and (not shared or (x.shape[0] == 1 and _fits_timeline(window, x.shape[1]))),
+                 x.shape, W.shape, b.shape, np.shape(window))
     K = W.shape[0]
-    T = window if shared else x.shape[1]
+    T = window.shape[1] if shared else x.shape[1]
     taps = _taps(K, T)
     if shared:
-        out = _shared_tap_sum(x.value[0], W.value, taps, T)
+        out = _shared_tap_sum(x.value[0], W.value, taps, window)
     else:
         out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
     out += b.value
 
     def grad_fn(g):
         gx, gW, gb = None, None, None
-        if W.needs_grad:
-            left = K // 2
-            pad = np.zeros((x.shape[0], T + K - 1, x.shape[2], x.shape[3]))
-            pad[:, left:left + T] = x.value
-            gW = np.zeros_like(W.value)
-            for k in range(K):
-                gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
-        if x.needs_grad:
-            gx = _tap_sum(g, W.value.transpose(0, 2, 1), [(k, c, a) for k, a, c in taps],
-                          x.shape)
+        if shared:
+            gx, gW = _shared_tap_grads(x.value[0], g, W.value, taps, window,
+                                       x.needs_grad, W.needs_grad)
+            gx = None if gx is None else gx[None]
+        else:
+            if W.needs_grad:
+                left = K // 2
+                pad = np.zeros((x.shape[0], T + K - 1, x.shape[2], x.shape[3]))
+                pad[:, left:left + T] = x.value
+                gW = np.zeros_like(W.value)
+                for k in range(K):
+                    gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
+            if x.needs_grad:
+                gx = _tap_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)),
+                              [(k, c, a) for k, a, c in taps], x.shape)
         if b.needs_grad:
             gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
         return [gx, gW, gb]
@@ -521,20 +592,27 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
 def mean_pool_time(record, x, rows=None):
     """Mean over the time axis of a (B, T, n, d) tensor, or of x[rows].
 
-    rows (shared-step evaluation, gradient-free records only): a (B, T)
-    integer index into a stack of steps, as `step_rows` gives; the windows
-    are gathered first.
+    rows (shared steps): a (B, T) integer index into a stack of steps, as
+    `step_rows` gives; the windows are gathered first, and backward adds
+    each window's gradient into the rows it read.
     """
     x = _as_node(record, x)
-    if rows is not None and record.grad:
-        raise NnError("mean_pool_time over shared steps needs a grad=False record")
+    if rows is not None:
+        _shape_check("mean_pool_time", rows.ndim == 2 and rows.size > 0
+                     and rows.min() >= 0 and rows.max() < x.shape[0], rows.shape, x.shape)
     windows = x.value if rows is None else x.value[rows]
     _shape_check("mean_pool_time", windows.ndim == 4, x.shape)
     T = windows.shape[1]
     out = windows.mean(axis=1)
 
     def grad_fn(g):
-        return [np.broadcast_to(g[:, None] / T, x.shape)]
+        if rows is None:
+            return [np.broadcast_to(g[:, None] / T, x.shape)]
+        gx = np.zeros(x.shape)
+        g = g / T
+        for o in range(T):
+            _add_rows(gx, rows[:, o], g)
+        return [gx]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
 

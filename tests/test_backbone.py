@@ -183,16 +183,28 @@ def consecutive_windows(B, n, order, seed=0, nan_at=None):
     return X[3:3 + B][..., None]
 
 
+def spy_step_rows(monkeypatch):
+    """The list of `nn.step_rows` calls: one per batch that shares steps."""
+    calls = []
+    step_rows = nn.step_rows
+    monkeypatch.setattr(nn, "step_rows", lambda *a: calls.append(a) or step_rows(*a))
+    return calls
+
+
+# window starts of one batch, in batch order
+LAYOUTS = {"shuffled": [5, 0, 9, 3, 1, 7, 2], "gapped": [0, 30, 31, 50, 7],
+           "single": [13], "repeated": [3, 3, 4, 10, 3]}
+
+
 class TestSharedSteps:
-    """Evaluation over consecutive windows shares steps and keeps the windowed bits."""
+    """Batches with starts share steps: evaluation keeps the windowed bits, and
+    training matches the windowed predictions and gradients up to rounding."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5, 13])
     @pytest.mark.parametrize("B", [1, 2, 37])
     def test_bit_equal_to_gathered_windows(self, variant, kernel, B, monkeypatch):
-        shared = []
-        step_rows = nn.step_rows
-        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        shared = spy_step_rows(monkeypatch)
         bb = build_backbone(variant, d=5, kernel=kernel, seed=kernel)
         op = graph_operator(bb, small_graph(6))
         P = np.random.default_rng(B).standard_normal((6, 5))
@@ -202,12 +214,13 @@ class TestSharedSteps:
             for prompt in (None, P):
                 rec = nn.ComputeRecord(grad=False)
                 node = None if prompt is None else rec.constant(prompt)
-                got, _ = forward_predict(bb, op, x, prompt=node, record=rec)
+                got, _ = forward_predict(bb, op, x, prompt=node, record=rec,
+                                         starts=np.arange(3, 3 + B))
                 want, _ = forward_predict(bb, op, gathered, prompt=node)
                 assert got.value.tobytes() == want.value.tobytes()
                 assert got.value.tobytes() == windowed_forward(bb, op, gathered,
                                                                prompt).tobytes()
-        assert shared == [(B, 12, kernel)] * 4
+        assert [(window.shape, K) for window, K in shared] == [((B, 12), kernel)] * 4
 
     @pytest.mark.parametrize("nan_at", [(3, 2), (3 + 36 + 11, 5)])
     def test_nan_input_names_the_primitive(self, nan_at):
@@ -216,9 +229,12 @@ class TestSharedSteps:
             bb = build_backbone(variant, d=5, seed=1)
             x = consecutive_windows(37, 6, "F", nan_at=nan_at)
             with pytest.raises(nn.NonFiniteError, match="non-finite output of graph_input"):
-                forward_predict(bb, graph_operator(bb, small_graph(6)), x)
+                forward_predict(bb, graph_operator(bb, small_graph(6)), x,
+                                starts=np.arange(3, 40))
 
-    def test_training_and_gathered_batches_keep_windowed_bits(self):
+    def test_training_and_gathered_batches_keep_windowed_bits(self, monkeypatch):
+        # a batch that draws dropout masks, or comes without starts, runs every window row
+        shared = spy_step_rows(monkeypatch)
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2, dropout_p=0.3)
             op = graph_operator(bb, small_graph(6))
@@ -226,20 +242,77 @@ class TestSharedSteps:
             gathered = np.array(x)
             for inputs in (x, gathered):
                 got, rec = forward_predict(bb, op, inputs, train=True,
-                                           rng=nn.rng_stream(1, "dropout"))
+                                           rng=nn.rng_stream(1, "dropout"),
+                                           starts=np.arange(3, 12))
                 want = windowed_forward(bb, op, gathered, train=True,
                                         rng=nn.rng_stream(1, "dropout"))
                 assert got.value.tobytes() == want.tobytes()
                 assert rec.nodes
             got, _ = forward_predict(bb, op, gathered)
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
-            # a record that keeps a tape never shares steps
             got, rec = forward_predict(bb, op, x, record=nn.ComputeRecord())
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
             assert nn.backward(rec, nn.mse_loss(rec, got, np.zeros(got.shape)))
+        assert shared == []
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("t_in", [1, 2, 12])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_gradients_match_windows(self, variant, kernel, t_in, layout,
+                                              monkeypatch):
+        shared = spy_step_rows(monkeypatch)
+        starts = np.array(LAYOUTS[layout])
+        rng = np.random.default_rng(kernel + 10 * t_in)
+        seg = rng.standard_normal((starts.max() + t_in, 6))
+        x = seg[starts[:, None] + np.arange(t_in)][..., None]
+        bb = build_backbone(variant, d=5, kernel=kernel, t_out=3, seed=kernel)
+        op = graph_operator(bb, small_graph(6))
+        P = nn.Parameter("prompt", rng.standard_normal((6, 5)))
+        target = rng.standard_normal((len(starts), 3, 6))
+        runs = []
+        for batch_starts in (starts, None):
+            rec = nn.ComputeRecord()
+            pred, _ = forward_predict(bb, op, x, prompt=rec.leaf(P), record=rec, train=True,
+                                      starts=batch_starts)
+            runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
+        (got, got_grads), (want, want_grads) = runs
+        # two-step windows a 2-tap conv reads at both ends stack more rows
+        # than they have unless they overlap, so these two batches run windowed
+        windowed = (t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
+        assert len(shared) == (0 if windowed else 1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert sorted(got_grads) == sorted(want_grads)
+        for name, g in want_grads.items():
+            assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_batch_without_overlap_keeps_windowed_bits(self, monkeypatch):
+        # disjoint windows would stack more rows than they have; they run windowed
+        shared = spy_step_rows(monkeypatch)
+        seg = np.random.default_rng(5).standard_normal((60, 6))
+        starts = np.array([0, 24, 12, 40])
+        x = seg[starts[:, None] + np.arange(12)][..., None]
+        for variant in VARIANTS:
+            bb = build_backbone(variant, d=5, seed=2)
+            op = graph_operator(bb, small_graph(6))
+            got, _ = forward_predict(bb, op, x, train=True, starts=starts)
+            assert got.value.tobytes() == windowed_forward(bb, op, x, train=True).tobytes()
+        assert shared == []
+
+    def test_windows_must_agree_with_their_starts(self):
+        bb = build_backbone("spatial", d=5, seed=2)
+        op = graph_operator(bb, small_graph(6))
+        x = consecutive_windows(9, 6, "C")
+        for starts, match in ((np.arange(9)[::-1], "agree"), (np.arange(8), "starts"),
+                              (np.arange(9.0), "starts")):
+            with pytest.raises(BackboneError, match=match):
+                forward_predict(bb, op, x, starts=starts)
+            with pytest.raises(BackboneError, match=match):
+                forward_predict(bb, op, x, train=True, starts=starts)
 
 
 SPY_STEP_ROWS = """
+import numpy as np
 from growcast import nn_core as nn
 from growcast.backbone import build_backbone, forward_predict, graph_operator
 from test_backbone import consecutive_windows, small_graph
@@ -253,7 +326,8 @@ for variant in ("spatial", "spectral"):
         op = graph_operator(bb, small_graph(n))
         for B in (37, 77, 127, 128):
             del calls[:]
-            forward_predict(bb, op, consecutive_windows(B, n, "C", seed=B))
+            forward_predict(bb, op, consecutive_windows(B, n, "C", seed=B),
+                            starts=np.arange(3, 3 + B))
             print(variant, n, B, len(calls))
 """
 
@@ -276,15 +350,13 @@ class TestSharedStepsAtScale:
     def test_within_last_digit_rounding_of_windows(self, variant, n, monkeypatch):
         # the layer-1 GEMM has B + 11 rows here and B * 12 in the windowed
         # path, and BLAS may round a row differently with the row count
-        shared = []
-        step_rows = nn.step_rows
-        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        shared = spy_step_rows(monkeypatch)
         bb = build_backbone(variant, d=8, seed=n)
         op = graph_operator(bb, small_graph(n))
         P = np.random.default_rng(n).standard_normal((n, 8))
         for B in (37, 128):
             x = consecutive_windows(B, n, "C", seed=B)
-            got, _ = forward_predict(bb, op, x, prompt=P)
+            got, _ = forward_predict(bb, op, x, prompt=P, starts=np.arange(3, 3 + B))
             want = windowed_forward(bb, op, np.array(x), P)
             assert np.abs(got.value - want).max() <= 1e-12 * np.abs(want).max()
         assert len(shared) == 2

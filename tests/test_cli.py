@@ -2,6 +2,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +164,44 @@ class TestRun:
         error = json.loads((out / "manifest.json").read_text())["error"]
         assert named in error and error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, row, cell", [
+        ("period02_distances.csv", 1, "nan"), ("period02_distances.csv", 1, "inf"),
+        ("period02_distances.csv", 1, "1e308"), ("period01_distances.csv", 2, "1e155"),
+        ("period01_observations.csv", 1, "1e200"), ("period02_observations.csv", 5, "1e200")])
+    def test_hostile_number_exits_2_naming_where(self, tmp_path, capsys, name, row, cell):
+        # distances are squared by the kernel; observations feed the normalizer
+        data_dir = tmp_path / "stream"
+        assert main(["synth", "--spec", SYNTH, "--out", str(data_dir)]) == 0
+        path = data_dir / name
+        rows = path.read_text().splitlines()
+        cells = rows[row].split(",")
+        cells[1] = cell
+        rows[row] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--data",
+                   str(data_dir / "stream.json"), "--out", str(out)])
+        assert rc == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        named = name if "distances" in name else "period %s" % name[7]
+        assert named in error and error in capsys.readouterr().err
+        assert not (out / "reports.json").exists()
+
+    def test_metric_failure_exits_3_with_manifest(self, tmp_path, capsys, monkeypatch):
+        from growcast import engine
+        from growcast.analysis import AnalysisError
+
+        def fail(pred, truth):
+            raise AnalysisError("non-finite values in metric input")
+
+        monkeypatch.setattr(engine, "metrics", fail)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--synth", SYNTH,
+                   "--out", str(out)])
+        assert rc == 3
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == "non-finite values in metric input" and error in capsys.readouterr().err
+
     def test_malformed_synth_number_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["run", "--config", tiny_config(tmp_path),
@@ -210,6 +250,26 @@ class TestRun:
         assert main(["run", "--config", cfg, "--synth", SYNTH,
                      "--out", str(tmp_path / "out")]) == 0
         assert digest(cfg) == before
+
+
+class TestBlasThreads:
+    def test_reports_do_not_depend_on_the_thread_count(self, tmp_path):
+        # at 40 -> 60 nodes the first layer's GEMMs are large enough for
+        # OpenBLAS to split them across threads; periods 2 and 3 tune the
+        # pool on shared steps
+        config = tiny_config(tmp_path, k=6, d=16, batch_size=128)
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("out" + threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            proc = subprocess.run([sys.executable, "-m", "growcast.cli", "run", "--config",
+                                   config, "--synth", "n0=40,growth=10,periods=3,T=400,seed=0",
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append([(out / name).read_bytes()
+                          for name in ("reports.json", "heterogeneity.json")])
+        assert blobs[0] == blobs[1]
 
 
 class TestSynthRoundTrip:

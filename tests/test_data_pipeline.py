@@ -239,19 +239,19 @@ class TestNormalizer:
         rng = np.random.default_rng(0)
         for _ in range(10):
             seg = rng.standard_normal((50, 3)) * 10 + 5
-            norm = Normalizer.fit(seg)
+            norm = Normalizer.fit(seg, 1)
             x = rng.standard_normal((8, 3))
             back = norm.invert(norm.apply(x))
             assert np.abs(back - x).max() <= 1e-9 * (1 + np.abs(x).max())
 
     def test_constant_series_clamped(self):
-        norm = Normalizer.fit(np.full((10, 2), 5.0))
+        norm = Normalizer.fit(np.full((10, 2), 5.0), 1)
         assert norm.mean == 5.0
         assert norm.std == 1e-8
         assert norm.apply(5.0) == 0.0
 
     def test_mean_maps_to_zero(self):
-        norm = Normalizer.fit(np.arange(12.0).reshape(6, 2))
+        norm = Normalizer.fit(np.arange(12.0).reshape(6, 2), 1)
         assert norm.apply(norm.mean) == pytest.approx(0.0)
 
 

@@ -29,7 +29,7 @@ def tiny_stream(periods=2, growth=3, T=300, seed=1, n0=8):
 
 
 def scalar_forward(w):
-    def forward(batch_x, train):
+    def forward(batch_x, train, starts=None):
         rec = nn.ComputeRecord()
         # ones @ w puts the scalar parameter in every prediction
         pred = nn.linear(rec, np.ones((batch_x.shape[0], 1, 1)), rec.leaf(w))
@@ -38,11 +38,13 @@ def scalar_forward(w):
 
 
 def scalar_samples(target_value, count=4):
-    return Windows(X=np.zeros((count, 1, 1)), Y=np.full((count, 1, 1), target_value))
+    return Windows(X=np.zeros((count, 1, 1)), Y=np.full((count, 1, 1), target_value),
+                   starts=np.arange(count))
 
 
 def constant_windows(count, value=0.0):
-    return Windows(X=np.full((count, 12, 2), value), Y=np.full((count, 12, 2), value))
+    return Windows(X=np.full((count, 12, 2), value), Y=np.full((count, 12, 2), value),
+                   starts=np.arange(count))
 
 
 class TestConfig:
@@ -101,8 +103,8 @@ class TestTrainPeriod:
             bb = build_backbone("spatial", d=8, seed=seed)
             op = graph_operator(bb, stream.periods[0].adjacency)
 
-            def forward(batch_x, train):
-                return forward_predict(bb, op, batch_x, train=train)
+            def forward(batch_x, train, starts=None):
+                return forward_predict(bb, op, batch_x, train=train, starts=starts)
 
             before = _validation_mae(forward, ds.val, ds.normalizer, 64)
             train_period(forward, bb.parameters(), ds.train, ds.val,
@@ -120,7 +122,7 @@ class TestTrainPeriod:
         n = len(stream.periods[0].nodes)
         X = np.zeros((6, 12, n))
         X[4, 7, 2] = np.nan  # in the second batch of the first epoch
-        train = Windows(X=X, Y=np.zeros((6, 12, n)))
+        train = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))  # disjoint
         with pytest.raises(TrainingAbort) as info:
             train_period(forward, bb.parameters(), train, train, Normalizer(0.0, 1.0), lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
@@ -194,7 +196,7 @@ class TestEvaluatePeriod:
     def perfect_forward(self, samples):
         targets = samples.Y
 
-        def forward(batch_x, train):
+        def forward(batch_x, train, starts=None):
             rec = nn.ComputeRecord()
             # batches are taken in order for evaluation
             return rec.constant(targets[:batch_x.shape[0]]), rec
@@ -210,7 +212,7 @@ class TestEvaluatePeriod:
     def test_constant_bias_passes_through(self):
         samples = constant_windows(3)
 
-        def forward(batch_x, train):
+        def forward(batch_x, train, starts=None):
             rec = nn.ComputeRecord()
             return rec.constant(np.ones((batch_x.shape[0], 12, 2))), rec
 
@@ -221,7 +223,7 @@ class TestEvaluatePeriod:
     def test_horizon_slice_uses_single_step(self):
         samples = constant_windows(4)
 
-        def forward(batch_x, train):
+        def forward(batch_x, train, starts=None):
             rec = nn.ComputeRecord()
             pred = np.zeros((batch_x.shape[0], 12, 2))
             pred[:, 2] = 1.0  # only forecast step 3 is off
@@ -235,7 +237,7 @@ class TestEvaluatePeriod:
     def test_prefix_mode(self):
         samples = constant_windows(2)
 
-        def forward(batch_x, train):
+        def forward(batch_x, train, starts=None):
             rec = nn.ComputeRecord()
             pred = np.zeros((batch_x.shape[0], 12, 2))
             pred[:, 0] = 3.0

@@ -263,17 +263,54 @@ class TestSharedSteps:
         b = rng.standard_normal(3)
         windows = np.ascontiguousarray(consecutive(steps, B, T))
         want = nn.temporal_conv(nn.ComputeRecord(grad=False), windows, W, b).value
-        got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps[None], W, b, window=T).value
-        rows = nn.step_rows(B, T, K)
+        window = np.arange(B)[:, None] + np.arange(T)
+        got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps[None], W, b,
+                               window=window).value
+        rows = nn.step_rows(window, K)
         # B + T - K interior rows serve every window; each window adds K - 1 edge rows
         assert got.shape[0] == (B + T - K + B * (K - 1) if K <= T else B * T)
         assert np.array_equal(np.unique(rows), np.arange(got.shape[0]))
         assert got[rows].tobytes() == want.tobytes()
 
-    def test_temporal_conv_on_a_timeline_keeps_no_backward(self):
-        with pytest.raises(nn.NnError, match="grad=False"):
-            nn.temporal_conv(nn.ComputeRecord(), np.zeros((1, 4, 2, 3)), np.zeros((3, 3, 3)),
-                             np.zeros(3), window=2)
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("heads", [[0, 1, 2, 3], [9, 0, 14, 3, 5], [30, 2], [4],
+                                       [6, 2, 6, 3, 2]])
+    def test_shared_conv_and_pool_match_windows_with_gradients(self, K, T, heads):
+        # heads: each window's first timeline row, in batch order; repeated,
+        # shuffled and gapped windows all share rows, and backward must add
+        # every window's gradient into them
+        rng = np.random.default_rng(K + 10 * T + len(heads))
+        heads = np.array(heads)
+        steps = rng.standard_normal((heads.max() + T, 4, 3))
+        W = rng.standard_normal((K, 3, 2))
+        b = rng.standard_normal(2)
+        g = rng.standard_normal((len(heads), 4, 2))
+        window = heads[:, None] + np.arange(T)
+
+        def conv_and_pool(x, shared):
+            rec = nn.ComputeRecord()
+            h = nn.temporal_conv(rec, rec.leaf(nn.Parameter("x", x)), rec.leaf(nn.Parameter("W", W)),
+                                 rec.leaf(nn.Parameter("b", b)), window=window if shared else None)
+            out = nn.mean_pool_time(rec, h, nn.step_rows(window, K) if shared else None)
+            (gh,) = out.grad_fn(g)
+            return [out.value] + h.grad_fn(gh)
+
+        got = conv_and_pool(steps[None], True)
+        want = conv_and_pool(steps[window], False)
+        assert got[0].tobytes() == want[0].tobytes()
+        gx_windows = np.zeros(steps.shape)
+        np.add.at(gx_windows, window, want[1])
+        assert got[1].shape == (1,) + steps.shape
+        for a, w in zip([got[1][0]] + got[2:], [gx_windows] + want[2:]):
+            assert np.abs(a - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_shared_conv_rejects_a_bad_window(self):
+        args = (np.zeros((1, 6, 2, 3)), np.zeros((3, 3, 3)), np.zeros(3))
+        for window in (np.array([[0, 2]]), np.array([[5, 6]]), np.array([[-1, 0]]),
+                       np.array([0, 1]), np.array([[0.0, 1.0]])):
+            with pytest.raises(nn.ShapeError, match="temporal_conv"):
+                nn.temporal_conv(nn.ComputeRecord(), *args, window=window)
 
     @pytest.mark.parametrize("weight_shape", [(4, 4), (3,)])
     def test_graph_input_timeline_matches_windows(self, weight_shape):
@@ -296,8 +333,15 @@ class TestSharedSteps:
         rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
         got = nn.mean_pool_time(nn.ComputeRecord(grad=False), stack, rows).value
         assert got.tobytes() == stack[rows].mean(axis=1).tobytes()
-        with pytest.raises(nn.NnError, match="grad=False"):
-            nn.mean_pool_time(nn.ComputeRecord(), stack, rows)
+        # rows 2 and 1 repeat within a column: each read adds its gradient
+        g = rng.standard_normal((3, 3, 2))
+        _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, rows), stack, g=g)
+        want = np.zeros(stack.shape)
+        for i, o in np.ndindex(rows.shape):
+            want[rows[i, o]] += g[i] / 3
+        assert np.abs(gx - want).max() <= 1e-15
+        with pytest.raises(nn.ShapeError, match="mean_pool_time"):
+            nn.mean_pool_time(nn.ComputeRecord(), stack, rows + 1)
 
 
 class TestRecordContracts:
@@ -481,7 +525,8 @@ class TestGradCheck:
         from growcast.gradcheck import gradcheck_table
         labels = [r["primitive"] for r in gradcheck_table(seeds=range(1))]
         assert labels == [
-            "linear:0", "temporal_conv:0", "graph_conv_spatial:0", "graph_conv_cheb:0",
+            "linear:0", "temporal_conv:0", "temporal_conv_shared:0", "mean_pool_time_rows:0",
+            "graph_conv_spatial:0", "graph_conv_cheb:0",
             "relu:0", "relu_dropout:0", "backbone_spatial:0", "backbone_spatial_dropout:0",
             "backbone_spectral:0", "backbone_spectral_dropout:0", "graph_input_spatial:0",
             "graph_input_spatial_noprompt:0", "graph_input_cheb:0",
