@@ -48,7 +48,7 @@ class ObservationSeries:
             raise DataError("observation matrix shape %s does not match %d nodes"
                             % (self.values.shape, len(self.node_ids)))
         if not np.isfinite(self.values).all():
-            raise DataError("non-finite observations after ingestion")
+            raise DataError("period %d has non-finite observations" % self.period_index)
 
 
 @dataclass(frozen=True)
@@ -102,25 +102,29 @@ class PeriodDataset:
 def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
     """Read an observation CSV and align its columns to the graph order.
 
-    Header: `time,<id1>,<id2>,...`, each id once.  Empty cells are missing:
-    filled by the last observation of the same column, leading gaps by the
-    mean of the forward-filled column.
+    Header: `time,<id1>,<id2>,...`, each id once.  Empty cells, and cells
+    that read nan, are missing: filled by the last observation of the same
+    column, leading gaps by the mean of the forward-filled column.
     """
     with open(observations_path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if not cols or cols[0] != "time":
-            raise DataError("observation file must start with a `time,...` header")
+            raise DataError("observation file %s must start with a `time,...` header"
+                            % observations_path)
         file_ids = cols[1:]
         unknown = set(file_ids) - set(graph.nodes)
         if unknown:
-            raise DataError("unknown node ids in header: %s" % sorted(unknown))
+            raise DataError("unknown node ids in the header of %s: %s"
+                            % (observations_path, sorted(unknown)))
         missing = set(graph.nodes) - set(file_ids)
         if missing:
-            raise DataError("graph nodes with no observation column: %s" % sorted(missing))
+            raise DataError("graph nodes with no observation column in %s: %s"
+                            % (observations_path, sorted(missing)))
         repeated = sorted(nid for nid, count in Counter(file_ids).items() if count > 1)
         if repeated:
-            raise DataError("duplicated node ids in header: %s" % repeated)
+            raise DataError("duplicated node ids in the header of %s: %s"
+                            % (observations_path, repeated))
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -128,12 +132,13 @@ def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
                 continue
             cells = line.split(",")
             if len(cells) != len(cols):
-                raise DataError("line %d has %d cells, expected %d"
-                                % (lineno, len(cells), len(cols)))
+                raise DataError("%s line %d has %d cells, expected %d"
+                                % (observations_path, lineno, len(cells), len(cols)))
             try:
                 rows.append([float(tok) if tok.strip() else np.nan for tok in cells[1:]])
             except ValueError as exc:
-                raise DataError("non-numeric cell at line %d: %s" % (lineno, exc))
+                raise DataError("non-numeric cell in %s line %d: %s"
+                                % (observations_path, lineno, exc))
     values = _impute(np.asarray(rows, dtype=float).reshape(len(rows), len(file_ids)))
     order = [file_ids.index(nid) for nid in graph.nodes]
     return ObservationSeries(node_ids=graph.nodes, values=values[:, order],
@@ -279,6 +284,7 @@ def load_stream_manifest(path):
     if not (isinstance(periods, list) and periods):
         raise DataError("stream manifest field 'periods' must be a nonempty list, got %r"
                         % (periods,))
+    _known_fields(manifest, {"r", "periods"}, "stream manifest")
     r = _manifest_number(manifest, "r", 0.5, "stream manifest")
     base = os.path.dirname(os.path.abspath(path))
 
@@ -291,6 +297,7 @@ def load_stream_manifest(path):
             if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
                 raise DataError("period %d manifest entry needs a path string %r, got %r"
                                 % (tau, key, entry))
+        _known_fields(entry, {"nodes", "distances", "observations", "r"}, "period %d" % tau)
         try:
             with open(resolve(entry["nodes"])) as fh:
                 nodes = tuple(ln.strip() for ln in fh if ln.strip())
@@ -310,6 +317,12 @@ def load_stream_manifest(path):
         except OSError as exc:
             raise DataError("period %d file unreadable: %s" % (tau, exc))
     return StreamGraph(periods=tuple(graphs)), series
+
+
+def _known_fields(fields: dict, known, where):
+    unknown = sorted(set(fields) - known)
+    if unknown:
+        raise DataError("%s has unknown fields %s" % (where, unknown))
 
 
 def _manifest_number(fields: dict, key, default, where) -> float:

@@ -50,6 +50,10 @@ class PeriodGraph:
             raise GraphStreamError(
                 "adjacency shape %s does not match %d nodes" % (self.adjacency.shape, n)
             )
+        for name in ("distances", "adjacency"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise GraphStreamError("period %d has non-finite %s"
+                                       % (self.period_index, name))
 
     @property
     def n(self) -> int:
@@ -81,9 +85,12 @@ def _check_distances(distances: np.ndarray, source="distance matrix") -> np.ndar
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise GraphStreamError("distance matrix must be square, got shape %s" % (d.shape,))
     if np.any(d < 0):
-        raise GraphStreamError("negative distance entries are not allowed")
+        raise GraphStreamError("%s has a negative distance" % source)
     if not (d <= _MAX_DISTANCE).all():
         raise GraphStreamError("%s has a non-finite distance or one whose square overflows"
+                               % source)
+    if not np.array_equal(d, d.T):
+        raise GraphStreamError("%s is not symmetric: each distance d_ij must equal d_ji"
                                % source)
     return d
 
@@ -95,15 +102,24 @@ def build_adjacency(distances, r: float) -> np.ndarray:
     threshold r and i != j, else 0.  sigma defaults to the standard
     deviation of the off-diagonal distances (the zero diagonal would bias
     the spread); a zero spread falls back to sigma = 1.
+
+    Distances are first divided by the power of two just above the largest
+    off-diagonal one, so tiny distances do not square to zero before sigma
+    and the kernel are computed.  Dividing by a power of two is exact in
+    binary and the kernel is scale-free, so the result is otherwise that of
+    the unscaled formula.
     """
     d = _check_distances(distances)
     if not (0.0 <= r < 1.0):
         raise GraphStreamError("threshold r must lie in [0, 1), got %r" % r)
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)]
-    sigma = float(np.std(off)) if off.size else 0.0
+    top = off.max() if off.size else 0.0
+    scale = np.ldexp(1.0, int(np.frexp(top)[1])) if top > 0.0 else 1.0
+    sigma = float(np.std(off / scale)) if off.size else 0.0
     if sigma == 0.0:
-        sigma = 1.0
+        scale, sigma = 1.0, 1.0  # no spread: sigma = 1 in the input's units
+    d = d / scale
     a = np.exp(-(d ** 2) / sigma ** 2)
     a[a < r] = 0.0
     np.fill_diagonal(a, 0.0)

@@ -17,6 +17,15 @@ and a weight that is a channel mix or Chebyshev coefficients.  A record
 built with `grad=False` keeps no tape, so evaluation frees each
 intermediate once the next layer has read it.
 
+What a training record keeps: each node's value, until `backward` has
+passed the node and frees its value, grad_fn and parents (leaves and
+constants stay); and in each grad_fn, only what the gradients that will
+be taken read.  Dropout keeps its bool mask, not the float multiplier;
+`graph_conv` keeps G h only for a trainable matrix weight, and
+`graph_input` keeps G x and x only for the weights that read them.  So a
+step's memory falls as backward replays, and a record that backward has
+consumed holds its leaves and nothing else.
+
 Shared steps run overlapping windows once per distinct step: the
 backbone hands `graph_input` the batch's distinct steps as one
 (1, L, n, 1) timeline, `temporal_conv(..., window=)` stacks the rows the
@@ -104,7 +113,11 @@ class Parameter:
 
 
 class Node:
-    """A value on the tape; `scanned` marks a value known to be finite."""
+    """A value on the tape; `scanned` marks a value known to be finite.
+
+    An in-place `relu` sets `value` to None; `backward` sets `value`,
+    `grad_fn` and `parents` to None once it is done with the node.
+    """
 
     __slots__ = ("value", "parents", "grad_fn", "needs_grad", "scanned")
 
@@ -177,6 +190,8 @@ def _as_node(record: ComputeRecord, x) -> Node:
     if not isinstance(x, Node):
         return record.constant(x)
     if x.value is None:
+        if x.parents is None:
+            raise NnError("backward has freed this node; build a new record")
         raise NnError("a relu has overwritten this node in place; read the relu's output")
     return x
 
@@ -219,9 +234,11 @@ def relu(record, x, p=0.0, rng=None):
     p = 0: np.maximum(x, 0) (-0.0 maps to +0.0), no rng; backward takes
     its mask from the output.  p > 0: one rng.random(x.shape) call, as the
     unfused dropout drew, gives the multiplier m = (x > 0) * (draw >= p)
-    / (1 - p); the output is x * m (so -0.0 where x < 0) and backward is
-    g * m.  The result overwrites x's array when x is the fresh output of
-    the primitive recorded just before; x's value is then gone.  Leaves,
+    / (1 - p); the output is x * m (so -0.0 where x < 0).  The tape keeps
+    the bool mask, one byte per element, and backward rebuilds m from it
+    with the same division, so g * m rounds as before.  The result
+    overwrites x's array when x is the fresh output of the primitive
+    recorded just before; x's value is then gone.  Leaves,
     constants and outputs another primitive read are never written.  Only
     dropout scaling can overflow, so without it only an unscanned x (a
     leaf or constant) is scanned.
@@ -244,9 +261,10 @@ def relu(record, x, p=0.0, rng=None):
         keep &= x.value > 0
         np.divide(keep, 1.0 - p, out=m)
         out = np.multiply(x.value, m, out=out)
+        del m  # backward rebuilds the multiplier from the one-byte mask
 
         def grad_fn(g):
-            return [g * m]
+            return [g * np.divide(keep, 1.0 - p)]
 
     node = record.record("relu", out, [x], grad_fn, scan=p > 0.0)
     if in_place:
@@ -466,6 +484,7 @@ def temporal_conv(record, x, W, b, window=None):
                 gW = np.zeros_like(W.value)
                 for k in range(K):
                     gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
+                del pad  # freed before the input gradient allocates
             if x.needs_grad:
                 gx = _tap_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)),
                               [(k, c, a) for k, a, c in taps], x.shape)
@@ -513,17 +532,21 @@ def graph_conv(record, operator, h, weight):
     G, W = _propagator(basis, weight.value)
     Gh = np.matmul(G, h.value)
     out = Gh if W is None else Gh @ W
+    if W is None or not weight.needs_grad:
+        Gh = None  # only a matrix weight's gradient reads it
 
     def grad_fn(g):
+        nonlocal Gh
         gh = gw = None
-        if h.needs_grad:
-            gh = np.matmul(G.T, g if W is None else g @ W.T)
         if weight.needs_grad and W is None:
             axes = [a for a in range(g.ndim) if a != g.ndim - 2]
             S = np.tensordot(g, h.value, axes=(axes, axes))  # (n, n)
             gw = np.array([np.vdot(Tk, S) for Tk in basis])
         elif weight.needs_grad:
             gw = np.einsum("...i,...j->ij", Gh, g, optimize=True)
+            Gh = None  # freed before the input gradient allocates
+        if h.needs_grad:
+            gh = np.matmul(G.T, g if W is None else g @ W.T)
         return [gh, gw]
 
     return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
@@ -566,6 +589,11 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     Gx = x.reshape(-1, n) @ G.T  # (B*T, n)
     out = Gx.reshape(x.shape) * U[0]
     out += GM @ Wm
+    # keep only the operands a gradient that will be taken reads
+    if not (W_in.needs_grad or (weight.needs_grad and not spectral)):
+        Gx = None
+    if not (weight.needs_grad and spectral):
+        x = None
 
     def grad_fn(g):
         d_out = g.shape[-1]
@@ -636,7 +664,11 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     """Reverse accumulation; gradients for trainable parameters only.
 
     Trainable parameters that never touched the loss get zero gradients;
-    frozen parameters are absent from the map.  A record replays once.
+    frozen parameters are absent from the map.  A record replays once, and
+    frees itself as it goes: once a node's turn has passed, its value,
+    grad_fn and parents are dropped, since every reader of them (the
+    node's children) has already run.  Leaves and constants keep their
+    values, and `record.nodes` keeps its length.
     """
     if record.consumed:
         raise NnError("compute record already consumed")
@@ -648,16 +680,15 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     grads = {id(loss): np.asarray(1.0)}
     for node in reversed(record.nodes):
         if node.grad_fn is None:
-            continue  # leaves keep their accumulated gradient
+            continue  # leaves keep their value and their accumulated gradient
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        parent_grads = node.grad_fn(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if not parent.needs_grad:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+        if g is not None:
+            for parent, pg in zip(node.parents, node.grad_fn(g)):
+                if not parent.needs_grad:
+                    continue
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+        node.value = node.grad_fn = node.parents = None
     out = {}
     for name, (param, node) in record._param_nodes.items():
         if not param.trainable:

@@ -62,3 +62,25 @@ def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None) 
     h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + w]))
     out = nn.linear(record, nn.mean_pool_time(record, h), leaf["head.W"], leaf["head.b"])
     return np.transpose(out.value, (0, 2, 1))
+
+
+def keeping_backward(record, loss) -> dict:
+    """Reverse accumulation that leaves the whole tape in place.
+
+    The replay `nn.backward` did before it freed each node behind it; the
+    gradients must not depend on the freeing.
+    """
+    grads = {id(loss): np.asarray(1.0)}
+    for node in reversed(record.nodes):
+        if node.grad_fn is None:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(node.parents, node.grad_fn(g)):
+            if parent.needs_grad:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    return {name: np.zeros_like(param.value) if id(node) not in grads
+            else np.asarray(grads[id(node)])
+            for name, (param, node) in record._param_nodes.items() if param.trainable}

@@ -187,6 +187,21 @@ class TestRun:
         assert named in error and error in capsys.readouterr().err
         assert not (out / "reports.json").exists()
 
+    @pytest.mark.parametrize("variant", ["spatial", "spectral"])
+    def test_asymmetric_distances_exit_2_under_both_backbones(self, tmp_path, capsys,
+                                                              variant):
+        data_dir = tmp_path / "stream"
+        assert main(["synth", "--spec", SYNTH, "--out", str(data_dir)]) == 0
+        path = data_dir / "period01_distances.csv"
+        path.write_text(set_cell(0, 3, "0.125")(path.read_text()))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, variant=variant), "--data",
+                   str(data_dir / "stream.json"), "--out", str(out)])
+        assert rc == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert "period01_distances.csv is not symmetric" in error
+        assert error in capsys.readouterr().err
+
     def test_metric_failure_exits_3_with_manifest(self, tmp_path, capsys, monkeypatch):
         from growcast import engine
         from growcast.analysis import AnalysisError
@@ -250,6 +265,116 @@ class TestRun:
         assert main(["run", "--config", cfg, "--synth", SYNTH,
                      "--out", str(tmp_path / "out")]) == 0
         assert digest(cfg) == before
+
+
+def set_cell(line, col, value):
+    """Edit of a CSV text: cell `col` of line `line` set to value."""
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[line].split(",")
+        cells[col] = value
+        lines[line] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def swap_lines(i, j):
+    def edit(text):
+        lines = text.splitlines()
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def swap_cells(line, i, j):
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[line].split(",")
+        cells[i], cells[j] = cells[j], cells[i]
+        lines[line] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def repeat_line(i):
+    def edit(text):
+        lines = text.splitlines()
+        return "\n".join(lines[:i + 1] + lines[i:]) + "\n"
+    return edit
+
+
+def extra_column(text):
+    lines = text.splitlines()
+    lines[1] += ",0"
+    return "\n".join(lines) + "\n"
+
+
+def truncate(text):
+    return text[:len(text) // 2]
+
+
+def period_two(edit):
+    """Edit of the stream manifest's JSON: `edit` applied to period 2's entry."""
+    def apply(text):
+        manifest = json.loads(text)
+        manifest["periods"][1] = edit(manifest["periods"][1])
+        return json.dumps(manifest)
+    return apply
+
+
+def repeat_period_one(text):
+    manifest = json.loads(text)
+    manifest["periods"][1] = manifest["periods"][0]
+    return json.dumps(manifest)
+
+
+VALUES = {"nan": "nan", "inf": "inf", "-1": "-1", "1e308": "1e308", "1e200": "1e200",
+          "blank": ""}
+# every mutation of every file kind of period 2 of SYNTH (7 nodes, of which 2 new)
+MUTATIONS = {
+    "period02_nodes.txt": dict(
+        {name: set_cell(6, 0, v) for name, v in VALUES.items()},
+        extra_column=set_cell(6, 0, "s006,x"), asymmetric=swap_lines(0, 1),
+        truncated=truncate, repeated_id=set_cell(6, 0, "s005")),
+    "period02_distances.csv": dict(
+        {name: set_cell(1, 2, v) for name, v in VALUES.items()},
+        extra_column=extra_column, asymmetric=set_cell(1, 2, "0.125"),
+        truncated=truncate, repeated_id=repeat_line(2)),
+    "period02_observations.csv": dict(
+        {name: set_cell(1, 2, v) for name, v in VALUES.items()},
+        extra_column=extra_column, asymmetric=swap_cells(0, 1, 2),
+        truncated=truncate, repeated_id=set_cell(0, 2, "s000")),
+    "stream.json": dict(
+        {name: period_two(lambda e, v=v: dict(e, r=float(v) if v else v))
+         for name, v in VALUES.items()},
+        extra_column=period_two(lambda e: dict(e, extra=0)),
+        asymmetric=period_two(lambda e: dict(e, nodes=e["distances"],
+                                             distances=e["nodes"])),
+        truncated=truncate, repeated_id=repeat_period_one),
+}
+# legal inputs: a nan or blank reading is missing, -1 is a reading, swapping
+# two header ids relabels two columns, and a period may add no nodes
+ACCEPTED = {("period02_observations.csv", m) for m in ("nan", "-1", "blank", "asymmetric")}
+ACCEPTED |= {("stream.json", "repeated_id")}
+
+
+class TestHostileInputTable:
+    @pytest.mark.parametrize("name, mutation", [(name, m) for name in MUTATIONS
+                                                for m in MUTATIONS[name]])
+    def test_each_mutation_ends_with_a_code_and_a_manifest(self, tmp_path, capsys,
+                                                           name, mutation):
+        data_dir = tmp_path / "stream"
+        assert main(["synth", "--spec", SYNTH, "--out", str(data_dir)]) == 0
+        path = data_dir / name
+        path.write_text(MUTATIONS[name][mutation](path.read_text()))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--data",
+                   str(data_dir / "stream.json"), "--out", str(out)])
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        if (name, mutation) in ACCEPTED:
+            assert (rc, error) == (0, None)
+        else:
+            assert rc in (1, 2) and error and error in capsys.readouterr().err
 
 
 class TestBlasThreads:

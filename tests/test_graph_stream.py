@@ -77,6 +77,24 @@ class TestBuildAdjacency:
             nz = A[A > 0]
             assert nz.size == 0 or nz.min() >= r
 
+    def test_tiny_distances_keep_their_graph(self):
+        # ones with one pair at 2: sigma = 0.3, so exp(-1 / 0.09) < r and no
+        # pair is an edge; squared as they are, 1e-200 distances would all be 0
+        d = np.ones((5, 5)) - np.eye(5)
+        d[0, 1] = d[1, 0] = 2.0
+        for r in (0.5, 0.0):
+            want = build_adjacency(d, r=r)
+            for scale in (1e-200, 1e-300, 1e150, 3.0):
+                got = build_adjacency(d * scale, r=r)
+                assert np.array_equal(got > 0, want > 0), (r, scale)
+                assert np.allclose(got, want, rtol=1e-12, atol=0), (r, scale)
+        assert not build_adjacency(d * 1e-200, r=0.5).any()
+
+    def test_asymmetric_distances_rejected(self):
+        d = np.array([[0.0, 1, 2], [1, 0, 1], [2.5, 1, 0]])
+        with pytest.raises(GraphStreamError, match="not symmetric"):
+            build_adjacency(d, r=0.1)
+
     def test_errors(self):
         with pytest.raises(GraphStreamError):
             build_adjacency(np.zeros((2, 3)), r=0.1)
@@ -191,6 +209,16 @@ class TestStreamGraph:
         assert len(s.periods) == 2
 
 
+class TestPeriodGraph:
+    @pytest.mark.parametrize("field", ["distances", "adjacency"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_names_the_period(self, field, bad):
+        mats = {"distances": np.zeros((2, 2)), "adjacency": np.zeros((2, 2))}
+        mats[field][0, 1] = bad
+        with pytest.raises(GraphStreamError, match="period 4 has non-finite %s" % field):
+            PeriodGraph(period_index=4, nodes=("a", "b"), **mats)
+
+
 class TestReadDistances:
     def test_dense(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -221,6 +249,12 @@ class TestReadDistances:
         path = tmp_path / "d.csv"
         path.write_text("0,1.5\nabc,0\n")
         with pytest.raises(GraphStreamError, match=r"d\.csv line 2: .*'abc'"):
+            read_distances(path)
+
+    def test_dense_asymmetric_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,1.5\n1.25,0\n")
+        with pytest.raises(GraphStreamError, match=r"d\.csv is not symmetric"):
             read_distances(path)
 
     def test_dense_ragged_row_named(self, tmp_path):

@@ -436,6 +436,19 @@ class TestBackward:
         with pytest.raises(nn.NnError):
             nn.backward(rec, loss)
 
+    def test_freed_node_is_refused_naming_backward(self):
+        rng = np.random.default_rng(18)
+        W = nn.Parameter("W", rng.standard_normal((4, 4)))
+        rec = nn.ComputeRecord()
+        h = nn.linear(rec, rng.standard_normal((3, 4)), rec.leaf(W))
+        out = nn.relu(rec, h)  # h is written in place, out stays readable
+        loss = nn.mse_loss(rec, out, np.zeros((3, 4)))
+        nn.backward(rec, loss)
+        for node in (h, out, loss):
+            with pytest.raises(nn.NnError, match="backward has freed") as caught:
+                nn.linear(nn.ComputeRecord(), node, W.value)
+            assert "in place" not in str(caught.value)
+
     def test_loss_must_be_scalar(self):
         w = scalar_param("w", [1.0, 2.0])
         rec = nn.ComputeRecord()
