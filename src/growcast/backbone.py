@@ -31,7 +31,8 @@ has one row per distinct step instead of B*T, and BLAS may round a row
 differently with the row count, so predictions match the windowed path
 up to last-digit rounding, and gradients, which sum the windows in
 another order, too.  A batch that draws dropout masks keeps the windowed
-path and its (B, T, n, d) draws.
+path and its (B, T, n, d) draws, as does one in which two windows share
+a start: the shared layers take windows that start on distinct steps.
 """
 from __future__ import annotations
 
@@ -116,14 +117,17 @@ def _shared_steps(x, starts, kernel):
     The timeline is the sorted distinct steps of all windows, (1, L, n, 1);
     window[i, o] is the timeline row of step o of window i, and rows maps
     window rows to the temporal conv's stacked output (`nn.step_rows`).
-    None when that stack would have more rows than the B*T window rows.
-    Raises BackboneError when the windows do not agree with their starts.
+    None when two windows share a start or when that stack would have
+    more rows than the B*T window rows.  Raises BackboneError when the
+    windows do not agree with their starts.
     """
     B, T = x.shape[:2]
     starts = np.asarray(starts)
     if starts.shape != (B,) or starts.dtype.kind not in "iu":
         raise BackboneError("starts must be %d integer window offsets, got %s of %s"
                             % (B, starts.shape, starts.dtype))
+    if len(np.unique(starts)) < B:
+        return None
     steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
     # the stack holds L - K + 1 shared rows and K - 1 edge rows per window
     if kernel <= T and len(steps) - kernel + 1 > B * (T - kernel + 1):
@@ -149,8 +153,8 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     tape only if `train` is set.  Dropout applies only when `train` is set.
     starts: each window's offset in its segment.  A batch with starts that
     draws no dropout mask takes the shared-step path (module docstring),
-    unless its windows overlap too little; windows that disagree with
-    their starts raise BackboneError there.
+    unless two windows share a start or its windows overlap too little;
+    windows that disagree with their starts raise BackboneError there.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:

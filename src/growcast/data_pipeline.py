@@ -271,7 +271,7 @@ def load_stream_manifest(path):
 
     Schema: {"r": 0.5, "periods": [{"nodes": p, "distances": p,
     "observations": p}, ...]}; paths are strings relative to the
-    manifest, and `r` (optional, also per period) is a number.
+    manifest, and `r` (optional, also per period) is a number in [0, 1).
     """
     try:
         with open(path) as fh:
@@ -285,7 +285,7 @@ def load_stream_manifest(path):
         raise DataError("stream manifest field 'periods' must be a nonempty list, got %r"
                         % (periods,))
     _known_fields(manifest, {"r", "periods"}, "stream manifest")
-    r = _manifest_number(manifest, "r", 0.5, "stream manifest")
+    r = _manifest_r(manifest, 0.5, "stream manifest")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -309,7 +309,7 @@ def load_stream_manifest(path):
         if dist.shape[0] != len(nodes):
             raise DataError("period %d distance matrix size %d vs %d nodes"
                             % (tau, dist.shape[0], len(nodes)))
-        adj = build_adjacency(dist, r=_manifest_number(entry, "r", r, "period %d" % tau))
+        adj = build_adjacency(dist, r=_manifest_r(entry, r, "period %d" % tau))
         graph = PeriodGraph(period_index=tau, nodes=nodes, distances=dist, adjacency=adj)
         graphs.append(graph)
         try:
@@ -325,10 +325,12 @@ def _known_fields(fields: dict, known, where):
         raise DataError("%s has unknown fields %s" % (where, unknown))
 
 
-def _manifest_number(fields: dict, key, default, where) -> float:
-    value = fields.get(key, default)
+def _manifest_r(fields: dict, default, where) -> float:
+    value = fields.get("r", default)
     if type(value) not in (int, float):
-        raise DataError("%s field %r must be a number, got %r" % (where, key, value))
+        raise DataError("%s field 'r' must be a number, got %r" % (where, value))
+    if not 0.0 <= value < 1.0:
+        raise DataError("%s field 'r' must lie in [0, 1), got %r" % (where, value))
     return float(value)
 
 

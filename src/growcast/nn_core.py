@@ -30,9 +30,11 @@ Shared steps run overlapping windows once per distinct step: the
 backbone hands `graph_input` the batch's distinct steps as one
 (1, L, n, 1) timeline, `temporal_conv(..., window=)` stacks the rows the
 windows share and each window's padded edge rows, and
-`mean_pool_time(..., rows=step_rows(window, K))` gathers the windows
-back.  Both keywords have backward passes that add each window's
-gradient into the rows it read, so training batches share steps too.
+`mean_pool_time(..., rows=step_rows(window, K))` pools the windows from
+that stack.  Either layout of the temporal conv is a list of slabs, one
+tap's GEMM over a block of rows, and one forward and one backward kernel
+run both.  Windows start on distinct rows, so no slab reads or writes a
+row twice and backward adds each window's gradient with an indexed +=.
 Every layer after the first meets each step with the same products in
 the same order as the windowed path; the layer-1 GEMM has L rows instead
 of B*T, and BLAS may round a row differently with the row count, so
@@ -292,31 +294,17 @@ def concat_rows(record, parts):
 
 
 def _taps(K, T):
-    """(k, input rows, output rows) of each kernel tap that reaches [0, T).
+    """Slabs (k, input rows, output rows, first) of a K-tap conv along axis 1 of (B, T, ...).
 
     With same-length zero padding, tap k reads input row o + s into output
     row o, where s = k - K // 2; a tap with |s| >= T reads only padding.
+    The first tap writes its rows and misses the first min(K // 2, T - 1).
     """
-    shifts = [(k, k - K // 2) for k in range(K)]
-    return [(k, slice(max(0, s), T - max(0, -s)), slice(max(0, -s), T - max(0, s)))
-            for k, s in shifts if abs(s) < T]
-
-
-def _tap_sum(src, mats, taps, shape):
-    """Sum over taps of src[:, a] @ mats[k] into rows c of a (B, T, ...) array.
-
-    Taps add in kernel order, and rows no tap reaches are zero, so the sum
-    rounds exactly as a loop over a zero-padded copy of src would.
-    """
-    out = np.empty(shape)
-    for j, (k, a, c) in enumerate(taps):
-        if j == 0:
-            out[:, :c.start] = 0.0
-            out[:, c.stop:] = 0.0
-            np.matmul(src[:, a], mats[k], out=out[:, c])
-        else:
-            out[:, c] += src[:, a] @ mats[k]
-    return out
+    every = slice(None)
+    shifts = [(k, k - K // 2) for k in range(K) if abs(k - K // 2) < T]
+    return [(k, (every, slice(max(0, s), T - max(0, -s))),
+             (every, slice(max(0, -s), T - max(0, s))), j == 0)
+            for j, (k, s) in enumerate(shifts)]
 
 
 def _step_layout(window, K):
@@ -348,6 +336,31 @@ def step_rows(window, K):
     return rows
 
 
+def _shared_slabs(window, K):
+    """(slabs, stacked row count) of a K-tap conv over the windows laid on a timeline.
+
+    Slabs are as in `_taps`, into the rows `step_rows` stacks.  Tap k reads
+    one timeline slice into all shared rows, and for each edge row o, row
+    o + s of every window (a slice when the windows follow one another
+    step by step, else an index array) into that row's strided stack
+    slice.  Slabs go tap by tap; the first tap to reach a row writes it.
+    """
+    B, T = window.shape
+    edges, n_shared = _step_layout(window, K)
+    heads = window[:, 0]
+    h = int(heads[0])
+    consecutive = np.array_equal(heads, h + np.arange(B))
+    slabs = []
+    for k in range(K):
+        s = k - K // 2
+        if n_shared:  # every tap reaches every shared row
+            slabs.append((k, slice(K // 2 + s, K // 2 + s + n_shared), slice(0, n_shared), k == 0))
+        slabs += [(k, slice(h + o + s, h + o + s + B) if consecutive else heads + o + s,
+                   slice(n_shared + e, None, len(edges)), k == 0 or o + s == 0)
+                  for e, o in enumerate(edges) if 0 <= o + s < T]
+    return slabs, n_shared + B * len(edges)
+
+
 def _fits_timeline(window, L):
     """Whether window is a (B, T) integer map of consecutive rows of an L-row timeline."""
     return (isinstance(window, np.ndarray) and window.ndim == 2 and window.dtype.kind in "iu"
@@ -355,105 +368,36 @@ def _fits_timeline(window, L):
             and bool((np.diff(window, axis=1) == 1).all()))
 
 
-def _window_heads(window):
-    """Each window's first timeline row: an int when the windows follow one
-    another step by step (their rows are then slices), else a (B,) array."""
-    first = window[:, 0]
-    if np.array_equal(first, first[0] + np.arange(len(first))):
-        return int(first[0])
-    return first
+def _slab_sum(src, mats, slabs, out):
+    """out[o] = sum over slabs (k, i, o, first) of src[i] @ mats[k], in list order.
 
-
-def _at(first, o, B):
-    """Index of row o of every window, from `_window_heads`."""
-    return slice(first + o, first + o + B) if isinstance(first, int) else first + o
-
-
-def _add_rows(out, idx, values):
-    """out[idx] += values along axis 0; a repeated index adds every time."""
-    if isinstance(idx, slice) or len(np.unique(idx)) == len(idx):
-        out[idx] += values
-    else:
-        np.add.at(out, idx, values)
-
-
-def _shared_tap_sum(steps, mats, taps, window):
-    """`_tap_sum` of the windows `window` lays over an (L, ...) timeline of steps.
-
-    Returns the rows `step_rows` indexes.  Every row adds the same per-step
-    products in the same order as `_tap_sum`, so the bits agree.
+    A first slab writes its rows and every other slab adds into them, so
+    rows no first slab writes must hold zeros; no slab's o repeats a row.
     """
-    K = mats.shape[0]
-    B = window.shape[0]
-    edges, n_shared = _step_layout(window, K)
-    first = _window_heads(window)
-    out = np.empty((n_shared + B * len(edges),) + steps.shape[1:-1] + (mats.shape[2],))
-    shared = out[:n_shared]
-    edge = out[n_shared:].reshape((B, len(edges)) + out.shape[1:])
-    for j, (k, a, c) in enumerate(taps):
-        s = k - K // 2
-        if n_shared:  # every tap reaches the shared rows, so taps[0] starts their sum
-            src = steps[K // 2 + s:K // 2 + s + n_shared]
-            if j == 0:
-                np.matmul(src, mats[k], out=shared)
-            else:
-                shared += src @ mats[k]
-        for e, o in enumerate(edges):
-            if not c.start <= o < c.stop:
-                if j == 0:
-                    edge[:, e] = 0.0
-            elif j == 0:
-                np.matmul(steps[_at(first, o + s, B)], mats[k], out=edge[:, e])
-            else:
-                edge[:, e] += steps[_at(first, o + s, B)] @ mats[k]
+    for k, i, o, first in slabs:
+        if first:
+            np.matmul(src[i], mats[k], out=out[o])
+        else:
+            out[o] += src[i] @ mats[k]
     return out
-
-
-def _shared_tap_grads(steps, g, mats, taps, window, want_x, want_W):
-    """Input and weight gradients of `_shared_tap_sum` for the stacked gradient g.
-
-    Each shared row's gradient already sums over the windows that share
-    it, so the shared rows meet each tap once; edge rows add into their
-    window's steps.  A gradient not wanted is None.
-    """
-    K = mats.shape[0]
-    B = window.shape[0]
-    edges, n_shared = _step_layout(window, K)
-    first = _window_heads(window)
-    mats_T = np.ascontiguousarray(mats.transpose(0, 2, 1))
-    g_shared = g[:n_shared]
-    g_edge = g[n_shared:].reshape((B, len(edges)) + g.shape[1:])
-    gx = np.zeros(steps.shape) if want_x else None
-    gW = np.zeros(mats.shape) if want_W else None
-    lead = list(range(g.ndim - 1))
-    for k, a, c in taps:
-        s = k - K // 2
-        parts = [(slice(K // 2 + s, K // 2 + s + n_shared), g_shared)] if n_shared else []
-        parts += [(_at(first, o + s, B), g_edge[:, e])
-                  for e, o in enumerate(edges) if c.start <= o < c.stop]
-        for idx, gk in parts:
-            if want_x:
-                _add_rows(gx, idx, gk @ mats_T[k])
-            if want_W:
-                gW[k] += np.tensordot(steps[idx], gk, axes=(lead, lead))
-    return gx, gW
 
 
 def temporal_conv(record, x, W, b, window=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
 
     x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
-    one shifted (B, T - |s|, n) slab of x @ W[k]; the input gradient is
-    built the same way from g @ W[k]^T, and only the weight gradient
-    builds the zero-padded (B, T + K - 1, n, d_in) copy of x.
+    one shifted (B, T - |s|, n) slab of x @ W[k] (`_taps`) in kernel order,
+    so every row rounds as a loop over a zero-padded copy of x would.  The
+    input gradient runs the slabs from output to input with W[k]^T, and
+    the weight gradient is one 2-D GEMM per slab over the rows it reads.
 
     window (shared steps): x is a (1, L, n, d_in) timeline of steps and
     window a (B, T) integer array, window[i, o] the timeline row of step o
-    of window i, each window's rows consecutive.  Rows whose taps all land
-    inside their window are computed once per timeline step; only the
-    K - 1 rows per window that touch padding are computed per window.  The
-    output stacks both as `step_rows` maps them.  Backward sums each
-    stacked row's gradient into the steps its taps read.
+    of window i, each window's rows consecutive and no two windows
+    starting on one row.  Rows whose taps all land inside their window
+    are computed once per timeline step; only the K - 1 rows per window
+    that touch padding are computed per window.  The output stacks both as
+    `step_rows` maps them, and the same kernels run `_shared_slabs`.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     shared = window is not None
@@ -462,32 +406,30 @@ def temporal_conv(record, x, W, b, window=None):
                  and (not shared or (x.shape[0] == 1 and _fits_timeline(window, x.shape[1]))),
                  x.shape, W.shape, b.shape, np.shape(window))
     K = W.shape[0]
-    T = window.shape[1] if shared else x.shape[1]
-    taps = _taps(K, T)
     if shared:
-        out = _shared_tap_sum(x.value[0], W.value, taps, window)
+        if len(np.unique(window[:, 0])) < len(window):
+            raise ShapeError("temporal_conv: windows must start on distinct timeline rows")
+        src = x.value[0]
+        slabs, n_rows = _shared_slabs(window, K)
+        out = np.empty((n_rows, x.shape[2], W.shape[2]))
     else:
-        out = _tap_sum(x.value, W.value, taps, x.shape[:3] + (W.shape[2],))
+        src = x.value
+        slabs = _taps(K, x.shape[1])
+        out = np.empty(x.shape[:3] + (W.shape[2],))
+        out[:, :min(K // 2, x.shape[1] - 1)] = 0.0  # the rows the first tap misses
+    out = _slab_sum(src, W.value, slabs, out)
     out += b.value
 
     def grad_fn(g):
-        gx, gW, gb = None, None, None
-        if shared:
-            gx, gW = _shared_tap_grads(x.value[0], g, W.value, taps, window,
-                                       x.needs_grad, W.needs_grad)
-            gx = None if gx is None else gx[None]
-        else:
-            if W.needs_grad:
-                left = K // 2
-                pad = np.zeros((x.shape[0], T + K - 1, x.shape[2], x.shape[3]))
-                pad[:, left:left + T] = x.value
-                gW = np.zeros_like(W.value)
-                for k in range(K):
-                    gW[k] = np.einsum("btnd,btne->de", pad[:, k:k + T], g, optimize=True)
-                del pad  # freed before the input gradient allocates
-            if x.needs_grad:
-                gx = _tap_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)),
-                              [(k, c, a) for k, a, c in taps], x.shape)
+        gx = gW = gb = None
+        if W.needs_grad:
+            gW = np.zeros(W.shape)
+            for k, i, o, _ in slabs:
+                gW[k] += src[i].reshape(-1, W.shape[1]).T @ g[o].reshape(-1, W.shape[2])
+        if x.needs_grad:
+            swapped = [(k, o, i, False) for k, i, o, _ in slabs]
+            gx = _slab_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)), swapped,
+                           np.zeros(src.shape)).reshape(x.shape)
         if b.needs_grad:
             gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
         return [gx, gW, gb]
@@ -621,17 +563,27 @@ def mean_pool_time(record, x, rows=None):
     """Mean over the time axis of a (B, T, n, d) tensor, or of x[rows].
 
     rows (shared steps): a (B, T) integer index into a stack of steps, as
-    `step_rows` gives; the windows are gathered first, and backward adds
-    each window's gradient into the rows it read.
+    `step_rows` gives, with no row twice in one column.  The T gathered
+    (B, n, d) slices add into one buffer in time order, as numpy's mean
+    over the middle axis of x[rows] adds them, with no (B, T, n, d) copy;
+    backward adds each window's gradient into the rows it read.
     """
     x = _as_node(record, x)
-    if rows is not None:
-        _shape_check("mean_pool_time", rows.ndim == 2 and rows.size > 0
+    if rows is None:
+        _shape_check("mean_pool_time", x.value.ndim == 4, x.shape)
+        T = x.shape[1]
+        out = x.value.mean(axis=1)
+    else:
+        _shape_check("mean_pool_time", x.value.ndim == 3 and rows.ndim == 2 and rows.size > 0
                      and rows.min() >= 0 and rows.max() < x.shape[0], rows.shape, x.shape)
-    windows = x.value if rows is None else x.value[rows]
-    _shape_check("mean_pool_time", windows.ndim == 4, x.shape)
-    T = windows.shape[1]
-    out = windows.mean(axis=1)
+        by_column = np.sort(rows, axis=0)
+        if (by_column[1:] == by_column[:-1]).any():
+            raise ShapeError("mean_pool_time: a row repeats within a column of rows")
+        T = rows.shape[1]
+        out = x.value[rows[:, 0]]
+        for o in range(1, T):
+            out += x.value[rows[:, o]]
+        out /= T
 
     def grad_fn(g):
         if rows is None:
@@ -639,7 +591,7 @@ def mean_pool_time(record, x, rows=None):
         gx = np.zeros(x.shape)
         g = g / T
         for o in range(T):
-            _add_rows(gx, rows[:, o], g)
+            gx[rows[:, o]] += g
         return [gx]
 
     return record.record("mean_pool_time", out, [x], grad_fn)

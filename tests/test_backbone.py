@@ -278,9 +278,13 @@ class TestSharedSteps:
             runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
         (got, got_grads), (want, want_grads) = runs
         # two-step windows a 2-tap conv reads at both ends stack more rows
-        # than they have unless they overlap, so these two batches run windowed
-        windowed = (t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
+        # than they have unless they overlap, so these two batches run
+        # windowed; so does a batch in which two windows share a start
+        windowed = ((t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
+                    or layout == "repeated")
         assert len(shared) == (0 if windowed else 1)
+        if windowed:
+            assert got.tobytes() == windowed_forward(bb, op, x, P.value, train=True).tobytes()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert sorted(got_grads) == sorted(want_grads)
         for name, g in want_grads.items():

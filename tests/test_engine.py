@@ -356,6 +356,19 @@ class TestTapeFreeing:
 
         assert traced_peak(step) <= 130e6
 
+    def test_pool_tuning_step_peak_memory(self):
+        # a frozen backbone without dropout shares steps.  Pooling that
+        # gathered a (B, T, n, d) copy of the windows peaked at 38.7 MB for
+        # this step; summing the gathered slices into one buffer, 31.6 MB
+        forward, x, starts, target, _ = prompted_step("spatial", p=0.0, frozen=True,
+                                                      B=64, n=50, d=64)
+
+        def step():
+            pred, rec = forward(x, train=True, starts=starts)
+            nn.backward(rec, nn.mse_loss(rec, pred, target))
+
+        assert traced_peak(step) <= 34e6
+
     def test_two_steps_peak_no_higher_than_one(self):
         # B = 64, n = 20, d = 16.  What one step may leave for the next (Adam
         # moments, the last gradients, the parameter values the consumed

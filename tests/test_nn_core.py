@@ -277,9 +277,9 @@ class TestSharedSteps:
     @pytest.mark.parametrize("heads", [[0, 1, 2, 3], [9, 0, 14, 3, 5], [30, 2], [4],
                                        [6, 2, 6, 3, 2]])
     def test_shared_conv_and_pool_match_windows_with_gradients(self, K, T, heads):
-        # heads: each window's first timeline row, in batch order; repeated,
-        # shuffled and gapped windows all share rows, and backward must add
-        # every window's gradient into them
+        # heads: each window's first timeline row, in batch order; shuffled
+        # and gapped windows share rows, and backward must add every
+        # window's gradient into them.  Windows must start on distinct rows.
         rng = np.random.default_rng(K + 10 * T + len(heads))
         heads = np.array(heads)
         steps = rng.standard_normal((heads.max() + T, 4, 3))
@@ -287,6 +287,12 @@ class TestSharedSteps:
         b = rng.standard_normal(2)
         g = rng.standard_normal((len(heads), 4, 2))
         window = heads[:, None] + np.arange(T)
+        if len(np.unique(heads)) < len(heads):
+            with pytest.raises(nn.ShapeError, match="distinct"):
+                nn.temporal_conv(nn.ComputeRecord(), steps[None], W, b, window=window)
+            with pytest.raises(nn.ShapeError, match="mean_pool_time"):
+                nn.mean_pool_time(nn.ComputeRecord(), steps, window)
+            return
 
         def conv_and_pool(x, shared):
             rec = nn.ComputeRecord()
@@ -330,10 +336,10 @@ class TestSharedSteps:
     def test_mean_pool_time_over_rows(self):
         rng = np.random.default_rng(18)
         stack = rng.standard_normal((6, 3, 2))
-        rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
+        rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 0]])
         got = nn.mean_pool_time(nn.ComputeRecord(grad=False), stack, rows).value
         assert got.tobytes() == stack[rows].mean(axis=1).tobytes()
-        # rows 2 and 1 repeat within a column: each read adds its gradient
+        # rows 0, 1 and 2 each serve two windows: each read adds its gradient
         g = rng.standard_normal((3, 3, 2))
         _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, rows), stack, g=g)
         want = np.zeros(stack.shape)
@@ -342,6 +348,71 @@ class TestSharedSteps:
         assert np.abs(gx - want).max() <= 1e-15
         with pytest.raises(nn.ShapeError, match="mean_pool_time"):
             nn.mean_pool_time(nn.ComputeRecord(), stack, rows + 1)
+        # a row twice in one column: two windows would read one stacked row at one step
+        repeated = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
+        with pytest.raises(nn.ShapeError, match="repeats"):
+            nn.mean_pool_time(nn.ComputeRecord(), stack, repeated)
+
+
+# window heads of one batch, in batch order, for the slab lists
+HEADS = {"consecutive": [2, 3, 4, 5, 6], "shuffled": [5, 0, 9, 3, 1, 7, 2],
+         "gapped": [0, 30, 31, 50, 7], "single": [13]}
+
+
+def slab_rows(slabs, n_out, n_in):
+    """Each slab's (k, input rows, output rows, first) as flat row numbers.
+
+    n_out and n_in are the shapes of the output and input row grids the
+    slab indices address: (B, T) per window, or (rows,) of a stack.
+    """
+    out_ids = np.arange(np.prod(n_out)).reshape(n_out)
+    in_ids = np.arange(np.prod(n_in)).reshape(n_in)
+    return [(k, in_ids[i].ravel(), out_ids[o].ravel(), first) for k, i, o, first in slabs]
+
+
+class TestSlabLists:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("layout", ["windowed"] + sorted(HEADS))
+    def test_each_row_is_zero_or_written_first_once(self, K, T, layout):
+        if layout == "windowed":
+            B = 3
+            rows = slab_rows(nn._taps(K, T), (B, T), (B, T))
+            n_rows = B * T
+            # the rows the first tap misses, which temporal_conv zeroes
+            zero = {i * T + o for i in range(B) for o in range(min(K // 2, T - 1))}
+        else:
+            heads = np.array(HEADS[layout])
+            window = heads[:, None] + np.arange(T)
+            slabs, n_rows = nn._shared_slabs(window, K)
+            rows = slab_rows(slabs, (n_rows,), (window.max() + 1,))
+            assert n_rows == nn.step_rows(window, K).max() + 1
+            zero = set()
+        first_at, adds = {}, []
+        for j, (k, src, dst, first) in enumerate(rows):
+            # no slab reads or writes a row twice, so indexed += adds every row
+            assert len(np.unique(src)) == len(src) == len(dst) == len(np.unique(dst))
+            for r in dst:
+                if first:
+                    assert r not in first_at, "row %d written first twice" % r
+                    first_at[r] = j
+                else:
+                    adds.append((r, j))
+        assert set(first_at) | zero == set(range(n_rows)) and not set(first_at) & zero
+        assert all(r in zero or first_at[r] < j for r, j in adds)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_windowed_weight_gradient_at_training_size(self, K):
+        # the weight gradient sums only unpadded rows, one GEMM per tap; at
+        # this size it may round differently from the padded copy's sum
+        rng = np.random.default_rng(K)
+        x = np.maximum(rng.standard_normal((128, 12, 60, 16)), 0.0)
+        W = rng.standard_normal((K, 16, 16))
+        b = rng.standard_normal(16)
+        g = rng.standard_normal(x.shape)
+        _, (_, gW, _) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
+        _, _, want = padded_temporal_conv(x, W, b, g)
+        assert np.abs(gW - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRecordContracts:
