@@ -17,7 +17,9 @@ match the windowed ones up to last-digit rounding.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
 import time
 import warnings
 from dataclasses import dataclass, asdict
@@ -396,12 +398,46 @@ def _agg(values):
     return {"mean": float(a.mean()), "std": float(a.std()) if len(a) > 1 else 0.0}
 
 
+# glibc's mallopt parameters, and the variables through which a user sets them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _libc():
+    return ctypes.CDLL(None)
+
+
+def _keep_freed_pages():
+    """Keep freed step-sized arrays in the process on glibc (process-wide).
+
+    By default glibc returns a training step's freed arrays to the kernel and
+    the next step faults them back in.  Pinning both thresholds (setting one
+    alone turns off glibc's dynamic adjustment and faults more) keeps up to
+    256 MB of freed heap; arrays above 32 MB still go to mmap.  No float
+    changes.  A no-op off glibc, when mallopt refuses, or when the user set
+    the allocator through the environment.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    try:
+        libc = _libc()
+        libc.gnu_get_libc_version  # glibc's own; other C libraries lack it
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # the mmap threshold has an upper limit, the trim threshold none
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def run_stream(config: ExperimentConfig, stream, series_list):
     """Run every seed of the configured scheme over the stream.
 
     Returns (reports, seed_results): aggregated PeriodReports plus the raw
     per-seed results (metrics, hashes, timings, best epochs, dispersion series).
     """
+    _keep_freed_pages()
     if not stream.periods:
         raise ConfigError("stream has no periods")
     if len(stream.periods) != len(series_list):

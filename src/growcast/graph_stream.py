@@ -144,16 +144,33 @@ def normalize_adjacency(A) -> np.ndarray:
 
 
 def scaled_laplacian(A) -> np.ndarray:
-    """Rescaled Laplacian 2L/lambda_max - I with eigenvalues in [-1, 1]."""
+    """Rescaled Laplacian 2L/lambda_max - I with eigenvalues in [-1, 1].
+
+    The adjacency must be finite and exactly symmetric (a near-symmetric one
+    gives a non-symmetric L, whose spectrum leaves [-1, 1]), and twice each
+    degree must be finite, which bounds lambda_max.
+    """
     a = np.asarray(A, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphStreamError("adjacency must be square")
-    if not np.allclose(a, a.T):
-        raise GraphStreamError("adjacency must be symmetric")
+    if not np.isfinite(a).all():
+        raise GraphStreamError("adjacency entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise GraphStreamError("adjacency must be exactly symmetric")
     if np.any(a < 0):
         raise GraphStreamError("adjacency entries must be nonnegative")
     n = a.shape[0]
-    L = np.diag(a.sum(axis=1)) - a
+    with np.errstate(over="ignore"):
+        deg = a.sum(axis=1)
+        overflow = ~np.isfinite(2.0 * deg)
+    if overflow.any():
+        node = int(np.argmax(overflow))
+        raise GraphStreamError("degree of node %d overflows: %g" % (node, deg[node]))
+    if 0 < deg.max(initial=0.0) < np.finfo(float).tiny:
+        # subnormal weights carry few digits; scaling by 2**600 is exact
+        a = a * 2.0 ** 600
+        deg = a.sum(axis=1)
+    L = np.diag(deg) - a
     lam = np.linalg.eigvalsh(L)[-1]
     if lam <= 0.0:
         lam = 1.0  # zero graph: L = 0, rescaled form degenerates to -I

@@ -1,9 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from growcast import engine
 from growcast import nn_core as nn
 from growcast.analysis import metrics
 from growcast.data_pipeline import Normalizer, Windows, make_windows, synth_stream
@@ -524,3 +529,107 @@ class TestSchemes:
         for by_metric in reports[0].horizons.values():
             for stat in by_metric.values():
                 assert stat["std"] in (0.0, None)
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+# faults of a warm run_stream; with glibc's default thresholds a warm run
+# at these shapes faults about 25k times on x86-64 Linux, with them pinned
+# almost never
+WARM_FAULTS = """
+import resource
+from growcast.data_pipeline import synth_stream
+from growcast.engine import ExperimentConfig, run_stream
+stream, series = synth_stream(n0=20, growth_per_period=5, periods=2,
+                              T_per_period=400, seed=0)
+cfg = ExperimentConfig(scheme="EAC", d=16, k=3, epochs_max=2, patience=1,
+                       batch_size=128, seeds=(1,))
+run_stream(cfg, stream, series)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_stream(cfg, stream, series)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# `growcast run`, as shipped or with the line that the format puts in
+RUN_CLI = """
+import sys
+from growcast import cli, engine
+{}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# the variables through which a user sets glibc's allocator
+MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def fresh_python(code, *args):
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    env.update(OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class FakeLibc:
+    def __init__(self, *names, result=1):
+        self.calls = []
+        if "mallopt" in names:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or result
+        if "gnu_get_libc_version" in names:
+            self.gnu_get_libc_version = lambda: b"2.36"
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc's mallopt only")
+class TestKeepFreedPages:
+    @pytest.fixture(autouse=True)
+    def no_user_settings(self, monkeypatch):
+        for name in MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+
+    def calls(self, monkeypatch, libc):
+        monkeypatch.setattr(engine, "_libc", lambda: libc)
+        engine._keep_freed_pages()
+        return libc.calls
+
+    def test_warm_run_stream_takes_no_fresh_pages(self):
+        assert int(fresh_python(WARM_FAULTS)) < 1000
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        libc = FakeLibc("mallopt", "gnu_get_libc_version")
+        assert self.calls(monkeypatch, libc) == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_refused_mmap_threshold_sets_neither(self, monkeypatch):
+        # one threshold alone turns off glibc's dynamic adjustment
+        libc = FakeLibc("mallopt", "gnu_get_libc_version", result=0)
+        assert self.calls(monkeypatch, libc) == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("name", MALLOC_ENV)
+    def test_user_allocator_settings_win(self, monkeypatch, name):
+        monkeypatch.setenv(name, "131072")
+        assert self.calls(monkeypatch, FakeLibc("mallopt", "gnu_get_libc_version")) == []
+
+    @pytest.mark.parametrize("names", [("mallopt",), ("gnu_get_libc_version",), ()])
+    def test_other_c_library_is_left_alone(self, monkeypatch, names):
+        assert self.calls(monkeypatch, FakeLibc(*names)) == []
+
+    def test_no_c_library_handle(self, monkeypatch):
+        def fail():
+            raise OSError("no handle")
+        monkeypatch.setattr(engine, "_libc", fail)
+        engine._keep_freed_pages()
+
+    def test_reports_do_not_depend_on_the_allocator(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scheme": "EAC", "k": 3, "d": 8, "epochs_max": 2,
+                                      "patience": 1, "batch_size": 64, "seeds": [1, 2]}))
+        blobs = []
+        for tag, line in (("shipped", ""),
+                          ("no_mallopt", "engine._keep_freed_pages = lambda: None")):
+            out = tmp_path / tag
+            fresh_python(RUN_CLI.format(line), "run", "--config", str(config),
+                         "--synth", "n0=12,growth=4,periods=3,T=300,seed=2", "--out", str(out))
+            blobs.append([(out / name).read_bytes() for name in
+                          ("reports.json", "aggregate.csv", "heterogeneity.json")])
+        assert blobs[0] == blobs[1]

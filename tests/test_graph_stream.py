@@ -165,6 +165,40 @@ class TestScaledLaplacian:
         with pytest.raises(GraphStreamError):
             scaled_laplacian([[0, 1], [0, 0]])
 
+    def test_rejects_near_symmetric(self):
+        # off-diagonals within allclose's tolerance would give a
+        # non-symmetric L with eigenvalues above 1
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            A = self.random_graph(rng, int(rng.integers(3, 31)))
+            A *= 1 + 5e-6 * rng.uniform(-1, 1, A.shape)
+            with pytest.raises(GraphStreamError, match="exactly symmetric"):
+                scaled_laplacian(A)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        A = np.ones((3, 3))
+        A[0, 1] = A[1, 0] = value
+        with pytest.raises(GraphStreamError, match="finite"):
+            scaled_laplacian(A)
+
+    @pytest.mark.parametrize("value", [1e308, 5e307])
+    def test_rejects_overflowing_degree(self, value):
+        A = np.full((3, 3), value)
+        np.fill_diagonal(A, 0)
+        with pytest.raises(GraphStreamError, match="degree of node 0"):
+            scaled_laplacian(A)
+
+    @pytest.mark.parametrize("degree", [0.999 * np.finfo(float).max / 2, 1e-310, 1e-320])
+    def test_spectrum_at_the_ends_of_the_float_range(self, degree):
+        # largest degree just below half the largest float, or subnormal
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            A = self.random_graph(rng, int(rng.integers(2, 30)))
+            A *= degree / A.sum(axis=1).max()
+            eig = np.linalg.eigvalsh(scaled_laplacian(A))
+            assert np.abs(eig).max() <= 1 + 1e-12
+
 
 class TestChebPolynomials:
     def test_recursion(self):
