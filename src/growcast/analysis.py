@@ -90,7 +90,7 @@ def dispersion_decomposition(X, P) -> DispersionReport:
     d_after = heterogeneity_D(x + p)
     mu_x = x.mean(axis=0)
     mu_p = p.mean(axis=0)
-    rhs = 2.0 * (float((p ** 2).sum(axis=1).mean()) - float(mu_p @ mu_p))
+    rhs = heterogeneity_D(p)
     cross = 4.0 * (float((x * p).sum(axis=1).mean()) - float(mu_x @ mu_p))
     residual = (d_after - d_before) - rhs - cross
     return DispersionReport(D_before=d_before, D_after=d_after, paper_rhs=rhs,

@@ -31,8 +31,7 @@ has one row per distinct step instead of B*T, and BLAS may round a row
 differently with the row count, so predictions match the windowed path
 up to last-digit rounding, and gradients, which sum the windows in
 another order, too.  A batch that draws dropout masks keeps the windowed
-path and its (B, T, n, d) draws, as does one in which two windows share
-a start: the shared layers take windows that start on distinct steps.
+path and its (B, T, n, d) draws; no other may repeat a start.
 """
 from __future__ import annotations
 
@@ -56,7 +55,6 @@ class STGNNBackbone:
     d: int
     kernel: int
     K_order: int
-    t_out: int
     dropout_p: float
     params: dict  # name -> Parameter
 
@@ -101,7 +99,7 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
     put(uniform("head.W", (d, t_out), d))
     put(uniform("head.b", (t_out,), d))
     return STGNNBackbone(variant=variant, d=d, kernel=kernel, K_order=K_order,
-                         t_out=t_out, dropout_p=dropout_p, params=params)
+                         dropout_p=dropout_p, params=params)
 
 
 def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
@@ -117,9 +115,9 @@ def _shared_steps(x, starts, kernel):
     The timeline is the sorted distinct steps of all windows, (1, L, n, 1);
     window[i, o] is the timeline row of step o of window i, and rows maps
     window rows to the temporal conv's stacked output (`nn.step_rows`).
-    None when two windows share a start or when that stack would have
-    more rows than the B*T window rows.  Raises BackboneError when the
-    windows do not agree with their starts.
+    None when that stack would have more rows than the B*T window rows.
+    Raises BackboneError when two windows share a start or the windows do
+    not agree with their starts.
     """
     B, T = x.shape[:2]
     starts = np.asarray(starts)
@@ -127,7 +125,7 @@ def _shared_steps(x, starts, kernel):
         raise BackboneError("starts must be %d integer window offsets, got %s of %s"
                             % (B, starts.shape, starts.dtype))
     if len(np.unique(starts)) < B:
-        return None
+        raise BackboneError("two windows of the batch share a start offset")
     steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
     # the stack holds L - K + 1 shared rows and K - 1 edge rows per window
     if kernel <= T and len(steps) - kernel + 1 > B * (T - kernel + 1):
@@ -152,9 +150,9 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     When none is given, a fresh record is created that keeps a backward
     tape only if `train` is set.  Dropout applies only when `train` is set.
     starts: each window's offset in its segment.  A batch with starts that
-    draws no dropout mask takes the shared-step path (module docstring),
-    unless two windows share a start or its windows overlap too little;
-    windows that disagree with their starts raise BackboneError there.
+    draws no dropout mask takes the shared-step path (module docstring)
+    unless its windows overlap too little; it raises BackboneError when
+    two windows share a start, or on that path disagree with their starts.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -185,10 +186,7 @@ def cmd_analyze(args) -> int:
             series = [("D", result["D"])]
         elif args.what == "svd":
             rep = svd_cumulative(matrix, k=args.k)
-            result = {"singular_values": list(rep.singular_values),
-                      "cumulative_ratio": (list(rep.cumulative_ratio)
-                                           if rep.cumulative_ratio else None),
-                      "rank_k_error": rep.rank_k_error, "k": rep.k}
+            result = dataclasses.asdict(rep)
             series = list(enumerate(rep.cumulative_ratio or []))
         elif args.what == "prop1":
             if not args.matrix2:
@@ -197,7 +195,7 @@ def cmd_analyze(args) -> int:
                 return EXIT_CONFIG
             other = _load_matrix(args.matrix2)
             rep = dispersion_decomposition(matrix, other)
-            result = {f: getattr(rep, f) for f in rep.__dataclass_fields__}
+            result = dataclasses.asdict(rep)
             series = list(result.items())
         else:  # prop2
             rep = random_projection_probe(matrix, k=6 if args.k is None else args.k,
@@ -219,6 +217,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        print("error: --seeds must be at least 1, got %d" % args.seeds, file=sys.stderr)
+        return EXIT_CONFIG
     rows = gradcheck_table(seeds=range(args.seeds))
     failed = [r for r in rows if not r["passed"]]
     width = max(len(r["primitive"]) for r in rows)

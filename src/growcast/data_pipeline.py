@@ -28,6 +28,8 @@ from .nn_core import rng_stream
 
 T_IN = 12
 T_OUT = 12
+SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train, val, test shares of each period's timeline
+DIURNAL_PERIOD = 96  # steps per cycle of the synthetic signal
 
 
 class DataError(ValueError):
@@ -159,16 +161,16 @@ def _impute(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def chrono_split(series: ObservationSeries, ratios=(0.6, 0.2, 0.2),
-                 t_in: int | None = None, t_out: int | None = None):
-    """Raw-timeline slices at floor(r1*T) and floor((r1+r2)*T).
+def chrono_split(series: ObservationSeries, t_in: int | None = None,
+                 t_out: int | None = None):
+    """Raw-timeline slices at floor(r1*T) and floor((r1+r2)*T), r = SPLIT_RATIOS.
 
     When window sizes are given, every segment must be able to hold at
     least one supervised window.
     """
     T = series.values.shape[0]
-    b1 = math.floor(ratios[0] * T)
-    b2 = math.floor((ratios[0] + ratios[1]) * T)
+    b1 = math.floor(SPLIT_RATIOS[0] * T)
+    b2 = math.floor((SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) * T)
     segments = (series.values[:b1], series.values[b1:b2], series.values[b2:])
     if t_in is not None and t_out is not None:
         need = t_in + t_out
@@ -218,7 +220,7 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
 
 def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: int,
                  seed: int = 0, noise: float = 0.1, offset_scale: float = 1.0,
-                 diffusion: float = 0.5, r: float = 0.5, diurnal_period: int = 96):
+                 diffusion: float = 0.5, r: float = 0.5):
     """Reproducible desk-scale stream with planted per-node heterogeneity.
 
     Nodes sit uniformly in the unit square; the signal per node is a shared
@@ -251,7 +253,7 @@ def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: in
                             distances=dist, adjacency=adj)
         t0 = (tau - 1) * T_per_period
         t = np.arange(t0, t0 + T_per_period)
-        diurnal = np.sin(2 * np.pi * t / diurnal_period)
+        diurnal = np.sin(2 * np.pi * t / DIURNAL_PERIOD)
         base = diurnal[:, None] + offsets[None, :n]
         if noise > 0:
             for i in range(n):

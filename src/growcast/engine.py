@@ -69,8 +69,8 @@ SCHEMES = {
 class TrainingAbort(RuntimeError):
     """A non-finite value in a training step, and where it happened.
 
-    The message keeps the primitive's own (`non-finite output of ...`) and
-    adds the period, seed, epoch, batch and learning rate.
+    The message keeps the tape's own, which names the primitive or the
+    parameter, and adds the period, seed, epoch, batch and learning rate.
     """
 
     def __init__(self, cause, period_index, seed, epoch, batch, lr):
@@ -130,6 +130,9 @@ class ExperimentConfig:
         for name in ("d", "k", "kernel", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be at least 1" % name)
+        if SCHEMES[self.scheme].pool == "lowrank" and self.k > self.d:
+            raise ConfigError("k=%d exceeds d=%d: the low-rank pool needs k <= d"
+                              % (self.k, self.d))
         if self.few_shot_fraction is not None and not 0.0 < self.few_shot_fraction <= 1.0:
             raise ConfigError("few_shot_fraction must lie in (0, 1]")
         if self.K_order < 0:
@@ -179,10 +182,12 @@ def _batches(n_samples, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def _runs(n_samples, batch_size):
-    """Consecutive batches as slices: a slice of a window view stays a view."""
-    for start in range(0, n_samples, batch_size):
-        yield slice(start, start + batch_size)
+def _predictions(forward, samples, batch_size):
+    """(prediction, batch slice) per consecutive batch; a slice of a window view stays a view."""
+    for start in range(0, len(samples), batch_size):
+        run = slice(start, start + batch_size)
+        pred, _ = forward(samples.X[run][..., None], train=False, starts=samples.starts[run])
+        yield pred.value, run
 
 
 def train_period(forward, params, train_samples, val_samples, normalizer,
@@ -236,11 +241,9 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
 
 
 def _validation_mae(forward, val_samples, normalizer, batch_size):
-    X, Y = val_samples.X, val_samples.Y
     abs_sum, count = 0.0, 0
-    for run in _runs(len(val_samples), batch_size):
-        pred, _ = forward(X[run][..., None], train=False, starts=val_samples.starts[run])
-        err = normalizer.invert(pred.value) - normalizer.invert(Y[run])
+    for pred, run in _predictions(forward, val_samples, batch_size):
+        err = normalizer.invert(pred) - normalizer.invert(val_samples.Y[run])
         abs_sum += float(np.abs(err).sum())
         count += err.size
     return abs_sum / count
@@ -251,13 +254,9 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
     """Per-horizon metrics in original units over the full test split."""
     if not test_samples:
         raise ConfigError("test windows must be nonempty")
-    X, Y = test_samples.X, test_samples.Y
-    preds = []
-    for run in _runs(len(test_samples), batch_size):
-        pred, _ = forward(X[run][..., None], train=False, starts=test_samples.starts[run])
-        preds.append(pred.value)
+    preds = [pred for pred, _ in _predictions(forward, test_samples, batch_size)]
     pred = normalizer.invert(np.concatenate(preds, axis=0))
-    truth = normalizer.invert(Y)
+    truth = normalizer.invert(test_samples.Y)
     out = {}
     for h in HORIZONS:
         if horizon_mode == "at_step":

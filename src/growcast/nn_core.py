@@ -6,10 +6,11 @@ returns gradients for trainable parameters only.  Everything is double
 precision, and every random draw comes from a named stream derived from
 one experiment seed, so runs replay bit-for-bit on one platform.
 
-Non-finite values are caught where they can first appear: GEMM-like
-primitives and the loss scan their output; `relu` without dropout,
-`concat_rows` and the backbone's transpose map finite to finite and scan
-only unscanned inputs (leaves, constants).  The NonFiniteError names the
+Every node holds a finite float64 array.  `leaf` checks a parameter and
+`constant` its array once, on entry; a primitive whose arithmetic can
+overflow (the GEMMs, dropout scaling, the time mean, the loss) scans its
+output, which also covers the raw input of `graph_input`; the others map
+finite to finite.  The NonFiniteError names the parameter or the
 primitive.  `relu` applies ReLU and dropout as one multiplier, in place
 into the fresh output of the primitive before it.  The graph layers,
 `graph_conv` and the fused `graph_input`, take a list of n x n matrices
@@ -115,20 +116,19 @@ class Parameter:
 
 
 class Node:
-    """A value on the tape; `scanned` marks a value known to be finite.
+    """A value on the tape, a finite float64 array (module docstring).
 
     An in-place `relu` sets `value` to None; `backward` sets `value`,
     `grad_fn` and `parents` to None once it is done with the node.
     """
 
-    __slots__ = ("value", "parents", "grad_fn", "needs_grad", "scanned")
+    __slots__ = ("value", "parents", "grad_fn", "needs_grad")
 
-    def __init__(self, value, parents=(), grad_fn=None, needs_grad=False, scanned=False):
+    def __init__(self, value, parents=(), grad_fn=None, needs_grad=False):
         self.value = value
         self.parents = parents
         self.grad_fn = grad_fn
         self.needs_grad = needs_grad
-        self.scanned = scanned
 
     @property
     def shape(self):
@@ -150,35 +150,31 @@ class ComputeRecord:
         self._fresh = None  # last output whose array no other node reads yet
 
     def leaf(self, param: Parameter) -> Node:
+        if not np.isfinite(param.value).all():
+            raise NonFiniteError("non-finite parameter %s" % param.name)
         node = Node(param.value, needs_grad=self.grad and param.trainable)
         self._param_nodes[param.name] = (param, node)
         return self._keep(node)
 
     def constant(self, value) -> Node:
-        return self._keep(Node(np.asarray(value, dtype=float)))
+        value = np.asarray(value, dtype=float)
+        if not np.isfinite(value).all():
+            raise NonFiniteError("non-finite constant")
+        return self._keep(Node(value))
 
     def record(self, op_name, value, parents, grad_fn, scan=True, fresh=False) -> Node:
-        """Add one primitive's output.
+        """Add one primitive's output, a float64 array.
 
-        scan=False is for ops that map finite inputs to finite outputs:
-        only their unscanned inputs (leaves, constants) are checked.
+        scan=False is for ops that map finite inputs to finite outputs.
         fresh=True says `value` is an array the primitive allocated, which
         a `relu` right after it may overwrite.
         """
-        value = np.asarray(value, dtype=float)
-        if scan:
-            if not np.isfinite(value).all():
-                raise NonFiniteError("non-finite output of %s" % op_name)
-        else:
-            for p in parents:
-                if not (p.scanned or np.isfinite(p.value).all()):
-                    raise NonFiniteError("non-finite input of %s" % op_name)
-                p.scanned = True
+        if scan and not np.isfinite(value).all():
+            raise NonFiniteError("non-finite output of %s" % op_name)
         if self.grad:
-            node = Node(value, tuple(parents), grad_fn,
-                        any(p.needs_grad for p in parents), scanned=True)
+            node = Node(value, tuple(parents), grad_fn, any(p.needs_grad for p in parents))
         else:
-            node = Node(value, scanned=True)
+            node = Node(value)
         self._fresh = node if fresh else None
         return self._keep(node)
 
@@ -242,8 +238,7 @@ def relu(record, x, p=0.0, rng=None):
     overwrites x's array when x is the fresh output of the primitive
     recorded just before; x's value is then gone.  Leaves,
     constants and outputs another primitive read are never written.  Only
-    dropout scaling can overflow, so without it only an unscanned x (a
-    leaf or constant) is scanned.
+    dropout scaling can overflow, so only then is the output scanned.
     """
     x = _as_node(record, x)
     if not (0.0 <= p < 1.0):
@@ -650,6 +645,9 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     return out
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
@@ -657,9 +655,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(params, grads: dict, state: AdamState, lr: float):
@@ -673,7 +668,7 @@ def adam_step(params, grads: dict, state: AdamState, lr: float):
     if missing:
         raise NnError("gradients missing for trainable parameters: %s" % sorted(missing))
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, g in grads.items():
         p = by_name[name]
         if g.shape != p.value.shape:
@@ -689,7 +684,7 @@ def adam_step(params, grads: dict, state: AdamState, lr: float):
         state.m[name], state.v[name] = m, v
         m_hat = m / (1 - b1 ** state.t)
         v_hat = v / (1 - b2 ** state.t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def grad_check(build_loss, params) -> float:

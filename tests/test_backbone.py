@@ -270,6 +270,12 @@ class TestSharedSteps:
         op = graph_operator(bb, small_graph(6))
         P = nn.Parameter("prompt", rng.standard_normal((6, 5)))
         target = rng.standard_normal((len(starts), 3, 6))
+        if layout == "repeated":
+            # the shared layers take windows that start on distinct steps
+            with pytest.raises(BackboneError, match="share a start"):
+                forward_predict(bb, op, x, prompt=P.value, train=True, starts=starts)
+            assert shared == []
+            return
         runs = []
         for batch_starts in (starts, None):
             rec = nn.ComputeRecord()
@@ -278,10 +284,8 @@ class TestSharedSteps:
             runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
         (got, got_grads), (want, want_grads) = runs
         # two-step windows a 2-tap conv reads at both ends stack more rows
-        # than they have unless they overlap, so these two batches run
-        # windowed; so does a batch in which two windows share a start
-        windowed = ((t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
-                    or layout == "repeated")
+        # than they have unless they overlap, so these two batches run windowed
+        windowed = (t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
         assert len(shared) == (0 if windowed else 1)
         if windowed:
             assert got.tobytes() == windowed_forward(bb, op, x, P.value, train=True).tobytes()
@@ -313,6 +317,63 @@ class TestSharedSteps:
                 forward_predict(bb, op, x, starts=starts)
             with pytest.raises(BackboneError, match=match):
                 forward_predict(bb, op, x, train=True, starts=starts)
+
+
+CYCLE = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
+# integer operators: spatial [A + I], spectral [I, A, 2A^2 - I]
+EXACT_OPERATORS = {"spatial": [CYCLE + np.eye(4)],
+                   "spectral": [np.eye(4), CYCLE, 2 * CYCLE @ CYCLE - np.eye(4)]}
+EXACT_LAYOUTS = ("consecutive", "shuffled", "gapped")
+
+
+def exact_starts(layout, B, rng):
+    """B window starts: a run of steps, the same run shuffled, or gaps of 2 or 3 steps."""
+    if layout == "consecutive":
+        return 1 + np.arange(B)
+    if layout == "shuffled":
+        return 1 + rng.permutation(B)
+    return 1 + np.concatenate([[0], np.cumsum(rng.integers(2, 4, size=B - 1))])
+
+
+class TestSharedStepsExact:
+    """Under exact arithmetic the shared-step path equals the per-window path bit for bit.
+
+    Segment, weights, prompt and targets are small integers and the
+    operators integer matrices; with t_in = 8, t_out = 2, n = 4 and B a
+    power of two, the time mean and the loss divide by powers of two.
+    Every value is then a float64 held exactly, so no sum rounds in any
+    order, and the 1e-12 bounds above cover rounding only.
+    """
+
+    @pytest.mark.parametrize("layout", EXACT_LAYOUTS)
+    @pytest.mark.parametrize("B", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predictions_and_gradients_are_bit_equal(self, variant, kernel, B, layout,
+                                                     monkeypatch):
+        shared = spy_step_rows(monkeypatch)
+        rng = np.random.default_rng([kernel, B, EXACT_LAYOUTS.index(layout)])
+        starts = exact_starts(layout, B, rng)
+        seg = rng.integers(0, 4, size=(starts.max() + 10, 4)).astype(float)
+        x = seg[starts[:, None] + np.arange(8)][..., None]
+        target = seg[starts[:, None] + 8 + np.arange(2)]
+        bb = build_backbone(variant, d=3, kernel=kernel, t_out=2, seed=kernel)
+        for param in bb.parameters():
+            param.value = rng.integers(-1, 2, size=param.value.shape).astype(float)
+        P = nn.Parameter("prompt", rng.integers(-1, 2, size=(4, 3)).astype(float))
+        runs = []
+        for batch_starts in (starts, None):
+            rec = nn.ComputeRecord()
+            pred, _ = forward_predict(bb, EXACT_OPERATORS[variant], x, prompt=rec.leaf(P),
+                                      record=rec, train=True, starts=batch_starts)
+            runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
+            assert len(shared) == 1  # the run with starts shared steps, the other did not
+        (got, got_grads), (want, want_grads) = runs
+        assert got.tobytes() == want.tobytes()
+        assert sorted(got_grads) == sorted(want_grads)
+        assert any(g.any() for g in want_grads.values())
+        for name, g in want_grads.items():
+            assert got_grads[name].tobytes() == g.tobytes(), name
 
 
 SPY_STEP_ROWS = """

@@ -104,6 +104,29 @@ class TestRun:
         assert rc == 1
         assert field in json.loads((out / "manifest.json").read_text())["error"]
 
+    def test_pool_rank_above_width_exits_1(self, tmp_path, capsys):
+        # k <= d depends only on the config; the low-rank pool needs it
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, k=8, d=6),
+                   "--synth", SYNTH, "--out", str(out)])
+        assert rc == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert "k=8" in error and "d=6" in error and error in capsys.readouterr().err
+
+    def test_pool_rank_above_node_count_exits_2(self, tmp_path, capsys):
+        # k <= n depends on the data: the first period has 5 nodes
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, k=6, d=6),
+                   "--synth", SYNTH, "--out", str(out)])
+        assert rc == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert "k=6" in error and "n=5" in error and error in capsys.readouterr().err
+
+    def test_full_pool_ignores_k(self, tmp_path):
+        rc = main(["run", "--config", tiny_config(tmp_path, scheme="EAC_full", k=8, d=6),
+                   "--synth", SYNTH, "--out", str(tmp_path / "out")])
+        assert rc == 0
+
     @pytest.mark.parametrize("field, value", [
         ("variant", "mystery"), ("seeds", "ab"), ("seeds", [1.5]), ("d", "8"),
         ("d", 8.0), ("k", True), ("lr_initial", "0.1"), ("few_shot_random", 1),
@@ -520,6 +543,13 @@ class TestAnalyze:
 
 
 class TestGradcheck:
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seed_count_below_one_exits_1(self, capsys, seeds):
+        assert main(["gradcheck", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds must be at least 1, got %s\n" % seeds
+
     def test_passes_on_small_seed_set(self, capsys):
         assert main(["gradcheck", "--seeds", "1"]) == 0
         out = capsys.readouterr().out

@@ -141,6 +141,21 @@ class TestTrainPeriod:
         order = nn.rng_stream(7, "shuffle", 2, 1).permutation(6)
         assert 4 in order[4 * abort.batch:4 * abort.batch + 4]
 
+    def test_non_finite_parameter_aborts_naming_it(self):
+        from growcast.backbone import build_backbone, graph_operator
+        from growcast.engine import _make_forward
+        stream, _ = tiny_stream(periods=1)
+        bb = build_backbone("spatial", d=4, seed=1)
+        bb.params["gconv1.W"].value[1, 2] = np.nan
+        forward = _make_forward(bb, graph_operator(bb, stream.periods[0].adjacency), None)
+        n = len(stream.periods[0].nodes)
+        train = Windows(X=np.zeros((6, 12, n)), Y=np.zeros((6, 12, n)), starts=np.arange(6))
+        with pytest.raises(TrainingAbort) as info:
+            train_period(forward, bb.parameters(), train, train, Normalizer(0.0, 1.0), lr=0.01,
+                         epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
+        assert str(info.value) == ("non-finite parameter gconv1.W in period 2, seed 7, "
+                                   "epoch 1, batch 0, lr 0.01")
+
 
 def gathered_validation_mae(forward, samples, normalizer, batch_size):
     """_validation_mae as it ran over gathered index batches."""

@@ -228,7 +228,8 @@ class TestKernelOracles:
         assert np.array_equal(gx, np.repeat(g[:, None] / 3, 3, axis=1))
 
     def test_nonfinite_output_names_the_op(self):
-        # each rewritten kernel still scans its own output
+        # finite inputs whose product, sum or dropout scaling overflows in
+        # the primitive's own arithmetic; each scans its output
         big = np.full((1, 2, 3, 4), 1e300)
         cases = [
             ("temporal_conv", lambda rec: nn.temporal_conv(
@@ -237,11 +238,13 @@ class TestKernelOracles:
                 rec, [np.full((3, 3), 1e300)], big, np.eye(4))),
             ("graph_conv", lambda rec: nn.graph_conv(
                 rec, [np.eye(3), np.full((3, 3), 1e300)], big, np.ones(2))),
-            ("relu", lambda rec: nn.relu(rec, np.array([np.nan, 1.0]))),
-            ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.inf * big)),
+            ("relu", lambda rec: nn.relu(rec, np.full(64, 1.5e308), 0.5,
+                                         nn.rng_stream(0, "drop"))),
+            ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.full(big.shape, 1.5e308))),
         ]
         for op, call in cases:
-            with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError, match=op):
+            with np.errstate(all="ignore"), pytest.raises(
+                    nn.NonFiniteError, match="^non-finite output of %s$" % op):
                 call(nn.ComputeRecord())
 
 
@@ -416,15 +419,19 @@ class TestSlabLists:
 
 
 class TestRecordContracts:
-    @pytest.mark.parametrize("p", [0.0, 0.5])
-    def test_nonfinite_leaf_or_constant_into_relu_names_relu(self, p):
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_nonfinite_leaf_or_constant_is_rejected_on_entry(self, grad):
+        # a value enters the tape checked, so no primitive rescans it
         for bad in (np.nan, np.inf, -np.inf):
             x = np.array([[1.0, bad], [-2.0, 3.0]])
-            for make in (lambda rec: rec.constant(x),
-                         lambda rec: rec.leaf(nn.Parameter("w", x))):
-                rec = nn.ComputeRecord()
-                with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError, match="relu"):
-                    nn.relu(rec, make(rec), p, nn.rng_stream(0, "drop"))
+            rec = nn.ComputeRecord(grad=grad)
+            with pytest.raises(nn.NonFiniteError, match="^non-finite constant$"):
+                rec.constant(x)
+            with pytest.raises(nn.NonFiniteError, match="^non-finite constant$"):
+                nn.relu(rec, x)  # a raw array enters as a constant
+            with pytest.raises(nn.NonFiniteError, match="^non-finite parameter gconv1.W$"):
+                rec.leaf(nn.Parameter("gconv1.W", x))
+            assert rec.nodes == [] and rec._param_nodes == {}
 
     def test_relu_writes_only_a_fresh_unread_output(self):
         rng = np.random.default_rng(16)
