@@ -20,18 +20,13 @@ Batches share steps.  Windows of one split overlap: consecutive ones in
 all but one step, and a shuffled training batch of 128 of 457 windows
 reads only about 460 distinct steps in its 1,536 window rows.  When the
 caller passes the windows' start offsets and the batch draws no dropout
-mask, every layer up to the time pooling runs once per distinct step:
-layer 1 on the sorted distinct steps, passed as one window, the temporal
-conv's interior rows once per step and only its padded edge rows per
-window, and the second graph conv on both.  The windows are gathered
-back for pooling and the head, and backward adds each window's gradient
-into the rows it shares.  Every layer after the first meets each step with the
-same products in the same order as the windowed path; the layer-1 GEMM
-has one row per distinct step instead of B*T, and BLAS may round a row
-differently with the row count, so predictions match the windowed path
-up to last-digit rounding, and gradients, which sum the windows in
-another order, too.  A batch that draws dropout masks keeps the windowed
-path and its (B, T, n, d) draws; no other may repeat a start.
+mask, layer 1 runs on the batch's sorted distinct steps, passed as one
+window, the temporal conv and the time pooling take the `nn.Steps`
+layout of the windows over them, and the second graph conv runs on the
+conv's stack.  `nn.Steps` says what is computed once per step and how
+closely it matches the windowed path.  A batch that draws dropout masks
+keeps the windowed path and its (B, T, n, d) draws; no other may repeat
+a start.
 """
 from __future__ import annotations
 
@@ -110,14 +105,13 @@ def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
 
 
 def _shared_steps(x, starts, kernel):
-    """(timeline, window, rows) that run windows x starting at `starts` once per step.
+    """(timeline, layout) that run windows x starting at `starts` once per step.
 
-    The timeline is the sorted distinct steps of all windows, (1, L, n, 1);
-    window[i, o] is the timeline row of step o of window i, and rows maps
-    window rows to the temporal conv's stacked output (`nn.step_rows`).
-    None when that stack would have more rows than the B*T window rows.
-    Raises BackboneError when two windows share a start or the windows do
-    not agree with their starts.
+    The timeline is the sorted distinct steps of all windows, (1, L, n, 1),
+    and the layout the `nn.Steps` that lays the windows over it.  None when
+    the layout would stack more rows than the B*T window rows.  Raises
+    BackboneError when two windows share a start or the windows do not
+    agree with their starts.
     """
     B, T = x.shape[:2]
     starts = np.asarray(starts)
@@ -127,18 +121,17 @@ def _shared_steps(x, starts, kernel):
     if len(np.unique(starts)) < B:
         raise BackboneError("two windows of the batch share a start offset")
     steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
-    # the stack holds L - K + 1 shared rows and K - 1 edge rows per window
-    if kernel <= T and len(steps) - kernel + 1 > B * (T - kernel + 1):
-        return None
     window = window.reshape(B, T)
-    rows = nn.step_rows(window, kernel)
+    layout = nn.Steps(window[:, 0], T, kernel)
+    if layout.n_rows > B * T:
+        return None
     x = x[..., 0]
     timeline = np.empty((len(steps),) + x.shape[2:])
     timeline[window] = x
     got = timeline[window]
     if not ((got == x).all() or np.array_equal(got, x, equal_nan=True)):
         raise BackboneError("windows do not agree with their start offsets")
-    return timeline[None, ..., None], window, rows
+    return timeline[None, ..., None], layout
 
 
 def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
@@ -176,17 +169,16 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
     drop_p = backbone.dropout_p if train else 0.0
     shared = None if starts is None or drop_p > 0.0 else _shared_steps(x, starts,
                                                                        backbone.kernel)
-    window = rows = None
+    steps = None
     if shared is not None:
-        x, window, rows = shared
+        x, steps = shared
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
                                        leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
                 drop_p, rng)
-    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"],
-                                         window=window),
+    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"], steps),
                 drop_p, rng)
     h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + weight]))
-    h = nn.mean_pool_time(record, h, rows)  # (B, n, d)
+    h = nn.mean_pool_time(record, h, steps)  # (B, n, d)
     out = nn.linear(record, h, leaf["head.W"], leaf["head.b"])  # (B, n, t_out)
 
     def grad_fn(g):

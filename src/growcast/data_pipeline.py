@@ -209,10 +209,22 @@ def few_shot_subsample(train: Windows, fraction: float = 0.2, seed: int = 0,
 def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
                          few_shot_fraction=None, seed: int = 0,
                          few_shot_random: bool = False) -> PeriodDataset:
-    """Split, normalize on train statistics, window each segment."""
-    train_seg, val_seg, test_seg = chrono_split(series, t_in=T_IN, t_out=T_OUT)
-    norm = Normalizer.fit(train_seg, series.period_index)
-    train, val, test = (make_windows(norm.apply(seg)) for seg in (train_seg, val_seg, test_seg))
+    """Split, normalize on train statistics, window each segment.
+
+    A split whose normalized values overflow is a DataError naming it.
+    """
+    segments = chrono_split(series, t_in=T_IN, t_out=T_OUT)
+    norm = Normalizer.fit(segments[0], series.period_index)
+    windows = []
+    for name, seg in zip(("train", "val", "test"), segments):
+        with np.errstate(over="ignore"):
+            seg = norm.apply(seg)
+        if not np.isfinite(seg).all():
+            raise DataError("period %d %s observations overflow once normalized "
+                            "(train mean %r, std %r)" % (series.period_index, name,
+                                                         norm.mean, norm.std))
+        windows.append(make_windows(seg))
+    train, val, test = windows
     if few_shot_fraction is not None:
         train = few_shot_subsample(train, few_shot_fraction, seed, few_shot_random)
     return PeriodDataset(train=train, val=val, test=test, normalizer=norm, graph=graph)

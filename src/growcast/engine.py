@@ -9,11 +9,10 @@ trains after period 1; `SCHEMES` is the one place a scheme is defined.
 Training batches are shuffled windows, gathered into fresh arrays;
 validation and test batches are slices of the split's strided window
 view.  Every batch passes its windows' start offsets, so the backbone
-computes each distinct time step of a batch once (`backbone` module
-docstring) unless the batch draws dropout masks: period-1 training and
-RetrainST keep the windowed path, while pool tuning and the later
-periods of ContinualAN and ContinualNN share steps.  Shared results
-match the windowed ones up to last-digit rounding.
+computes each distinct time step of a batch once (`nn_core.Steps`)
+unless the batch draws dropout masks: period-1 training and RetrainST
+keep the windowed path, while pool tuning and the later periods of
+ContinualAN and ContinualNN share steps.
 """
 from __future__ import annotations
 
@@ -67,17 +66,19 @@ SCHEMES = {
 
 
 class TrainingAbort(RuntimeError):
-    """A non-finite value in a training step, and where it happened.
+    """A non-finite value in a training step or a validation pass, and where it happened.
 
     The message keeps the tape's own, which names the primitive or the
-    parameter, and adds the period, seed, epoch, batch and learning rate.
+    parameter, and adds the period, seed, epoch, batch (None for the
+    validation pass that ends an epoch) and learning rate.
     """
 
     def __init__(self, cause, period_index, seed, epoch, batch, lr):
         self.period_index, self.seed = period_index, seed
         self.epoch, self.batch, self.lr = epoch, batch, lr
-        super().__init__("%s in period %d, seed %d, epoch %d, batch %d, lr %g"
-                         % (cause, period_index, seed, epoch, batch, lr))
+        super().__init__("%s in period %d, seed %d, epoch %d, %s, lr %g"
+                         % (cause, period_index, seed, epoch,
+                            "validation pass" if batch is None else "batch %d" % batch, lr))
 
 
 # the JSON types each config field but `seeds` accepts (true is not an int)
@@ -127,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError("%s must be positive and finite" % name)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be distinct, got %r" % (self.seeds,))
         for name in ("d", "k", "kernel", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be at least 1" % name)
@@ -224,7 +227,10 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
             nn.adam_step(params, grads, state, lr)
         wall += time.perf_counter() - t0
         epochs_run = epoch
-        val_mae = _validation_mae(forward, val_samples, normalizer, batch_size)
+        try:
+            val_mae = _validation_mae(forward, val_samples, normalizer, batch_size)
+        except nn.NonFiniteError as exc:
+            raise TrainingAbort(exc, period_index, seed, epoch, None, lr) from exc
         if val_mae < best_mae - MIN_DELTA:
             best_mae = val_mae
             best_values = {p.name: p.value.copy() for p in params}

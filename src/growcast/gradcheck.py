@@ -45,17 +45,16 @@ def gradcheck_table(seeds=range(20)) -> list:
                                     np.zeros((2, t_in, n, d))), [Wt, bt])
 
         # shared steps: three 4-step windows at rows 0, 2 and 1 of a t_in-step timeline
-        window = np.array([0, 2, 1])[:, None] + np.arange(4)
-        stacked = nn.step_rows(window, 3)
+        steps = nn.Steps(np.array([0, 2, 1]), 4, 3)
         Hs = nn.Parameter("Hs", h0[:1])
         check("temporal_conv_shared:%d" % seed,
               lambda r: nn.mse_loss(r, nn.temporal_conv(r, r.leaf(Hs), r.leaf(Wt), r.leaf(bt),
-                                                        window=window),
-                                    np.zeros((stacked.max() + 1, n, d))), [Hs, Wt, bt])
+                                                        steps),
+                                    np.zeros((steps.n_rows, n, d))), [Hs, Wt, bt])
         S = nn.Parameter("S", nn.rng_stream(seed, "gradcheck", "rows").standard_normal(
-            (stacked.max() + 1, n, d)))
+            (steps.n_rows, n, d)))
         check("mean_pool_time_rows:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.mean_pool_time(r, r.leaf(S), stacked),
+              lambda r: nn.mse_loss(r, nn.mean_pool_time(r, r.leaf(S), steps),
                                     np.zeros((3, n, d))), [S])
 
         dist = np.abs(rng.standard_normal((n, n)))

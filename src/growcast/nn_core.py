@@ -27,21 +27,11 @@ be taken read.  Dropout keeps its bool mask, not the float multiplier;
 step's memory falls as backward replays, and a record that backward has
 consumed holds its leaves and nothing else.
 
-Shared steps run overlapping windows once per distinct step: the
-backbone hands `graph_input` the batch's distinct steps as one
-(1, L, n, 1) timeline, `temporal_conv(..., window=)` stacks the rows the
-windows share and each window's padded edge rows, and
-`mean_pool_time(..., rows=step_rows(window, K))` pools the windows from
-that stack.  Either layout of the temporal conv is a list of slabs, one
-tap's GEMM over a block of rows, and one forward and one backward kernel
-run both.  Windows start on distinct rows, so no slab reads or writes a
-row twice and backward adds each window's gradient with an indexed +=.
-Every layer after the first meets each step with the same products in
-the same order as the windowed path; the layer-1 GEMM has L rows instead
-of B*T, and BLAS may round a row differently with the row count, so
-predictions agree with per-window evaluation up to that last-digit
-rounding.  Gradients sum the windows' contributions in another order,
-so they agree up to rounding too.
+Shared steps run overlapping windows once per distinct step: a `Steps`
+layout says where each window lies on one timeline of steps, and
+`temporal_conv` and `mean_pool_time` take it as `steps=`.  Either layout
+of the temporal conv is a list of slabs, one tap's GEMM over a block of
+rows, and one forward and one backward kernel run both.
 """
 from __future__ import annotations
 
@@ -62,7 +52,7 @@ __all__ = [
     "concat_rows",
     "graph_input",
     "temporal_conv",
-    "step_rows",
+    "Steps",
     "graph_conv",
     "mean_pool_time",
     "mse_loss",
@@ -302,65 +292,68 @@ def _taps(K, T):
             for j, (k, s) in enumerate(shifts)]
 
 
-def _step_layout(window, K):
-    """(edge rows, shared row count) of windows laid over a timeline, under a K-tap conv.
+class Steps:
+    """Overlapping windows laid over one timeline of distinct steps, under a K-tap conv.
 
-    window[i, o] is the timeline row of step o of window i.  Window row o
-    is an edge row when a tap reads padding for it: the first K // 2 rows
-    and the last K - 1 - K // 2.  Shared row j is the interior row at
-    timeline row j + K // 2, for every timeline row up to the last one a
-    window reads (none when every row is an edge).
+    heads[i] is the timeline row on which window i starts, so step o of
+    window i is timeline row heads[i] + o; the heads are distinct, and the
+    windows read the first `length` rows of the timeline.  Built once per
+    batch and passed as `steps=` to `temporal_conv` and `mean_pool_time`.
+
+    Window row o is an edge row when one of the conv's taps reads padding
+    for it: the first K // 2 rows and the last K - 1 - K // 2.  Interior
+    rows see only their own window's steps, and windows that overlap see
+    the same steps there, so the conv computes each interior timeline row
+    once and only the edge rows per window.  Its output is a stack of
+    `n_rows` rows: shared row j is the interior row at timeline row
+    j + K // 2, for every timeline row up to the last one a window reads
+    (none when every row is an edge), and each window's edge rows follow,
+    window by window.  `rows` is the (B, T) map from window rows to stack
+    rows that `mean_pool_time` gathers; no row repeats within a column.
+
+    `slabs` are the conv's slabs (k, timeline rows, stack rows, first) as
+    in `_taps`: tap k reads one timeline slice into all shared rows, and
+    for each edge row o, row o + s of every window (a slice when the
+    windows follow one another step by step, else an index array) into
+    that row's strided stack slice.  Slabs go tap by tap; the first tap to
+    reach a row writes it.  With distinct heads no slab reads or writes a
+    row twice, so backward adds each window's gradient with an indexed +=.
+
+    Every layer after the first meets each step with the same products in
+    the same order as the windowed path.  The caller's layer-1 GEMM has
+    one row per timeline step instead of B*T, and BLAS may round a row
+    differently with the row count, so predictions agree with per-window
+    evaluation up to that last-digit rounding.  Gradients sum the windows'
+    contributions in another order, so they agree up to rounding too.
     """
-    T = window.shape[1]
-    edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
-    return edges, (int(window.max()) + 2 - K if len(edges) < T else 0)
 
-
-def step_rows(window, K):
-    """(B, T) map from window rows to the rows `temporal_conv(..., window=window)` stacks.
-
-    Interior row o of window i is shared row window[i, o] - K // 2; each
-    window's edge rows follow the shared ones, window by window.
-    """
-    edges, n_shared = _step_layout(window, K)
-    B, T = window.shape
-    interior = np.arange(K // 2, K // 2 + T - len(edges))
-    rows = np.empty((B, T), dtype=np.intp)
-    rows[:, interior] = window[:, interior] - K // 2
-    rows[:, edges] = n_shared + np.arange(B)[:, None] * len(edges) + np.arange(len(edges))
-    return rows
-
-
-def _shared_slabs(window, K):
-    """(slabs, stacked row count) of a K-tap conv over the windows laid on a timeline.
-
-    Slabs are as in `_taps`, into the rows `step_rows` stacks.  Tap k reads
-    one timeline slice into all shared rows, and for each edge row o, row
-    o + s of every window (a slice when the windows follow one another
-    step by step, else an index array) into that row's strided stack
-    slice.  Slabs go tap by tap; the first tap to reach a row writes it.
-    """
-    B, T = window.shape
-    edges, n_shared = _step_layout(window, K)
-    heads = window[:, 0]
-    h = int(heads[0])
-    consecutive = np.array_equal(heads, h + np.arange(B))
-    slabs = []
-    for k in range(K):
-        s = k - K // 2
-        if n_shared:  # every tap reaches every shared row
-            slabs.append((k, slice(K // 2 + s, K // 2 + s + n_shared), slice(0, n_shared), k == 0))
-        slabs += [(k, slice(h + o + s, h + o + s + B) if consecutive else heads + o + s,
-                   slice(n_shared + e, None, len(edges)), k == 0 or o + s == 0)
-                  for e, o in enumerate(edges) if 0 <= o + s < T]
-    return slabs, n_shared + B * len(edges)
-
-
-def _fits_timeline(window, L):
-    """Whether window is a (B, T) integer map of consecutive rows of an L-row timeline."""
-    return (isinstance(window, np.ndarray) and window.ndim == 2 and window.dtype.kind in "iu"
-            and window.size > 0 and window.min() >= 0 and window.max() < L
-            and bool((np.diff(window, axis=1) == 1).all()))
+    def __init__(self, heads, T, K):
+        heads = np.asarray(heads)
+        if not (heads.ndim == 1 and heads.size > 0 and heads.dtype.kind in "iu"
+                and heads.min() >= 0 and len(np.unique(heads)) == len(heads)):
+            raise ShapeError("steps: heads must be a nonempty 1-D array of distinct "
+                             "nonnegative integers, got %s of %s" % (heads.shape, heads.dtype))
+        heads = heads.astype(np.intp, copy=False)
+        B, h = len(heads), int(heads[0])
+        self.heads, self.T, self.K = heads, T, K
+        self.length = int(heads.max()) + T
+        edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
+        n_shared = self.length + 1 - K if len(edges) < T else 0
+        self.n_rows = n_shared + B * len(edges)
+        interior = np.arange(K // 2, K // 2 + T - len(edges))
+        self.rows = np.empty((B, T), dtype=np.intp)
+        self.rows[:, interior] = heads[:, None] + interior - K // 2
+        self.rows[:, edges] = n_shared + np.arange(B)[:, None] * len(edges) + np.arange(len(edges))
+        consecutive = np.array_equal(heads, h + np.arange(B))
+        self.slabs = []
+        for k in range(K):
+            s = k - K // 2
+            if n_shared:  # every tap reaches every shared row
+                self.slabs.append((k, slice(K // 2 + s, K // 2 + s + n_shared),
+                                   slice(0, n_shared), k == 0))
+            self.slabs += [(k, slice(h + o + s, h + o + s + B) if consecutive else heads + (o + s),
+                            slice(n_shared + e, None, len(edges)), k == 0 or o + s == 0)
+                           for e, o in enumerate(edges) if 0 <= o + s < T]
 
 
 def _slab_sum(src, mats, slabs, out):
@@ -377,7 +370,7 @@ def _slab_sum(src, mats, slabs, out):
     return out
 
 
-def temporal_conv(record, x, W, b, window=None):
+def temporal_conv(record, x, W, b, steps=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
 
     x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
@@ -386,27 +379,21 @@ def temporal_conv(record, x, W, b, window=None):
     input gradient runs the slabs from output to input with W[k]^T, and
     the weight gradient is one 2-D GEMM per slab over the rows it reads.
 
-    window (shared steps): x is a (1, L, n, d_in) timeline of steps and
-    window a (B, T) integer array, window[i, o] the timeline row of step o
-    of window i, each window's rows consecutive and no two windows
-    starting on one row.  Rows whose taps all land inside their window
-    are computed once per timeline step; only the K - 1 rows per window
-    that touch padding are computed per window.  The output stacks both as
-    `step_rows` maps them, and the same kernels run `_shared_slabs`.
+    steps (a `Steps` layout with K taps): x is a (1, L, n, d_in) timeline
+    of at least `steps.length` rows, the output is the layout's
+    (n_rows, n, d_out) stack, and the same kernels run `steps.slabs`.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
-    shared = window is not None
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
                  and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],)
-                 and (not shared or (x.shape[0] == 1 and _fits_timeline(window, x.shape[1]))),
-                 x.shape, W.shape, b.shape, np.shape(window))
+                 and (steps is None or (x.shape[0] == 1 and x.shape[1] >= steps.length
+                                        and W.shape[0] == steps.K)),
+                 x.shape, W.shape, b.shape)
     K = W.shape[0]
-    if shared:
-        if len(np.unique(window[:, 0])) < len(window):
-            raise ShapeError("temporal_conv: windows must start on distinct timeline rows")
+    if steps is not None:
         src = x.value[0]
-        slabs, n_rows = _shared_slabs(window, K)
-        out = np.empty((n_rows, x.shape[2], W.shape[2]))
+        slabs = steps.slabs
+        out = np.empty((steps.n_rows, x.shape[2], W.shape[2]))
     else:
         src = x.value
         slabs = _taps(K, x.shape[1])
@@ -554,34 +541,31 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     return record.record("graph_input", out, parents, grad_fn, fresh=True)
 
 
-def mean_pool_time(record, x, rows=None):
-    """Mean over the time axis of a (B, T, n, d) tensor, or of x[rows].
+def mean_pool_time(record, x, steps=None):
+    """Mean over the time axis of a (B, T, n, d) tensor, or of x[steps.rows].
 
-    rows (shared steps): a (B, T) integer index into a stack of steps, as
-    `step_rows` gives, with no row twice in one column.  The T gathered
-    (B, n, d) slices add into one buffer in time order, as numpy's mean
-    over the middle axis of x[rows] adds them, with no (B, T, n, d) copy;
-    backward adds each window's gradient into the rows it read.
+    steps (a `Steps` layout): x is the layout's (n_rows, n, d) stack.  The
+    T gathered (B, n, d) slices add into one buffer in time order, as
+    numpy's mean over the middle axis of x[rows] adds them, with no
+    (B, T, n, d) copy; backward adds each window's gradient into the rows
+    it read.
     """
     x = _as_node(record, x)
-    if rows is None:
+    if steps is None:
         _shape_check("mean_pool_time", x.value.ndim == 4, x.shape)
         T = x.shape[1]
         out = x.value.mean(axis=1)
     else:
-        _shape_check("mean_pool_time", x.value.ndim == 3 and rows.ndim == 2 and rows.size > 0
-                     and rows.min() >= 0 and rows.max() < x.shape[0], rows.shape, x.shape)
-        by_column = np.sort(rows, axis=0)
-        if (by_column[1:] == by_column[:-1]).any():
-            raise ShapeError("mean_pool_time: a row repeats within a column of rows")
-        T = rows.shape[1]
+        _shape_check("mean_pool_time", x.value.ndim == 3 and x.shape[0] == steps.n_rows,
+                     x.shape, (steps.n_rows,))
+        rows, T = steps.rows, steps.T
         out = x.value[rows[:, 0]]
         for o in range(1, T):
             out += x.value[rows[:, o]]
         out /= T
 
     def grad_fn(g):
-        if rows is None:
+        if steps is None:
             return [np.broadcast_to(g[:, None] / T, x.shape)]
         gx = np.zeros(x.shape)
         g = g / T

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from growcast import nn_core as nn
+from growcast import backbone, nn_core as nn
 from growcast.backbone import (
     VARIANTS,
     BackboneError,
@@ -183,12 +183,23 @@ def consecutive_windows(B, n, order, seed=0, nan_at=None):
     return X[3:3 + B][..., None]
 
 
-def spy_step_rows(monkeypatch):
-    """The list of `nn.step_rows` calls: one per batch that shares steps."""
-    calls = []
-    step_rows = nn.step_rows
-    monkeypatch.setattr(nn, "step_rows", lambda *a: calls.append(a) or step_rows(*a))
-    return calls
+def spy_shared_steps(monkeypatch):
+    """The `nn.Steps` layouts of the batches that share steps, one per batch.
+
+    A batch whose windows overlap too little builds a layout too, then
+    runs windowed; `_shared_steps` returns None for it, so it is not listed.
+    """
+    layouts = []
+    shared_steps = backbone._shared_steps
+
+    def spy(*args):
+        out = shared_steps(*args)
+        if out is not None:
+            layouts.append(out[1])
+        return out
+
+    monkeypatch.setattr(backbone, "_shared_steps", spy)
+    return layouts
 
 
 # window starts of one batch, in batch order
@@ -204,7 +215,7 @@ class TestSharedSteps:
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5, 13])
     @pytest.mark.parametrize("B", [1, 2, 37])
     def test_bit_equal_to_gathered_windows(self, variant, kernel, B, monkeypatch):
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         bb = build_backbone(variant, d=5, kernel=kernel, seed=kernel)
         op = graph_operator(bb, small_graph(6))
         P = np.random.default_rng(B).standard_normal((6, 5))
@@ -220,7 +231,7 @@ class TestSharedSteps:
                 assert got.value.tobytes() == want.value.tobytes()
                 assert got.value.tobytes() == windowed_forward(bb, op, gathered,
                                                                prompt).tobytes()
-        assert [(window.shape, K) for window, K in shared] == [((B, 12), kernel)] * 4
+        assert [(len(s.heads), s.T, s.K) for s in shared] == [(B, 12, kernel)] * 4
 
     @pytest.mark.parametrize("nan_at", [(3, 2), (3 + 36 + 11, 5)])
     def test_nan_input_names_the_primitive(self, nan_at):
@@ -234,7 +245,7 @@ class TestSharedSteps:
 
     def test_training_and_gathered_batches_keep_windowed_bits(self, monkeypatch):
         # a batch that draws dropout masks, or comes without starts, runs every window row
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2, dropout_p=0.3)
             op = graph_operator(bb, small_graph(6))
@@ -261,7 +272,7 @@ class TestSharedSteps:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_gradients_match_windows(self, variant, kernel, t_in, layout,
                                               monkeypatch):
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         starts = np.array(LAYOUTS[layout])
         rng = np.random.default_rng(kernel + 10 * t_in)
         seg = rng.standard_normal((starts.max() + t_in, 6))
@@ -296,7 +307,7 @@ class TestSharedSteps:
 
     def test_batch_without_overlap_keeps_windowed_bits(self, monkeypatch):
         # disjoint windows would stack more rows than they have; they run windowed
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         seg = np.random.default_rng(5).standard_normal((60, 6))
         starts = np.array([0, 24, 12, 40])
         x = seg[starts[:, None] + np.arange(12)][..., None]
@@ -351,7 +362,7 @@ class TestSharedStepsExact:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_predictions_and_gradients_are_bit_equal(self, variant, kernel, B, layout,
                                                      monkeypatch):
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         rng = np.random.default_rng([kernel, B, EXACT_LAYOUTS.index(layout)])
         starts = exact_starts(layout, B, rng)
         seg = rng.integers(0, 4, size=(starts.max() + 10, 4)).astype(float)
@@ -376,15 +387,15 @@ class TestSharedStepsExact:
             assert got_grads[name].tobytes() == g.tobytes(), name
 
 
-SPY_STEP_ROWS = """
+SPY_SHARED_STEPS = """
 import numpy as np
-from growcast import nn_core as nn
+from growcast import backbone
 from growcast.backbone import build_backbone, forward_predict, graph_operator
 from test_backbone import consecutive_windows, small_graph
 
 calls = []
-step_rows = nn.step_rows
-nn.step_rows = lambda *a: calls.append(a) or step_rows(*a)
+shared_steps = backbone._shared_steps
+backbone._shared_steps = lambda *a: calls.append(shared_steps(*a)) or calls[-1]
 for variant in ("spatial", "spectral"):
     bb = build_backbone(variant, d=4, seed=1)
     for n in (200, 250, 300):
@@ -393,7 +404,7 @@ for variant in ("spatial", "spectral"):
             del calls[:]
             forward_predict(bb, op, consecutive_windows(B, n, "C", seed=B),
                             starts=np.arange(3, 3 + B))
-            print(variant, n, B, len(calls))
+            print(variant, n, B, sum(c is not None for c in calls))
 """
 
 
@@ -403,7 +414,7 @@ class TestSharedStepsAtScale:
         # must not decide whether a batch shares its steps
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        proc = subprocess.run([sys.executable, "-c", SPY_STEP_ROWS], env=env,
+        proc = subprocess.run([sys.executable, "-c", SPY_SHARED_STEPS], env=env,
                               capture_output=True, text=True, cwd=os.path.dirname(__file__))
         assert proc.returncode == 0, proc.stderr
         batches = [line.split() for line in proc.stdout.splitlines()]
@@ -415,7 +426,7 @@ class TestSharedStepsAtScale:
     def test_within_last_digit_rounding_of_windows(self, variant, n, monkeypatch):
         # the layer-1 GEMM has B + 11 rows here and B * 12 in the windowed
         # path, and BLAS may round a row differently with the row count
-        shared = spy_step_rows(monkeypatch)
+        shared = spy_shared_steps(monkeypatch)
         bb = build_backbone(variant, d=8, seed=n)
         op = graph_operator(bb, small_graph(n))
         P = np.random.default_rng(n).standard_normal((n, 8))

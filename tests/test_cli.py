@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from growcast import nn_core as nn
 from growcast.cli import main
+from growcast.data_pipeline import SPLIT_RATIOS
 
 SYNTH = "n0=5,growth=2,periods=2,T=160,seed=3"
 
@@ -225,6 +227,34 @@ class TestRun:
         assert "period01_distances.csv is not symmetric" in error
         assert error in capsys.readouterr().err
 
+    def test_non_finite_validation_exits_3_naming_period_seed_and_epoch(self, tmp_path, capsys):
+        # the first step's update overflows the weights; validation meets them first
+        out = tmp_path / "out"
+        config = tiny_config(tmp_path, scheme="PretrainST", d=4, patience=1, lr_initial=1e308,
+                             batch_size=512)
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", config, "--synth", "n0=6,growth=2,periods=2,T=200,seed=1",
+                       "--out", str(out)])
+        assert rc == 3
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == ("non-finite output of graph_input in period 1, seed 1, epoch 1, "
+                         "validation pass, lr 1e+308")
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "--seeds"])
+    def test_repeated_seed_exits_1(self, tmp_path, capsys, where):
+        out = tmp_path / "out"
+        if where == "config":
+            args = ["--config", tiny_config(tmp_path, seeds=[1, 1])]
+        else:
+            args = ["--config", tiny_config(tmp_path), "--seeds", "1,1"]
+        rc = main(["run"] + args + ["--synth", SYNTH, "--out", str(out)])
+        assert rc == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == "seeds must be distinct, got [1, 1]"
+        assert error in capsys.readouterr().err
+        assert not (out / "reports.json").exists()
+
     def test_metric_failure_exits_3_with_manifest(self, tmp_path, capsys, monkeypatch):
         from growcast import engine
         from growcast.analysis import AnalysisError
@@ -336,6 +366,16 @@ def truncate(text):
     return text[:len(text) // 2]
 
 
+def overflow_once_normalized(text):
+    """Period 2's train rows all 1 (std 0, clamped to 1e-8), its val and test rows 1e301."""
+    lines = text.splitlines()
+    b1 = math.floor(SPLIT_RATIOS[0] * (len(lines) - 1))
+    for t in range(1, len(lines)):
+        cells = lines[t].split(",")
+        lines[t] = ",".join(cells[:1] + ["1" if t <= b1 else "1e301"] * (len(cells) - 1))
+    return "\n".join(lines) + "\n"
+
+
 def period_two(edit):
     """Edit of the stream manifest's JSON: `edit` applied to period 2's entry."""
     def apply(text):
@@ -366,7 +406,8 @@ MUTATIONS = {
     "period02_observations.csv": dict(
         {name: set_cell(1, 2, v) for name, v in VALUES.items()},
         extra_column=extra_column, asymmetric=swap_cells(0, 1, 2),
-        truncated=truncate, repeated_id=set_cell(0, 2, "s000")),
+        truncated=truncate, repeated_id=set_cell(0, 2, "s000"),
+        overflow_once_normalized=overflow_once_normalized),
     "stream.json": dict(
         {name: period_two(lambda e, v=v: dict(e, r=float(v) if v else v))
          for name, v in VALUES.items()},
@@ -400,6 +441,8 @@ class TestHostileInputTable:
             assert rc in (1, 2) and error and error in capsys.readouterr().err
         if name == "stream.json" and mutation in ("nan", "inf", "-1", "1e308", "1e200"):
             assert "'r'" in error and "period 2" in error
+        if mutation == "overflow_once_normalized":
+            assert rc == 2 and error.startswith("period 2 val observations overflow")
 
 
 class TestBlasThreads:

@@ -26,6 +26,7 @@ from growcast.engine import (
     train_period,
 )
 from oracles import keeping_backward
+from test_backbone import spy_shared_steps
 
 TINY = dict(d=8, k=3, epochs_max=5, patience=2, batch_size=64)
 
@@ -74,6 +75,12 @@ class TestConfig:
     def test_empty_seeds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scheme="EAC", seeds=())
+
+    def test_repeated_seeds(self):
+        # run_stream keys results by seed: a repeat would train once and count twice
+        for seeds in ((1, 1), [3, 1, 3]):
+            with pytest.raises(ConfigError, match="^seeds must be distinct"):
+                ExperimentConfig(scheme="EAC", seeds=seeds)
 
     def test_freeze_flag_needs_pool_scheme(self):
         with pytest.raises(ConfigError):
@@ -156,6 +163,26 @@ class TestTrainPeriod:
         assert str(info.value) == ("non-finite parameter gconv1.W in period 2, seed 7, "
                                    "epoch 1, batch 0, lr 0.01")
 
+    def test_non_finite_validation_aborts_naming_the_pass(self):
+        from growcast.backbone import build_backbone, graph_operator
+        from growcast.engine import _make_forward
+        stream, _ = tiny_stream(periods=1)
+        bb = build_backbone("spatial", d=4, seed=1)
+        forward = _make_forward(bb, graph_operator(bb, stream.periods[0].adjacency), None)
+        n = len(stream.periods[0].nodes)
+        train = Windows(X=np.zeros((6, 12, n)), Y=np.zeros((6, 12, n)), starts=np.arange(6))
+        X = np.zeros((6, 12, n))
+        X[5, 3, 1] = np.nan  # finite training windows, one NaN in the validation ones
+        val = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))
+        with pytest.raises(TrainingAbort) as info:
+            train_period(forward, bb.parameters(), train, val, Normalizer(0.0, 1.0), lr=0.01,
+                         epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
+        abort = info.value
+        assert isinstance(abort.__cause__, nn.NonFiniteError)
+        assert str(abort) == ("non-finite output of graph_input in period 2, seed 7, "
+                              "epoch 1, validation pass, lr 0.01")
+        assert (abort.period_index, abort.seed, abort.epoch, abort.batch) == (2, 7, 1, None)
+
 
 def gathered_validation_mae(forward, samples, normalizer, batch_size):
     """_validation_mae as it ran over gathered index batches."""
@@ -190,9 +217,7 @@ class TestSlicedEvaluation:
         pool = init_pool(graph.nodes, d=6, k=2, seed=3)
         pool.segments[0].A.value = np.random.default_rng(3).standard_normal((12, 2))
         forward = _make_forward(bb, graph_operator(bb, graph.adjacency), pool)
-        shared = []  # one entry per batch that took the shared-step path
-        step_rows = nn.step_rows
-        monkeypatch.setattr(nn, "step_rows", lambda *a: shared.append(a) or step_rows(*a))
+        shared = spy_shared_steps(monkeypatch)  # one layout per batch that shares steps
         for order in ("C", "F"):
             obs = ObservationSeries(series[0].node_ids,
                                     np.asarray(series[0].values, order=order), 1)

@@ -266,14 +266,14 @@ class TestSharedSteps:
         b = rng.standard_normal(3)
         windows = np.ascontiguousarray(consecutive(steps, B, T))
         want = nn.temporal_conv(nn.ComputeRecord(grad=False), windows, W, b).value
-        window = np.arange(B)[:, None] + np.arange(T)
+        layout = nn.Steps(np.arange(B), T, K)
         got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps[None], W, b,
-                               window=window).value
-        rows = nn.step_rows(window, K)
+                               steps=layout).value
         # B + T - K interior rows serve every window; each window adds K - 1 edge rows
-        assert got.shape[0] == (B + T - K + B * (K - 1) if K <= T else B * T)
-        assert np.array_equal(np.unique(rows), np.arange(got.shape[0]))
-        assert got[rows].tobytes() == want.tobytes()
+        assert got.shape[0] == layout.n_rows == (B + T - K + B * (K - 1) if K <= T else B * T)
+        assert layout.length == B + T - 1
+        assert np.array_equal(np.unique(layout.rows), np.arange(got.shape[0]))
+        assert got[layout.rows].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("T", [1, 2, 12])
@@ -292,16 +292,15 @@ class TestSharedSteps:
         window = heads[:, None] + np.arange(T)
         if len(np.unique(heads)) < len(heads):
             with pytest.raises(nn.ShapeError, match="distinct"):
-                nn.temporal_conv(nn.ComputeRecord(), steps[None], W, b, window=window)
-            with pytest.raises(nn.ShapeError, match="mean_pool_time"):
-                nn.mean_pool_time(nn.ComputeRecord(), steps, window)
+                nn.Steps(heads, T, K)
             return
+        layout = nn.Steps(heads, T, K)
 
         def conv_and_pool(x, shared):
             rec = nn.ComputeRecord()
             h = nn.temporal_conv(rec, rec.leaf(nn.Parameter("x", x)), rec.leaf(nn.Parameter("W", W)),
-                                 rec.leaf(nn.Parameter("b", b)), window=window if shared else None)
-            out = nn.mean_pool_time(rec, h, nn.step_rows(window, K) if shared else None)
+                                 rec.leaf(nn.Parameter("b", b)), steps=layout if shared else None)
+            out = nn.mean_pool_time(rec, h, steps=layout if shared else None)
             (gh,) = out.grad_fn(g)
             return [out.value] + h.grad_fn(gh)
 
@@ -313,13 +312,6 @@ class TestSharedSteps:
         assert got[1].shape == (1,) + steps.shape
         for a, w in zip([got[1][0]] + got[2:], [gx_windows] + want[2:]):
             assert np.abs(a - w).max() <= 1e-12 * np.abs(w).max()
-
-    def test_shared_conv_rejects_a_bad_window(self):
-        args = (np.zeros((1, 6, 2, 3)), np.zeros((3, 3, 3)), np.zeros(3))
-        for window in (np.array([[0, 2]]), np.array([[5, 6]]), np.array([[-1, 0]]),
-                       np.array([0, 1]), np.array([[0.0, 1.0]])):
-            with pytest.raises(nn.ShapeError, match="temporal_conv"):
-                nn.temporal_conv(nn.ComputeRecord(), *args, window=window)
 
     @pytest.mark.parametrize("weight_shape", [(4, 4), (3,)])
     def test_graph_input_timeline_matches_windows(self, weight_shape):
@@ -338,23 +330,73 @@ class TestSharedSteps:
 
     def test_mean_pool_time_over_rows(self):
         rng = np.random.default_rng(18)
-        stack = rng.standard_normal((6, 3, 2))
-        rows = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 0]])
-        got = nn.mean_pool_time(nn.ComputeRecord(grad=False), stack, rows).value
-        assert got.tobytes() == stack[rows].mean(axis=1).tobytes()
-        # rows 0, 1 and 2 each serve two windows: each read adds its gradient
+        # three 5-step windows at rows 2, 0 and 1 under a 3-tap conv: 5
+        # shared rows, then two edge rows per window
+        layout = nn.Steps(np.array([2, 0, 1]), 5, 3)
+        assert layout.rows.tolist() == [[5, 2, 3, 4, 6], [7, 0, 1, 2, 8], [9, 1, 2, 3, 10]]
+        stack = rng.standard_normal((layout.n_rows, 3, 2))
+        got = nn.mean_pool_time(nn.ComputeRecord(grad=False), stack, steps=layout).value
+        assert got.tobytes() == stack[layout.rows].mean(axis=1).tobytes()
+        # shared rows 1, 2 and 3 each serve two or three windows: each read adds its gradient
         g = rng.standard_normal((3, 3, 2))
-        _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, rows), stack, g=g)
+        _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, steps=layout),
+                                   stack, g=g)
         want = np.zeros(stack.shape)
-        for i, o in np.ndindex(rows.shape):
-            want[rows[i, o]] += g[i] / 3
+        for i, o in np.ndindex(layout.rows.shape):
+            want[layout.rows[i, o]] += g[i] / 5
         assert np.abs(gx - want).max() <= 1e-15
-        with pytest.raises(nn.ShapeError, match="mean_pool_time"):
-            nn.mean_pool_time(nn.ComputeRecord(), stack, rows + 1)
-        # a row twice in one column: two windows would read one stacked row at one step
-        repeated = np.array([[0, 1, 2], [1, 2, 5], [4, 3, 2]])
-        with pytest.raises(nn.ShapeError, match="repeats"):
-            nn.mean_pool_time(nn.ComputeRecord(), stack, repeated)
+
+
+def steps_case(call):
+    """A hostile-input case: call(layout) on a layout of windows at rows 0, 3 and 1, T 4, K 3."""
+    return lambda: call(nn.Steps(np.array([0, 3, 1]), 4, 3))
+
+
+def heads_case(heads):
+    return lambda: nn.Steps(heads, 4, 3)
+
+
+# (case, the op the ShapeError names, the call); the good layout's
+# timeline has 7 rows, its stack 5 + 3 * 2 = 11
+HOSTILE_STEPS = [
+    ("repeated heads", "steps", heads_case(np.array([3, 1, 3]))),
+    ("negative head", "steps", heads_case(np.array([-1, 0]))),
+    ("float heads", "steps", heads_case(np.array([0.0, 1.0]))),
+    ("2-D heads", "steps", heads_case(np.array([[0, 1]]))),
+    ("empty heads", "steps", heads_case(np.array([], dtype=int))),
+    ("timeline shorter than length", "temporal_conv", steps_case(lambda s: nn.temporal_conv(
+        nn.ComputeRecord(), np.zeros((1, 6, 2, 3)), np.zeros((3, 3, 3)), np.zeros(3), steps=s))),
+    ("two timelines", "temporal_conv", steps_case(lambda s: nn.temporal_conv(
+        nn.ComputeRecord(), np.zeros((2, 7, 2, 3)), np.zeros((3, 3, 3)), np.zeros(3), steps=s))),
+    ("mismatched K", "temporal_conv", steps_case(lambda s: nn.temporal_conv(
+        nn.ComputeRecord(), np.zeros((1, 7, 2, 3)), np.zeros((2, 3, 3)), np.zeros(3), steps=s))),
+    ("stack with a row too many", "mean_pool_time", steps_case(lambda s: nn.mean_pool_time(
+        nn.ComputeRecord(), np.zeros((12, 2, 3)), steps=s))),
+    ("stack with a row too few", "mean_pool_time", steps_case(lambda s: nn.mean_pool_time(
+        nn.ComputeRecord(), np.zeros((10, 2, 3)), steps=s))),
+    ("windows instead of a stack", "mean_pool_time", steps_case(lambda s: nn.mean_pool_time(
+        nn.ComputeRecord(), np.zeros((3, 4, 2, 3)), steps=s))),
+]
+
+
+class TestStepsLayout:
+    def test_good_layout_runs(self):
+        # the cases below each break one thing about this layout and its inputs
+        layout = nn.Steps(np.array([0, 3, 1]), 4, 3)
+        assert (layout.length, layout.n_rows) == (7, 11)
+        h = nn.temporal_conv(nn.ComputeRecord(), np.zeros((1, 7, 2, 3)), np.zeros((3, 3, 3)),
+                             np.zeros(3), steps=layout)
+        assert h.shape == (11, 2, 3)
+        assert nn.mean_pool_time(nn.ComputeRecord(), h, steps=layout).shape == (3, 2, 3)
+        # a timeline may hold rows no window reads
+        h = nn.temporal_conv(nn.ComputeRecord(), np.zeros((1, 9, 2, 3)), np.zeros((3, 3, 3)),
+                             np.zeros(3), steps=layout)
+        assert h.shape == (11, 2, 3)
+
+    @pytest.mark.parametrize("case, op, call", HOSTILE_STEPS, ids=[c[0] for c in HOSTILE_STEPS])
+    def test_hostile_input_is_a_shape_error(self, case, op, call):
+        with pytest.raises(nn.ShapeError, match="^%s: " % op):
+            call()
 
 
 # window heads of one batch, in batch order, for the slab lists
@@ -385,11 +427,10 @@ class TestSlabLists:
             # the rows the first tap misses, which temporal_conv zeroes
             zero = {i * T + o for i in range(B) for o in range(min(K // 2, T - 1))}
         else:
-            heads = np.array(HEADS[layout])
-            window = heads[:, None] + np.arange(T)
-            slabs, n_rows = nn._shared_slabs(window, K)
-            rows = slab_rows(slabs, (n_rows,), (window.max() + 1,))
-            assert n_rows == nn.step_rows(window, K).max() + 1
+            steps = nn.Steps(np.array(HEADS[layout]), T, K)
+            n_rows = steps.n_rows
+            rows = slab_rows(steps.slabs, (n_rows,), (steps.length,))
+            assert n_rows == steps.rows.max() + 1
             zero = set()
         first_at, adds = {}, []
         for j, (k, src, dst, first) in enumerate(rows):
