@@ -77,12 +77,31 @@ class Normalizer:
 
     @classmethod
     def fit(cls, train_segment: np.ndarray, period_index: int) -> "Normalizer":
-        """Statistics of one period's train segment; they must be finite."""
+        """Statistics of one period's train segment; they must be finite.
+
+        The moments are taken of the segment divided by the power of two
+        just above its largest |value| (at most 2**1023) and scaled back,
+        so a large constant segment does not square its rounding residue
+        past the float range.  Scaling by a power of two is exact, so
+        ordinary data get the same mean and std as the unscaled formula.
+        The metrics square errors in data units, so a segment whose range
+        squares past the float range is rejected too.
+        """
+        segment = np.asarray(train_segment, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = float(train_segment.mean()), float(train_segment.std())
+            top = np.max(np.abs(segment), initial=0.0)
+            # 2**1023 is the largest power of two a float holds
+            scale = np.ldexp(1.0, min(int(np.frexp(top)[1]), 1023)) if np.isfinite(top) else 1.0
+            scaled = segment / scale
+            mean, std = float(scaled.mean() * scale), float(scaled.std() * scale)
+            spread = float(np.ptp(segment))
+            wide = not np.isfinite(spread * spread)
         if not (np.isfinite(mean) and np.isfinite(std)):
             raise DataError("period %d training observations overflow the normalizer "
                             "(mean %r, std %r)" % (period_index, mean, std))
+        if wide:
+            raise DataError("period %d training observations span %r, whose square "
+                            "overflows" % (period_index, spread))
         return cls(mean=mean, std=max(std, 1e-8))
 
     def apply(self, x):

@@ -10,8 +10,13 @@ Every node holds a finite float64 array.  `leaf` checks a parameter and
 `constant` its array once, on entry; a primitive whose arithmetic can
 overflow (the GEMMs, dropout scaling, the time mean, the loss) scans its
 output, which also covers the raw input of `graph_input`; the others map
-finite to finite.  The NonFiniteError names the parameter or the
-primitive.  `relu` applies ReLU and dropout as one multiplier, in place
+finite to finite.  Each check reads the array once, as the sum of its
+squares (`np.vdot`), which is finite only when every entry is; only a
+non-finite sum, from a non-finite entry or from squares that overflow,
+pays for the exact elementwise test.  The NonFiniteError names the
+parameter or the primitive, and it is the only report: the primitives,
+backward and Adam run with numpy's overflow and invalid-value warnings
+off.  `relu` applies ReLU and dropout as one multiplier, in place
 into the fresh output of the primitive before it.  The graph layers,
 `graph_conv` and the fused `graph_input`, take a list of n x n matrices
 and a weight that is a channel mix or Chebyshev coefficients.  A record
@@ -31,7 +36,8 @@ Shared steps run overlapping windows once per distinct step: a `Steps`
 layout says where each window lies on one timeline of steps, and
 `temporal_conv` and `mean_pool_time` take it as `steps=`.  Either layout
 of the temporal conv is a list of slabs, one tap's GEMM over a block of
-rows, and one forward and one backward kernel run both.
+rows, and one backward kernel runs both; the shared-step forward forms
+each tap's product once and slices its slabs from it.
 """
 from __future__ import annotations
 
@@ -140,7 +146,7 @@ class ComputeRecord:
         self._fresh = None  # last output whose array no other node reads yet
 
     def leaf(self, param: Parameter) -> Node:
-        if not np.isfinite(param.value).all():
+        if not _finite(param.value):
             raise NonFiniteError("non-finite parameter %s" % param.name)
         node = Node(param.value, needs_grad=self.grad and param.trainable)
         self._param_nodes[param.name] = (param, node)
@@ -148,7 +154,7 @@ class ComputeRecord:
 
     def constant(self, value) -> Node:
         value = np.asarray(value, dtype=float)
-        if not np.isfinite(value).all():
+        if not _finite(value):
             raise NonFiniteError("non-finite constant")
         return self._keep(Node(value))
 
@@ -159,7 +165,7 @@ class ComputeRecord:
         fresh=True says `value` is an array the primitive allocated, which
         a `relu` right after it may overwrite.
         """
-        if scan and not np.isfinite(value).all():
+        if scan and not _finite(value):
             raise NonFiniteError("non-finite output of %s" % op_name)
         if self.grad:
             node = Node(value, tuple(parents), grad_fn, any(p.needs_grad for p in parents))
@@ -172,6 +178,19 @@ class ComputeRecord:
         if self.grad:
             self.nodes.append(node)
         return node
+
+
+def _finite(v) -> bool:
+    """Whether every entry of the float array v is finite, in one read when it is.
+
+    The sum of squares is finite only when every entry is; np.vdot warns
+    of no overflow, and a non-finite sum goes to the exact test.
+    """
+    return bool(np.isfinite(np.vdot(v, v))) or bool(np.isfinite(v).all())
+
+
+# arithmetic that may overflow runs under this; the scans report it
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _as_node(record: ComputeRecord, x) -> Node:
@@ -189,6 +208,7 @@ def _shape_check(op, cond, *shapes):
         raise ShapeError("%s: incompatible shapes %s" % (op, [tuple(s) for s in shapes]))
 
 
+@_quiet
 def linear(record, x, W, b=None):
     """x @ W + b over the last axis."""
     x, W = _as_node(record, x), _as_node(record, W)
@@ -216,6 +236,7 @@ def linear(record, x, W, b=None):
     return record.record("linear", out, parents, grad_fn, fresh=True)
 
 
+@_quiet
 def relu(record, x, p=0.0, rng=None):
     """max(x, 0) followed by inverted dropout at rate p, in one pass.
 
@@ -308,16 +329,30 @@ class Steps:
     `n_rows` rows: shared row j is the interior row at timeline row
     j + K // 2, for every timeline row up to the last one a window reads
     (none when every row is an edge), and each window's edge rows follow,
-    window by window.  `rows` is the (B, T) map from window rows to stack
-    rows that `mean_pool_time` gathers; no row repeats within a column.
+    window by window.  `columns[o]` is the stack rows of window row o of
+    every window: a strided slice for an edge row, and for an interior
+    row a slice when the windows follow one another step by step, else an
+    index array.  `rows` is the same map as one (B, T) array; no row
+    repeats within a column.
 
     `slabs` are the conv's slabs (k, timeline rows, stack rows, first) as
     in `_taps`: tap k reads one timeline slice into all shared rows, and
     for each edge row o, row o + s of every window (a slice when the
-    windows follow one another step by step, else an index array) into
-    that row's strided stack slice.  Slabs go tap by tap; the first tap to
-    reach a row writes it.  With distinct heads no slab reads or writes a
-    row twice, so backward adds each window's gradient with an indexed +=.
+    windows are consecutive, else an index array) into that row's column.
+    Slabs go tap by tap; the first tap to reach a row writes it.  With
+    distinct heads no slab reads or writes a row twice, so backward runs
+    one GEMM per slab and adds each window's gradient with an indexed +=.
+
+    The forward instead forms each product row once: `taps` holds, per
+    tap, the span of timeline rows its slabs read, which it multiplies by
+    W[k] in one call, and its slabs then slice (consecutive windows) or
+    gather (otherwise) their rows of that product, so edge rows cost no
+    GEMM of their own.  With shared rows the span is every timeline row
+    but at most K - 1, so no tap multiplies more rows than its slabs do.
+    The first tap writes its product straight into the stack's leading
+    rows, so its shared slab is in place and dropped from its list; the
+    row or two its edges read past the shared block land on the first
+    window's left-edge rows, which only a later tap writes.
 
     Every layer after the first meets each step with the same products in
     the same order as the windowed path.  The caller's layer-1 GEMM has
@@ -338,22 +373,32 @@ class Steps:
         self.heads, self.T, self.K = heads, T, K
         self.length = int(heads.max()) + T
         edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
-        n_shared = self.length + 1 - K if len(edges) < T else 0
-        self.n_rows = n_shared + B * len(edges)
-        interior = np.arange(K // 2, K // 2 + T - len(edges))
-        self.rows = np.empty((B, T), dtype=np.intp)
-        self.rows[:, interior] = heads[:, None] + interior - K // 2
-        self.rows[:, edges] = n_shared + np.arange(B)[:, None] * len(edges) + np.arange(len(edges))
+        E = len(edges)
+        n_shared = self.length + 1 - K if E < T else 0
+        self.n_rows = n_shared + B * E
         consecutive = np.array_equal(heads, h + np.arange(B))
-        self.slabs = []
+
+        def across(r):
+            # row r past each head: a slice when the windows are consecutive
+            return slice(h + r, h + r + B) if consecutive else heads + r
+
+        self.columns = [slice(n_shared + edges.index(o), None, E) if o in edges
+                        else across(o - K // 2) for o in range(T)]
+        self.rows = np.stack([np.arange(self.n_rows)[c] for c in self.columns], axis=1)
+        self.slabs, self.taps = [], []
         for k in range(K):
             s = k - K // 2
-            if n_shared:  # every tap reaches every shared row
-                self.slabs.append((k, slice(K // 2 + s, K // 2 + s + n_shared),
-                                   slice(0, n_shared), k == 0))
-            self.slabs += [(k, slice(h + o + s, h + o + s + B) if consecutive else heads + (o + s),
-                            slice(n_shared + e, None, len(edges)), k == 0 or o + s == 0)
-                           for e, o in enumerate(edges) if 0 <= o + s < T]
+            tap = [(slice(k, k + n_shared), slice(0, n_shared), k == 0)] if n_shared else []
+            tap += [(across(o + s), slice(n_shared + e, None, E), k == 0 or o + s == 0)
+                    for e, o in enumerate(edges) if 0 <= o + s < T]
+            self.slabs += [(k,) + slab for slab in tap]
+            if tap:
+                reads = [np.arange(i.start, i.stop) if isinstance(i, slice) else i
+                         for i, _, _ in tap]
+                span = slice(int(min(r.min() for r in reads)),
+                             int(max(r.max() for r in reads)) + 1)
+                in_place = k == 0 and n_shared > 0  # its first slab is the shared block
+                self.taps.append((k, span, in_place, tap[1:] if in_place else tap))
 
 
 def _slab_sum(src, mats, slabs, out):
@@ -370,6 +415,30 @@ def _slab_sum(src, mats, slabs, out):
     return out
 
 
+def _tap_sum(src, mats, taps, out):
+    """The `Steps` forward: `_slab_sum` of the layout's slabs, each product row formed once.
+
+    Every row gets the same per-matrix products in the same order as
+    `_slab_sum` gives it, so the stack is the same to the last bit.
+    """
+    product = None
+    for k, span, in_place, slabs in taps:
+        if in_place:
+            P = out
+        else:
+            if product is None:
+                product = np.empty((src.shape[0],) + out.shape[1:])
+            P = product
+        np.matmul(src[span], mats[k], out=P[span])
+        for i, o, first in slabs:
+            if first:
+                out[o] = P[i]
+            else:
+                out[o] += P[i]
+    return out
+
+
+@_quiet
 def temporal_conv(record, x, W, b, steps=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
 
@@ -380,8 +449,9 @@ def temporal_conv(record, x, W, b, steps=None):
     the weight gradient is one 2-D GEMM per slab over the rows it reads.
 
     steps (a `Steps` layout with K taps): x is a (1, L, n, d_in) timeline
-    of at least `steps.length` rows, the output is the layout's
-    (n_rows, n, d_out) stack, and the same kernels run `steps.slabs`.
+    of at least `steps.length` rows and the output is the layout's
+    (n_rows, n, d_out) stack.  The forward runs `steps.taps`, each tap's
+    product once, and backward the same kernels as above on `steps.slabs`.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
@@ -393,13 +463,14 @@ def temporal_conv(record, x, W, b, steps=None):
     if steps is not None:
         src = x.value[0]
         slabs = steps.slabs
-        out = np.empty((steps.n_rows, x.shape[2], W.shape[2]))
+        out = _tap_sum(src, W.value, steps.taps,
+                       np.empty((steps.n_rows, x.shape[2], W.shape[2])))
     else:
         src = x.value
         slabs = _taps(K, x.shape[1])
         out = np.empty(x.shape[:3] + (W.shape[2],))
         out[:, :min(K // 2, x.shape[1] - 1)] = 0.0  # the rows the first tap misses
-    out = _slab_sum(src, W.value, slabs, out)
+        out = _slab_sum(src, W.value, slabs, out)
     out += b.value
 
     def grad_fn(g):
@@ -438,6 +509,7 @@ def _fits(basis, weight, n, d):
                  else weight.ndim == 2 and len(basis) == 1 and weight.shape[0] == d))
 
 
+@_quiet
 def graph_conv(record, operator, h, weight):
     """Graph convolution G h W, with (G, W) as `_propagator` gives them.
 
@@ -476,6 +548,7 @@ def graph_conv(record, operator, h, weight):
     return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
 
 
+@_quiet
 def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     """Input projection, prompt and first graph convolution as one primitive.
 
@@ -541,14 +614,15 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
     return record.record("graph_input", out, parents, grad_fn, fresh=True)
 
 
+@_quiet
 def mean_pool_time(record, x, steps=None):
     """Mean over the time axis of a (B, T, n, d) tensor, or of x[steps.rows].
 
     steps (a `Steps` layout): x is the layout's (n_rows, n, d) stack.  The
-    T gathered (B, n, d) slices add into one buffer in time order, as
-    numpy's mean over the middle axis of x[rows] adds them, with no
-    (B, T, n, d) copy; backward adds each window's gradient into the rows
-    it read.
+    T (B, n, d) columns, views where `steps.columns` are slices, add into
+    one buffer in time order, as numpy's mean over the middle axis of
+    x[rows] adds them, with no (B, T, n, d) copy; backward adds each
+    window's gradient into the column it read.
     """
     x = _as_node(record, x)
     if steps is None:
@@ -558,10 +632,10 @@ def mean_pool_time(record, x, steps=None):
     else:
         _shape_check("mean_pool_time", x.value.ndim == 3 and x.shape[0] == steps.n_rows,
                      x.shape, (steps.n_rows,))
-        rows, T = steps.rows, steps.T
-        out = x.value[rows[:, 0]]
-        for o in range(1, T):
-            out += x.value[rows[:, o]]
+        columns, T = steps.columns, steps.T
+        out = np.array(x.value[columns[0]])
+        for c in columns[1:]:
+            out += x.value[c]
         out /= T
 
     def grad_fn(g):
@@ -569,13 +643,14 @@ def mean_pool_time(record, x, steps=None):
             return [np.broadcast_to(g[:, None] / T, x.shape)]
         gx = np.zeros(x.shape)
         g = g / T
-        for o in range(T):
-            gx[rows[:, o]] += g
+        for c in columns:
+            gx[c] += g
         return [gx]
 
     return record.record("mean_pool_time", out, [x], grad_fn)
 
 
+@_quiet
 def mse_loss(record, pred, target):
     pred = _as_node(record, pred)
     t = np.asarray(target, dtype=float)
@@ -591,6 +666,7 @@ def mse_loss(record, pred, target):
     return record.record("mse_loss", out, [pred], grad_fn)
 
 
+@_quiet
 def backward(record: ComputeRecord, loss: Node) -> dict:
     """Reverse accumulation; gradients for trainable parameters only.
 
@@ -641,6 +717,7 @@ class AdamState:
     t: int = 0
 
 
+@_quiet
 def adam_step(params, grads: dict, state: AdamState, lr: float):
     """One Adam update with bias correction; frozen parameters untouched."""
     by_name = {p.name: p for p in params}

@@ -84,3 +84,37 @@ def keeping_backward(record, loss) -> dict:
     return {name: np.zeros_like(param.value) if id(node) not in grads
             else np.asarray(grads[id(node)])
             for name, (param, node) in record._param_nodes.items() if param.trainable}
+
+
+def slab_steps_conv(x, W, b, steps) -> np.ndarray:
+    """The shared-step temporal conv forward with one GEMM per slab.
+
+    x is the (1, L, n, d_in) timeline; each of `steps.slabs` multiplies
+    its own timeline rows by W[k] and writes or adds the product into its
+    stack rows, as the forward ran before each tap's product was formed once.
+    """
+    src = x[0]
+    out = np.empty((steps.n_rows, x.shape[2], W.shape[2]))
+    for k, i, o, first in steps.slabs:
+        if first:
+            np.matmul(src[i], W[k], out=out[o])
+        else:
+            out[o] += src[i] @ W[k]
+    return out + b
+
+
+def gathering_pool(stack, steps, g):
+    """Time mean of the stack's windows by gathering `steps.rows`, and its input gradient.
+
+    One (B, n, d) gather per window row, added in time order; backward adds
+    g / T into the gathered rows of each column.
+    """
+    rows, T = steps.rows, steps.T
+    out = stack[rows[:, 0]]
+    for o in range(1, T):
+        out += stack[rows[:, o]]
+    out /= T
+    gx = np.zeros(stack.shape)
+    for o in range(T):
+        gx[rows[:, o]] += g / T
+    return out, gx

@@ -232,14 +232,26 @@ class TestRun:
         out = tmp_path / "out"
         config = tiny_config(tmp_path, scheme="PretrainST", d=4, patience=1, lr_initial=1e308,
                              batch_size=512)
-        with np.errstate(all="ignore"):
-            rc = main(["run", "--config", config, "--synth", "n0=6,growth=2,periods=2,T=200,seed=1",
-                       "--out", str(out)])
+        rc = main(["run", "--config", config, "--synth", "n0=6,growth=2,periods=2,T=200,seed=1",
+                   "--out", str(out)])
         assert rc == 3
         error = json.loads((out / "manifest.json").read_text())["error"]
         assert error == ("non-finite output of graph_input in period 1, seed 1, epoch 1, "
                          "validation pass, lr 1e+308")
         assert error in capsys.readouterr().err
+
+    def test_non_finite_run_under_warnings_as_errors_reports_only_the_scan(self, tmp_path):
+        # numpy's overflow warnings would escape `-W error` as a traceback and exit 1
+        config = tiny_config(tmp_path, scheme="PretrainST", d=4, patience=1, lr_initial=1e308,
+                             batch_size=512)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "growcast.cli", "run", "--config", config, "--synth",
+                               "n0=6,growth=2,periods=2,T=200,seed=1", "--out",
+                               str(tmp_path / "out")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: non-finite output of graph_input in period 1, seed 1, "
+                               "epoch 1, validation pass, lr 1e+308\n")
 
     @pytest.mark.parametrize("where", ["config", "--seeds"])
     def test_repeated_seed_exits_1(self, tmp_path, capsys, where):

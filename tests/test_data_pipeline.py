@@ -254,6 +254,28 @@ class TestNormalizer:
         norm = Normalizer.fit(np.arange(12.0).reshape(6, 2), 1)
         assert norm.apply(norm.mean) == pytest.approx(0.0)
 
+    def test_ordinary_data_fit_the_unscaled_moments_bit_for_bit(self):
+        # dividing by a power of two and scaling back is exact
+        rng = np.random.default_rng(21)
+        for seg in (rng.standard_normal((480, 50)), rng.standard_normal((96, 7)) * 3e4 - 17,
+                    rng.uniform(0.0, 1e-3, (200, 3))):
+            norm = Normalizer.fit(seg, 1)
+            assert (norm.mean, norm.std) == (float(seg.mean()), float(seg.std()))
+
+    def test_large_constant_segment_fits(self):
+        # the summed mean rounds to 1.0000000000000002e300; the unscaled std
+        # squared that 2e284 residue into inf
+        norm = Normalizer.fit(np.full((112, 6), 1e300), 1)
+        assert norm.mean == pytest.approx(1e300, rel=1e-15)
+        assert norm.std == pytest.approx(1.487e284, rel=1e-3)
+
+    def test_a_range_that_squares_past_the_float_range_is_rejected(self):
+        seg = np.ones((40, 3))
+        seg[5, 1] = 1e200
+        with pytest.raises(DataError, match="^period 4 training observations span 1e.200, "
+                                            "whose square overflows$"):
+            Normalizer.fit(seg, 4)
+
 
 class TestFewShot:
     def test_prefix(self):

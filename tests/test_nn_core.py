@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import gathering_pool, slab_steps_conv
 
 from growcast import nn_core as nn
 
@@ -243,8 +246,10 @@ class TestKernelOracles:
             ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.full(big.shape, 1.5e308))),
         ]
         for op, call in cases:
-            with np.errstate(all="ignore"), pytest.raises(
+            # the scan is the only report: numpy warns of no overflow first
+            with warnings.catch_warnings(), pytest.raises(
                     nn.NonFiniteError, match="^non-finite output of %s$" % op):
+                warnings.simplefilter("error")
                 call(nn.ComputeRecord())
 
 
@@ -457,6 +462,122 @@ class TestSlabLists:
         _, (_, gW, _) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
         _, _, want = padded_temporal_conv(x, W, b, g)
         assert np.abs(gW - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestSharedStepOracles:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("layout", sorted(HEADS))
+    def test_tap_products_and_view_pool_bit_equal_to_slabs_and_gathers(self, K, T, layout):
+        # each tap's product formed once gives every stack row the bytes of
+        # one GEMM per slab; pooling through column views those of gathers
+        rng = np.random.default_rng(100 * K + T)
+        steps = nn.Steps(np.array(HEADS[layout]), T, K)
+        for d in (8, 16, 64):
+            for n in (7, 300):
+                x = np.maximum(rng.standard_normal((1, steps.length, n, d)), 0.0)
+                W = rng.standard_normal((K, d, d))
+                b = rng.standard_normal(d)
+                stack = nn.temporal_conv(nn.ComputeRecord(grad=False), x, W, b,
+                                         steps=steps).value
+                assert stack.tobytes() == slab_steps_conv(x, W, b, steps).tobytes()
+                g = rng.standard_normal((len(steps.heads), n, d))
+                pooled, (gx,) = primitive_grads(
+                    lambda rec, s: nn.mean_pool_time(rec, s, steps=steps), stack, g=g)
+                want, want_gx = gathering_pool(stack, steps, g)
+                assert pooled.tobytes() == want.tobytes()
+                assert gx.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize("layout", sorted(HEADS))
+    def test_columns_are_views_where_the_layout_allows(self, layout):
+        steps = nn.Steps(np.array(HEADS[layout]), 12, 3)
+        for o, column in enumerate(steps.columns):
+            assert np.array_equal(np.arange(steps.n_rows)[column], steps.rows[:, o])
+            # edge columns always, interior ones when the heads are consecutive
+            assert isinstance(column, slice) == (o in (0, 11) or layout in ("consecutive",
+                                                                            "single"))
+
+    def test_first_tap_writes_one_row_past_the_shared_block(self):
+        # four consecutive windows of 12 steps: 13 shared rows, then the
+        # first window's left-edge row holds tap 0's product of timeline row 13
+        steps = nn.Steps(np.arange(4), 12, 3)
+        assert [(k, span, in_place) for k, span, in_place, _ in steps.taps] == [
+            (0, slice(0, 14), True), (1, slice(0, 15), False), (2, slice(1, 15), False)]
+        assert steps.columns[0] == slice(13, None, 2)
+
+
+# (primitive, call(record, v)) whose output holds v or its overflow: its
+# input enters the tape unchecked, or is graph_input's raw input
+def _unscanned(rec, value):
+    return rec.record("src", np.asarray(value, dtype=float), [], None, scan=False)
+
+
+SCANNED = [
+    ("linear", lambda rec, v: nn.linear(rec, _unscanned(rec, np.full((2, 3), v)), np.eye(3))),
+    ("relu", lambda rec, v: nn.relu(rec, _unscanned(rec, np.full(64, v)), 0.5,
+                                    nn.rng_stream(0, "drop"))),
+    ("graph_input", lambda rec, v: nn.graph_input(rec, [np.eye(3)], np.full((2, 4, 3, 1), v),
+                                                  np.ones((1, 2)), np.zeros(2), None,
+                                                  np.eye(2))),
+    ("temporal_conv", lambda rec, v: nn.temporal_conv(
+        rec, _unscanned(rec, np.full((2, 4, 3, 2), v)), np.stack([np.zeros((2, 2)), np.eye(2),
+                                                                  np.zeros((2, 2))]),
+        np.zeros(2))),
+    ("temporal_conv", lambda rec, v: nn.temporal_conv(
+        rec, _unscanned(rec, np.full((1, 7, 3, 2), v)), np.stack([np.zeros((2, 2)), np.eye(2),
+                                                                  np.zeros((2, 2))]),
+        np.zeros(2), steps=nn.Steps(np.array([0, 3, 1]), 4, 3))),
+    ("graph_conv", lambda rec, v: nn.graph_conv(rec, [np.eye(3)],
+                                                _unscanned(rec, np.full((2, 3, 2), v)), np.eye(2))),
+    ("graph_conv", lambda rec, v: nn.graph_conv(rec, [np.eye(3), np.zeros((3, 3))],
+                                                _unscanned(rec, np.full((2, 3, 2), v)),
+                                                np.array([1.0, 0.0]))),
+    ("mean_pool_time", lambda rec, v: nn.mean_pool_time(
+        rec, _unscanned(rec, np.full((2, 3, 4, 5), v)))),
+    ("mean_pool_time", lambda rec, v: nn.mean_pool_time(
+        rec, _unscanned(rec, np.full((11, 2, 3), v)), steps=nn.Steps(np.array([0, 3, 1]), 4, 3))),
+    ("mse_loss", lambda rec, v: nn.mse_loss(rec, _unscanned(rec, np.full((2, 3), v)),
+                                            np.zeros((2, 3)))),
+]
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("op, call", SCANNED, ids=[c[0] for c in SCANNED])
+    def test_outputs_whose_squares_overflow_pass_without_a_warning(self, op, call):
+        # 1e200 is finite, but its square is not: the one-read sum overflows
+        # and the exact test decides, with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # mse_loss squares its input: 1e100 gives 1e200
+            out = call(nn.ComputeRecord(), 1e100 if op == "mse_loss" else 1e200)
+            assert np.isfinite(out.value).all() and np.abs(out.value).max() > 1e199
+
+    def test_entries_whose_squares_overflow_enter_the_tape(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = nn.ComputeRecord()
+            rec.constant(np.full((3, 4), 1e200))
+            rec.leaf(nn.Parameter("gconv1.W", np.full((3, 4), -1e200)))
+            assert len(rec.nodes) == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("op, call", SCANNED, ids=[c[0] for c in SCANNED])
+    def test_a_nonfinite_output_names_the_op(self, op, call, bad):
+        with pytest.raises(nn.NonFiniteError, match="^non-finite output of %s$" % op):
+            call(nn.ComputeRecord(), bad)
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_bad_entry_anywhere_keeps_the_entry_messages(self, where, bad):
+        x = np.random.default_rng(17).standard_normal((40, 7))
+        for form in (lambda a: a, lambda a: a[:, ::2], lambda a: a.T):  # strided, transposed
+            arr = form(x.copy())
+            arr.flat[where] = bad
+            rec = nn.ComputeRecord()
+            with pytest.raises(nn.NonFiniteError, match="^non-finite constant$"):
+                rec.constant(arr)
+            with pytest.raises(nn.NonFiniteError, match="^non-finite parameter head.W$"):
+                rec.leaf(nn.Parameter("head.W", arr))
 
 
 class TestRecordContracts:
