@@ -21,12 +21,23 @@ class AnalysisError(ValueError):
     pass
 
 
+def power_of_two_above(top) -> float:
+    """The power of two just above top >= 0, at most 2**1023 (the largest a
+    float holds); 1 for a zero or non-finite top.  Dividing by it is exact,
+    so moments of x / scale scale back to those of x bit for bit, and
+    squares of x / scale cannot overflow."""
+    return float(np.ldexp(1.0, min(int(np.frexp(top)[1]), 1023))) if np.isfinite(top) else 1.0
+
+
 def metrics(pred, truth) -> dict:
     """MAE, RMSE, and masked MAPE (%) in original units.
 
     MAPE averages only over entries with |truth| >= 1e-4; near-zero truth
     explodes the percentage otherwise.  When everything is masked, MAPE is
-    None (an undefined marker, never 0).
+    None (an undefined marker, never 0).  MAE and RMSE average the errors
+    divided by `power_of_two_above` their largest |value|, so neither the
+    squares of errors past about 1.3e154 nor the sum of errors near the
+    float range overflow.
     """
     p = np.asarray(pred, dtype=float)
     y = np.asarray(truth, dtype=float)
@@ -37,15 +48,16 @@ def metrics(pred, truth) -> dict:
     if not (np.isfinite(p).all() and np.isfinite(y).all()):
         raise AnalysisError("non-finite values in metric input")
     err = p - y
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err ** 2).mean()))
+    abs_err = np.abs(err)
+    scale = power_of_two_above(abs_err.max())
+    mae = float((abs_err / scale).mean() * scale)
+    rmse = float(np.sqrt(((err / scale) ** 2).mean()) * scale)
     mask = np.abs(y) >= MAPE_MASK_THRESHOLD
-    masked_out = int(p.size - mask.sum())
     if mask.any():
-        mape = float(100.0 * (np.abs(err[mask]) / np.abs(y[mask])).mean())
+        mape = float(100.0 * (abs_err[mask] / np.abs(y[mask])).mean())
     else:
         mape = None
-    return {"MAE": mae, "RMSE": rmse, "MAPE": mape, "mape_masked_count": masked_out}
+    return {"MAE": mae, "RMSE": rmse, "MAPE": mape}
 
 
 def heterogeneity_D(X) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core as nn
+from .data_pipeline import T_OUT
 from .graph_stream import cheb_polynomials, normalize_adjacency, scaled_laplacian
 
 VARIANTS = ("spatial", "spectral")
@@ -46,10 +47,10 @@ class BackboneError(ValueError):
 
 @dataclass
 class STGNNBackbone:
+    """The layer sizes are the weights' shapes: width d of `input_proj.W`,
+    kernel of `tconv.W`, Chebyshev order of `gconv*.theta`."""
+
     variant: str
-    d: int
-    kernel: int
-    K_order: int
     dropout_p: float
     params: dict  # name -> Parameter
 
@@ -62,7 +63,7 @@ class STGNNBackbone:
 
 
 def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
-                   t_out: int = 12, dropout_p: float = 0.0, seed: int = 0) -> STGNNBackbone:
+                   t_out: int = T_OUT, dropout_p: float = 0.0, seed: int = 0) -> STGNNBackbone:
     """Weights uniform in +-1/sqrt(fan_in), drawn from named seed streams."""
     if variant not in VARIANTS:
         raise BackboneError("unknown backbone variant %r" % variant)
@@ -93,15 +94,15 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
     put(uniform("tconv.b", (d,), kernel * d))
     put(uniform("head.W", (d, t_out), d))
     put(uniform("head.b", (t_out,), d))
-    return STGNNBackbone(variant=variant, d=d, kernel=kernel, K_order=K_order,
-                         dropout_p=dropout_p, params=params)
+    return STGNNBackbone(variant=variant, dropout_p=dropout_p, params=params)
 
 
 def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
     """The graph layers' constant operator for one period: a list of n x n matrices."""
     if backbone.variant == "spatial":
         return [normalize_adjacency(adjacency)]
-    return cheb_polynomials(scaled_laplacian(adjacency), backbone.K_order)
+    return cheb_polynomials(scaled_laplacian(adjacency),
+                            len(backbone.params["gconv1.theta"].value) - 1)
 
 
 def _shared_steps(x, starts, kernel):
@@ -161,14 +162,15 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
 
     if prompt is not None:
         prompt = prompt if isinstance(prompt, nn.Node) else record.constant(prompt)
-        if prompt.shape != (n, backbone.d):
+        d = p["input_proj.W"].value.shape[1]
+        if prompt.shape != (n, d):
             raise BackboneError("prompt shape %s does not match (%d, %d)"
-                                % (prompt.shape, n, backbone.d))
+                                % (prompt.shape, n, d))
 
     weight = "W" if backbone.variant == "spatial" else "theta"
     drop_p = backbone.dropout_p if train else 0.0
-    shared = None if starts is None or drop_p > 0.0 else _shared_steps(x, starts,
-                                                                       backbone.kernel)
+    shared = None if starts is None or drop_p > 0.0 else _shared_steps(
+        x, starts, p["tconv.W"].value.shape[0])
     steps = None
     if shared is not None:
         x, steps = shared

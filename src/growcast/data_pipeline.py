@@ -2,8 +2,8 @@
 
 The raw timeline of each period is split 6:2:2 first and windowed inside
 each segment, so no supervised sample ever straddles a split boundary.
-A split's windows are one `Windows(X, Y, starts)` record: X is (N, t_in, n)
-and Y is (N, t_out, n), both read-only strided views over the split's
+A split's windows are one `Windows(X, Y, starts)` record: X is (N, T_IN, n)
+and Y is (N, T_OUT, n), both read-only strided views over the split's
 normalized (T_s, n) segment, so windowing copies nothing; starts gives
 each window's first step in the segment.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import power_of_two_above
 from .graph_stream import (
     GraphStreamError,
     PeriodGraph,
@@ -55,13 +56,13 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class Windows:
-    """N supervised windows: Y[i] is the t_out steps right after X[i].
+    """N supervised windows: Y[i] is the T_OUT steps right after X[i].
 
-    X[i] is segment steps starts[i] .. starts[i] + t_in - 1.
+    X[i] is segment steps starts[i] .. starts[i] + T_IN - 1.
     """
 
-    X: np.ndarray  # N x t_in x n
-    Y: np.ndarray  # N x t_out x n
+    X: np.ndarray  # N x T_IN x n
+    Y: np.ndarray  # N x T_OUT x n
     starts: np.ndarray  # N integer offsets into the segment
 
     def __len__(self):
@@ -79,19 +80,16 @@ class Normalizer:
     def fit(cls, train_segment: np.ndarray, period_index: int) -> "Normalizer":
         """Statistics of one period's train segment; they must be finite.
 
-        The moments are taken of the segment divided by the power of two
-        just above its largest |value| (at most 2**1023) and scaled back,
-        so a large constant segment does not square its rounding residue
-        past the float range.  Scaling by a power of two is exact, so
-        ordinary data get the same mean and std as the unscaled formula.
-        The metrics square errors in data units, so a segment whose range
-        squares past the float range is rejected too.
+        The moments are taken of the segment divided by
+        `power_of_two_above` its largest |value| and scaled back, so a
+        large constant segment does not square its rounding residue past
+        the float range, and ordinary data get the same mean and std as
+        the unscaled formula.  A segment whose range squares past the
+        float range is rejected too.
         """
         segment = np.asarray(train_segment, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            top = np.max(np.abs(segment), initial=0.0)
-            # 2**1023 is the largest power of two a float holds
-            scale = np.ldexp(1.0, min(int(np.frexp(top)[1]), 1023)) if np.isfinite(top) else 1.0
+            scale = power_of_two_above(np.max(np.abs(segment), initial=0.0))
             scaled = segment / scale
             mean, std = float(scaled.mean() * scale), float(scaled.std() * scale)
             spread = float(np.ptp(segment))
@@ -180,35 +178,31 @@ def _impute(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def chrono_split(series: ObservationSeries, t_in: int | None = None,
-                 t_out: int | None = None):
+def chrono_split(series: ObservationSeries):
     """Raw-timeline slices at floor(r1*T) and floor((r1+r2)*T), r = SPLIT_RATIOS.
 
-    When window sizes are given, every segment must be able to hold at
-    least one supervised window.
+    Every segment must hold at least one T_IN + T_OUT step window.
     """
     T = series.values.shape[0]
     b1 = math.floor(SPLIT_RATIOS[0] * T)
     b2 = math.floor((SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) * T)
     segments = (series.values[:b1], series.values[b1:b2], series.values[b2:])
-    if t_in is not None and t_out is not None:
-        need = t_in + t_out
-        for name, seg in zip(("train", "val", "test"), segments):
-            if seg.shape[0] < need:
-                raise DataError("%s segment of %d steps cannot hold a %d-step window"
-                                % (name, seg.shape[0], need))
+    for name, seg in zip(("train", "val", "test"), segments):
+        if seg.shape[0] < T_IN + T_OUT:
+            raise DataError("%s segment of %d steps cannot hold a %d-step window"
+                            % (name, seg.shape[0], T_IN + T_OUT))
     return segments
 
 
-def make_windows(segment: np.ndarray, t_in: int = T_IN, t_out: int = T_OUT) -> Windows:
-    """Every sliding supervised window of the segment, as views over it."""
+def make_windows(segment: np.ndarray) -> Windows:
+    """Every sliding T_IN + T_OUT step supervised window of the segment, as views over it."""
     T_s = segment.shape[0]
-    if T_s < t_in + t_out:
+    if T_s < T_IN + T_OUT:
         raise DataError("segment of %d steps is shorter than one %d-step window"
-                        % (T_s, t_in + t_out))
-    view = np.lib.stride_tricks.sliding_window_view(segment, t_in + t_out, axis=0)
-    view = view.swapaxes(1, 2)  # (N, n, t_in + t_out) -> (N, t_in + t_out, n)
-    return Windows(X=view[:, :t_in], Y=view[:, t_in:], starts=np.arange(view.shape[0]))
+                        % (T_s, T_IN + T_OUT))
+    view = np.lib.stride_tricks.sliding_window_view(segment, T_IN + T_OUT, axis=0)
+    view = view.swapaxes(1, 2)  # (N, n, T_IN + T_OUT) -> (N, T_IN + T_OUT, n)
+    return Windows(X=view[:, :T_IN], Y=view[:, T_IN:], starts=np.arange(view.shape[0]))
 
 
 def few_shot_subsample(train: Windows, fraction: float = 0.2, seed: int = 0,
@@ -232,7 +226,7 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
 
     A split whose normalized values overflow is a DataError naming it.
     """
-    segments = chrono_split(series, t_in=T_IN, t_out=T_OUT)
+    segments = chrono_split(series)
     norm = Normalizer.fit(segments[0], series.period_index)
     windows = []
     for name, seg in zip(("train", "val", "test"), segments):

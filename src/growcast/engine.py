@@ -283,25 +283,22 @@ def _backbone_hash(backbone) -> str:
 
 def _fused_dispersion(backbone, pool, dataset):
     """Dispersion of (projected mean input + prompt) rows, one per node."""
-    X_mean = dataset.train.X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, t_in, n) -> (n, 1)
+    X_mean = dataset.train.X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, T_IN, n) -> (n, 1)
     proj = X_mean @ backbone.params["input_proj.W"].value + backbone.params["input_proj.b"].value
     fused = proj + (materialize(pool) if pool is not None else 0.0)
     return heterogeneity_D(fused)
 
 
 def _induced_subperiod(graph, series, new_ids, config, seed):
-    """Dataset over the induced subgraph of new nodes only."""
+    """Dataset over the induced subgraph of the new nodes, the period's last (`diff_nodes`)."""
     from .data_pipeline import ObservationSeries
     from .graph_stream import PeriodGraph
 
-    pos = {nid: i for i, nid in enumerate(graph.nodes)}
-    idx = [pos[nid] for nid in new_ids]
-    sub_graph = PeriodGraph(period_index=graph.period_index,
-                            nodes=tuple(new_ids),
-                            distances=graph.distances[np.ix_(idx, idx)],
-                            adjacency=graph.adjacency[np.ix_(idx, idx)])
-    sub_series = ObservationSeries(node_ids=tuple(new_ids),
-                                   values=series.values[:, idx],
+    new = slice(graph.n - len(new_ids), None)
+    sub_graph = PeriodGraph(period_index=graph.period_index, nodes=new_ids,
+                            distances=graph.distances[new, new],
+                            adjacency=graph.adjacency[new, new])
+    sub_series = ObservationSeries(node_ids=new_ids, values=series.values[:, new],
                                    period_index=series.period_index)
     return build_period_dataset(sub_graph, sub_series,
                                 few_shot_fraction=config.few_shot_fraction,
@@ -336,10 +333,9 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
         if initial:
             backbone = build_backbone(config.variant, d=config.d, kernel=config.kernel,
                                       K_order=config.K_order,
-                                      dropout_p=config.dropout_initial,
                                       seed=nn.hash_name((seed, "init", tau)))
         train_on = "all" if initial else scheme.later
-        new_ids = diff_nodes(stream.periods[tau - 2], graph) if tau > 1 else []
+        new_ids = diff_nodes(stream.periods[tau - 2], graph) if tau > 1 else ()
 
         if scheme.pool is not None:
             if tau == 1:

@@ -30,7 +30,7 @@ class GraphStreamError(ValueError):
 
 
 class ExpansionViolation(GraphStreamError):
-    """A node present in an earlier period is missing from a later one."""
+    """A period's node list does not start with the previous period's."""
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,21 @@ class PeriodGraph:
 
 @dataclass(frozen=True)
 class StreamGraph:
-    """Expansion-only ordered sequence of period graphs."""
+    """Expansion-only ordered sequence of period graphs (`diff_nodes` between each pair)."""
 
     periods: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         for prev, cur in zip(self.periods, self.periods[1:]):
-            prefix = cur.nodes[: prev.n]
-            if prefix != prev.nodes:
-                raise ExpansionViolation(
-                    "period %d does not extend period %d as a prefix"
-                    % (cur.period_index, prev.period_index)
-                )
+            diff_nodes(prev, cur)
+
+
+def diff_nodes(prev: PeriodGraph, cur: PeriodGraph) -> tuple:
+    """The ids cur adds, in its order; prev's node list must be a prefix of cur's."""
+    if cur.nodes[:prev.n] != prev.nodes:
+        raise ExpansionViolation("period %d does not extend period %d as a prefix"
+                                 % (cur.period_index, prev.period_index))
+    return cur.nodes[prev.n:]
 
 
 # the Gaussian kernel squares every distance, so a cell must square to a finite value
@@ -186,19 +189,6 @@ def cheb_polynomials(L_tilde: np.ndarray, order: int) -> list:
     for _ in range(2, order + 1):
         mats.append(2.0 * L_tilde @ mats[-1] - mats[-2])
     return mats
-
-
-def diff_nodes(prev: PeriodGraph, cur: PeriodGraph) -> list:
-    """New node ids in cur's order; every node of prev must persist in cur."""
-    cur_set = set(cur.nodes)
-    for nid in prev.nodes:
-        if nid not in cur_set:
-            raise ExpansionViolation(
-                "node %r from period %d missing in period %d"
-                % (nid, prev.period_index, cur.period_index)
-            )
-    prev_set = set(prev.nodes)
-    return [nid for nid in cur.nodes if nid not in prev_set]
 
 
 def read_distances(path, node_ids=None) -> np.ndarray:

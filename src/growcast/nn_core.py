@@ -332,27 +332,27 @@ class Steps:
     window by window.  `columns[o]` is the stack rows of window row o of
     every window: a strided slice for an edge row, and for an interior
     row a slice when the windows follow one another step by step, else an
-    index array.  `rows` is the same map as one (B, T) array; no row
-    repeats within a column.
+    index array.  No row repeats within a column.
 
-    `slabs` are the conv's slabs (k, timeline rows, stack rows, first) as
-    in `_taps`: tap k reads one timeline slice into all shared rows, and
-    for each edge row o, row o + s of every window (a slice when the
-    windows are consecutive, else an index array) into that row's column.
-    Slabs go tap by tap; the first tap to reach a row writes it.  With
-    distinct heads no slab reads or writes a row twice, so backward runs
-    one GEMM per slab and adds each window's gradient with an indexed +=.
+    `taps` are the conv's slabs as in `_taps`, grouped by tap: entries
+    (k, span, in_place, slabs), each slab (timeline rows, stack rows,
+    first).  Tap k reads one timeline slice into all shared rows, and for
+    each edge row o, row o + s of every window (a slice when the windows
+    are consecutive, else an index array) into that row's column.  Slabs
+    go tap by tap; the first tap to reach a row writes it.  With distinct
+    heads no slab reads or writes a row twice, so backward runs one GEMM
+    per slab and adds each window's gradient with an indexed +=.
 
-    The forward instead forms each product row once: `taps` holds, per
-    tap, the span of timeline rows its slabs read, which it multiplies by
-    W[k] in one call, and its slabs then slice (consecutive windows) or
-    gather (otherwise) their rows of that product, so edge rows cost no
-    GEMM of their own.  With shared rows the span is every timeline row
-    but at most K - 1, so no tap multiplies more rows than its slabs do.
-    The first tap writes its product straight into the stack's leading
-    rows, so its shared slab is in place and dropped from its list; the
-    row or two its edges read past the shared block land on the first
-    window's left-edge rows, which only a later tap writes.
+    The forward instead forms each product row once: tap k multiplies
+    `span`, the timeline rows its slabs read, by W[k] in one call, and its
+    slabs then slice (consecutive windows) or gather (otherwise) their
+    rows of that product, so edge rows cost no GEMM of their own.  With
+    shared rows the span is every timeline row but at most K - 1, so no
+    tap multiplies more rows than its slabs do.  The first tap writes its
+    product straight into the stack's leading rows, so its first slab, the
+    shared block, is `in_place` and the forward skips it; the row or two
+    its edges read past the shared block land on the first window's
+    left-edge rows, which only a later tap writes.
 
     Every layer after the first meets each step with the same products in
     the same order as the windowed path.  The caller's layer-1 GEMM has
@@ -384,21 +384,18 @@ class Steps:
 
         self.columns = [slice(n_shared + edges.index(o), None, E) if o in edges
                         else across(o - K // 2) for o in range(T)]
-        self.rows = np.stack([np.arange(self.n_rows)[c] for c in self.columns], axis=1)
-        self.slabs, self.taps = [], []
+        self.taps = []
         for k in range(K):
             s = k - K // 2
             tap = [(slice(k, k + n_shared), slice(0, n_shared), k == 0)] if n_shared else []
             tap += [(across(o + s), slice(n_shared + e, None, E), k == 0 or o + s == 0)
                     for e, o in enumerate(edges) if 0 <= o + s < T]
-            self.slabs += [(k,) + slab for slab in tap]
             if tap:
                 reads = [np.arange(i.start, i.stop) if isinstance(i, slice) else i
                          for i, _, _ in tap]
                 span = slice(int(min(r.min() for r in reads)),
                              int(max(r.max() for r in reads)) + 1)
-                in_place = k == 0 and n_shared > 0  # its first slab is the shared block
-                self.taps.append((k, span, in_place, tap[1:] if in_place else tap))
+                self.taps.append((k, span, k == 0 and n_shared > 0, tap))
 
 
 def _slab_sum(src, mats, slabs, out):
@@ -430,7 +427,7 @@ def _tap_sum(src, mats, taps, out):
                 product = np.empty((src.shape[0],) + out.shape[1:])
             P = product
         np.matmul(src[span], mats[k], out=P[span])
-        for i, o, first in slabs:
+        for i, o, first in slabs[in_place:]:
             if first:
                 out[o] = P[i]
             else:
@@ -451,7 +448,7 @@ def temporal_conv(record, x, W, b, steps=None):
     steps (a `Steps` layout with K taps): x is a (1, L, n, d_in) timeline
     of at least `steps.length` rows and the output is the layout's
     (n_rows, n, d_out) stack.  The forward runs `steps.taps`, each tap's
-    product once, and backward the same kernels as above on `steps.slabs`.
+    product once, and backward the same kernels as above on their slabs.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
@@ -462,18 +459,18 @@ def temporal_conv(record, x, W, b, steps=None):
     K = W.shape[0]
     if steps is not None:
         src = x.value[0]
-        slabs = steps.slabs
         out = _tap_sum(src, W.value, steps.taps,
                        np.empty((steps.n_rows, x.shape[2], W.shape[2])))
     else:
         src = x.value
-        slabs = _taps(K, x.shape[1])
         out = np.empty(x.shape[:3] + (W.shape[2],))
         out[:, :min(K // 2, x.shape[1] - 1)] = 0.0  # the rows the first tap misses
-        out = _slab_sum(src, W.value, slabs, out)
+        out = _slab_sum(src, W.value, _taps(K, x.shape[1]), out)
     out += b.value
 
     def grad_fn(g):
+        slabs = (_taps(K, src.shape[1]) if steps is None else
+                 [(k,) + slab for k, _, _, tap in steps.taps for slab in tap])
         gx = gW = gb = None
         if W.needs_grad:
             gW = np.zeros(W.shape)
@@ -616,13 +613,13 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
 
 @_quiet
 def mean_pool_time(record, x, steps=None):
-    """Mean over the time axis of a (B, T, n, d) tensor, or of x[steps.rows].
+    """Mean over the time axis of a (B, T, n, d) tensor, or of a `Steps` stack's windows.
 
     steps (a `Steps` layout): x is the layout's (n_rows, n, d) stack.  The
     T (B, n, d) columns, views where `steps.columns` are slices, add into
-    one buffer in time order, as numpy's mean over the middle axis of
-    x[rows] adds them, with no (B, T, n, d) copy; backward adds each
-    window's gradient into the column it read.
+    one buffer in time order, as numpy's mean over the time axis of the
+    gathered (B, T, n, d) windows adds them, with no such copy; backward
+    adds each window's gradient into the column it read.
     """
     x = _as_node(record, x)
     if steps is None:

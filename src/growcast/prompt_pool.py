@@ -28,10 +28,10 @@ class PoolSegment:
 
 @dataclass
 class PromptPool:
+    """Rank k and width d are the shape of B."""
+
     B: Parameter  # k x d
     segments: list = field(default_factory=list)
-    k: int = 6
-    d: int = 64
 
     @property
     def node_ids(self) -> tuple:
@@ -56,7 +56,7 @@ def init_pool(nodes, d: int, k: int = 6, mode: str = "lowrank", seed: int = 0) -
     if not nodes:
         raise PoolError("empty node list")
     if mode == "full":
-        k, B = d, Parameter("pool.B", np.eye(d), trainable=False)
+        B = Parameter("pool.B", np.eye(d), trainable=False)
     elif mode != "lowrank":
         raise PoolError("unknown pool mode %r" % mode)
     elif not (1 <= k <= min(len(nodes), d)):
@@ -64,12 +64,12 @@ def init_pool(nodes, d: int, k: int = 6, mode: str = "lowrank", seed: int = 0) -
     else:
         B = Parameter("pool.B", rng_stream(seed, "pool.B").standard_normal((k, d)) / np.sqrt(k))
     seg = PoolSegment(period_index=1, node_ids=nodes,
-                      A=Parameter("pool.A1", np.zeros((len(nodes), k))))
-    return PromptPool(B=B, segments=[seg], k=k, d=d)
+                      A=Parameter("pool.A1", np.zeros((len(nodes), B.value.shape[0]))))
+    return PromptPool(B=B, segments=[seg])
 
 
 def expand(pool: PromptPool, new_node_ids, period_index: int) -> None:
-    """Append a zero-initialized factor segment for newly detected nodes."""
+    """Append a zero-initialized factor segment, as wide as B is tall, for new nodes."""
     new_node_ids = tuple(new_node_ids)
     if not new_node_ids:
         return
@@ -77,9 +77,10 @@ def expand(pool: PromptPool, new_node_ids, period_index: int) -> None:
     dup = existing.intersection(new_node_ids)
     if dup or len(set(new_node_ids)) != len(new_node_ids):
         raise PoolError("duplicate node ids in expansion: %s" % sorted(dup or set(new_node_ids)))
+    k = pool.B.value.shape[0]
     pool.segments.append(PoolSegment(
         period_index=period_index, node_ids=new_node_ids,
-        A=Parameter("pool.A%d" % period_index, np.zeros((len(new_node_ids), pool.k)))))
+        A=Parameter("pool.A%d" % period_index, np.zeros((len(new_node_ids), k)))))
 
 
 def materialize(pool: PromptPool) -> np.ndarray:

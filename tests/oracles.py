@@ -24,7 +24,7 @@ def backbone_param_count(backbone) -> int:
 def pool_param_count(pool) -> dict:
     """Trainable pool entries against the n x d prompt they materialize."""
     tunable = sum(p.value.size for p in pool.parameters() if p.trainable)
-    materialized = len(pool.node_ids) * pool.d
+    materialized = len(pool.node_ids) * pool.B.value.shape[1]
     return {"tunable": tunable, "materialized": materialized,
             "ratio": tunable / materialized}
 
@@ -86,16 +86,26 @@ def keeping_backward(record, loss) -> dict:
             for name, (param, node) in record._param_nodes.items() if param.trainable}
 
 
+def step_rows(steps) -> np.ndarray:
+    """The stack row of each window step, as one (B, T) array from `steps.columns`."""
+    return np.stack([np.arange(steps.n_rows)[c] for c in steps.columns], axis=1)
+
+
+def step_slabs(steps) -> list:
+    """`steps.taps` flattened, tap by tap, to slabs (k, timeline rows, stack rows, first)."""
+    return [(k,) + slab for k, _, _, tap in steps.taps for slab in tap]
+
+
 def slab_steps_conv(x, W, b, steps) -> np.ndarray:
     """The shared-step temporal conv forward with one GEMM per slab.
 
-    x is the (1, L, n, d_in) timeline; each of `steps.slabs` multiplies
+    x is the (1, L, n, d_in) timeline; each of `step_slabs(steps)` multiplies
     its own timeline rows by W[k] and writes or adds the product into its
     stack rows, as the forward ran before each tap's product was formed once.
     """
     src = x[0]
     out = np.empty((steps.n_rows, x.shape[2], W.shape[2]))
-    for k, i, o, first in steps.slabs:
+    for k, i, o, first in step_slabs(steps):
         if first:
             np.matmul(src[i], W[k], out=out[o])
         else:
@@ -104,12 +114,12 @@ def slab_steps_conv(x, W, b, steps) -> np.ndarray:
 
 
 def gathering_pool(stack, steps, g):
-    """Time mean of the stack's windows by gathering `steps.rows`, and its input gradient.
+    """Time mean of the stack's windows by gathering `step_rows`, and its input gradient.
 
     One (B, n, d) gather per window row, added in time order; backward adds
     g / T into the gathered rows of each column.
     """
-    rows, T = steps.rows, steps.T
+    rows, T = step_rows(steps), steps.T
     out = stack[rows[:, 0]]
     for o in range(1, T):
         out += stack[rows[:, o]]

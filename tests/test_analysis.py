@@ -27,9 +27,26 @@ class TestMetrics:
         assert out["MAE"] == 0 and out["RMSE"] == 0 and out["MAPE"] == 0
 
     def test_mape_mask(self):
+        # the zero truth is masked: only the 50% error at truth 2 counts
         out = metrics([1.0, 1.0], [0.0, 2.0])
-        assert out["mape_masked_count"] == 1
         assert out["MAPE"] == pytest.approx(50.0)
+        assert set(out) == {"MAE", "RMSE", "MAPE"}
+
+    def test_rmse_of_huge_errors_is_finite(self):
+        # 1e200 squares, and two errors of 1.7e308 sum, past the float range
+        out = metrics([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+        assert out["RMSE"] == pytest.approx(0.5e200, rel=1e-15)
+        assert out["MAE"] == pytest.approx(0.25e200, rel=1e-15)
+        assert metrics([-1.7e308, 1.7e308], [0.0, 0.0])["RMSE"] == 1.7e308
+
+    def test_bit_equal_to_the_unscaled_formulas(self):
+        # scaling by a power of two is exact, so ordinary errors keep every bit
+        rng = np.random.default_rng(3)
+        for scale in (1e-30, 1e-3, 1.0, 7.0, 1e5, 1e100):
+            p, y = (scale * rng.standard_normal((64, 12, 9)) for _ in range(2))
+            out = metrics(p, y)
+            assert out["MAE"] == float(np.abs(p - y).mean())
+            assert out["RMSE"] == float(np.sqrt(((p - y) ** 2).mean()))
 
     def test_all_masked_is_undefined_not_zero(self):
         out = metrics([1.0], [0.0])

@@ -11,7 +11,7 @@ import pytest
 
 from growcast import nn_core as nn
 from growcast.cli import main
-from growcast.data_pipeline import SPLIT_RATIOS
+from growcast.data_pipeline import SPLIT_RATIOS, synth_stream, write_stream
 
 SYNTH = "n0=5,growth=2,periods=2,T=160,seed=3"
 
@@ -44,6 +44,23 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] is None
         assert manifest["config"]["scheme"] == "EAC"
+
+    def test_huge_test_reading_writes_strict_json(self, tmp_path):
+        # one test-split reading of 1e200: its error squares past the float
+        # range, yet every report value stays a finite JSON number
+        stream, series = synth_stream(8, 2, 2, 300, seed=1)
+        series[1].values[-5, 3] = 1e200
+        manifest = write_stream(str(tmp_path / "stream"), stream, series)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path, d=8, k=2), "--data", manifest,
+                   "--out", str(out)])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError("reports.json holds %s" % constant)
+
+        reports = json.loads((out / "reports.json").read_text(), parse_constant=reject)
+        assert 1e190 < reports[1]["horizons"]["avg"]["RMSE"]["mean"] < 1e200
 
     def test_timings_give_each_seeds_best_epoch(self, tmp_path):
         out = tmp_path / "out"

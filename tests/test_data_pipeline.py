@@ -100,7 +100,7 @@ class TestIngest:
         series = ingest_period(path, graph_of(["a", "b"]))
         assert series.values.shape == (0, 2)
         with pytest.raises(DataError, match="train segment of 0 steps"):
-            chrono_split(series, t_in=12, t_out=12)
+            chrono_split(series)
 
     def test_all_blank_column_named(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -167,16 +167,22 @@ class TestImpute:
 
 class TestChronoSplit:
     def test_even_split(self):
-        segs = chrono_split(series_of(100))
-        assert [s.shape[0] for s in segs] == [60, 20, 20]
+        segs = chrono_split(series_of(200))
+        assert [s.shape[0] for s in segs] == [120, 40, 40]
 
     def test_floor_split(self):
-        segs = chrono_split(series_of(101))
-        assert [s.shape[0] for s in segs] == [60, 20, 21]
+        segs = chrono_split(series_of(201))
+        assert [s.shape[0] for s in segs] == [120, 40, 41]
 
     def test_infeasible_segment(self):
         with pytest.raises(DataError, match="val"):
-            chrono_split(series_of(70), t_in=12, t_out=12)
+            chrono_split(series_of(70))
+
+    def test_shortest_timeline_holds_one_window_per_split(self):
+        # each split needs T_IN + T_OUT = 24 steps: 118 gives 70/24/24
+        assert [s.shape[0] for s in chrono_split(series_of(118))] == [70, 24, 24]
+        with pytest.raises(DataError, match="val segment of 23 steps cannot hold a 24-step"):
+            chrono_split(series_of(117))
 
     def test_no_window_crosses_boundary(self):
         series = series_of(200)  # every value occurs once
@@ -199,23 +205,19 @@ class TestMakeWindows:
             make_windows(np.zeros((23, 2)))
 
     def test_count_formula_exhaustive(self):
-        for T_s in range(2, 101):
-            for t_in, t_out in ((1, 1), (3, 2), (12, 12)):
-                if T_s < t_in + t_out:
-                    continue
-                got = len(make_windows(np.zeros((T_s, 1)), t_in=t_in, t_out=t_out))
-                assert got == T_s - t_in - t_out + 1
+        for T_s in range(24, 101):
+            assert len(make_windows(np.zeros((T_s, 1)))) == T_s - 23
 
     def test_window_contiguity(self):
-        seg = np.arange(30, dtype=float).reshape(30, 1)
-        ws = make_windows(seg, t_in=3, t_out=2)
-        assert ws.X.shape == (26, 3, 1) and ws.Y.shape == (26, 2, 1)
+        seg = np.arange(40, dtype=float).reshape(40, 1)
+        ws = make_windows(seg)
+        assert ws.X.shape == (17, 12, 1) and ws.Y.shape == (17, 12, 1)
         assert np.array_equal(ws.Y[:, 0, 0], ws.X[:, -1, 0] + 1)
-        assert starts(ws) == list(range(26))
+        assert starts(ws) == list(range(17))
 
     def test_windows_are_read_only_views(self):
         seg = np.arange(60, dtype=float).reshape(30, 2)
-        ws = make_windows(seg, t_in=3, t_out=2)
+        ws = make_windows(seg)
         assert np.shares_memory(ws.X, seg) and np.shares_memory(ws.Y, seg)
         with pytest.raises(ValueError):
             ws.X[0, 0, 0] = 1.0

@@ -295,6 +295,28 @@ class TestEvaluatePeriod:
         assert out["3"]["MAE"] == pytest.approx(1.0)
         assert out["6"]["MAE"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("horizon_mode", ["at_step", "prefix"])
+    def test_horizon_h_scores_its_steps(self, horizon_mode):
+        # at_step scores step h alone and prefix its first h steps, in data
+        # units; prefix horizon 12 is every step, as "avg" is
+        rng = np.random.default_rng(9)
+        samples = Windows(X=np.zeros((11, 12, 3)), Y=rng.standard_normal((11, 12, 3)),
+                          starts=np.arange(11))
+        preds = rng.standard_normal((11, 12, 3))
+
+        def forward(batch_x, train, starts=None):
+            rec = nn.ComputeRecord()
+            return rec.constant(preds[starts]), rec
+
+        norm = Normalizer(4.0, 3.0)
+        out = evaluate_period(forward, samples, norm, batch_size=4, horizon_mode=horizon_mode)
+        pred, truth = norm.invert(preds), norm.invert(samples.Y)
+        for h in HORIZONS:
+            steps = h - 1 if horizon_mode == "at_step" else slice(h)
+            assert out[str(h)] == metrics(pred[:, steps], truth[:, steps])
+        assert out["avg"] == metrics(pred, truth)
+        assert (out["12"] == out["avg"]) == (horizon_mode == "prefix")
+
 
 class TestMakeForward:
     @pytest.mark.parametrize("variant", ["spatial", "spectral"])
@@ -552,6 +574,18 @@ class TestSchemes:
         assert reports[1].epochs_run > 0
         # metrics exist for the full period-2 graph
         assert reports[1].horizons["avg"]["MAE"]["mean"] is not None
+
+    def test_prefix_mode_changes_only_the_horizon_scores(self):
+        # horizon_mode acts at evaluation only: "avg" and training stay as they are
+        stream, series = tiny_stream(periods=2)
+        runs = {mode: run_stream(ExperimentConfig(scheme="EAC", seeds=(1,),
+                                                  horizon_mode=mode, **TINY),
+                                 stream, series)[0]
+                for mode in ("at_step", "prefix")}
+        for at_step, prefix in zip(runs["at_step"], runs["prefix"]):
+            assert prefix.horizons["avg"] == at_step.horizons["avg"] == prefix.horizons["12"]
+            assert prefix.horizons["3"] != at_step.horizons["3"]
+            assert prefix.epochs_run == at_step.epochs_run
 
     def test_determinism_across_runs(self):
         stream, series = tiny_stream(periods=2)

@@ -216,15 +216,28 @@ class TestDiffNodes:
     def test_growth(self):
         prev = make_graph(1, ["a", "b"])
         cur = make_graph(2, ["a", "b", "c"])
-        assert diff_nodes(prev, cur) == ["c"]
+        assert diff_nodes(prev, cur) == ("c",)
 
     def test_identity(self):
         g = make_graph(1, ["a", "b"])
-        assert diff_nodes(g, g) == []
+        assert diff_nodes(g, g) == ()
 
     def test_removal_rejected(self):
         with pytest.raises(ExpansionViolation):
             diff_nodes(make_graph(1, ["a", "b"]), make_graph(2, ["a", "c"]))
+
+    def test_reordered_prefix_rejected_as_by_the_stream(self):
+        # every old node persists, but not as a prefix: both refuse it alike
+        prev, cur = make_graph(1, ["a", "b"]), make_graph(2, ["b", "a", "c"])
+        message = "period 2 does not extend period 1 as a prefix"
+        with pytest.raises(ExpansionViolation, match=message):
+            diff_nodes(prev, cur)
+        with pytest.raises(ExpansionViolation, match=message):
+            StreamGraph(periods=(prev, cur))
+
+    def test_new_nodes_inserted_before_old_ones_rejected(self):
+        with pytest.raises(ExpansionViolation):
+            diff_nodes(make_graph(1, ["a", "b"]), make_graph(2, ["c", "a", "b"]))
 
     def test_count_matches_growth(self):
         prev = make_graph(1, ["a", "b", "c"])

@@ -43,7 +43,7 @@ class TestInit:
     def test_full_is_rank_d_over_frozen_identity(self):
         pools = [init_pool(ids(12), d=8, k=3, mode="full", seed=seed) for seed in (0, 1)]
         pool = pools[0]
-        assert pool.k == 8 and pool.B.name == "pool.B" and not pool.B.trainable
+        assert pool.B.value.shape == (8, 8) and pool.B.name == "pool.B" and not pool.B.trainable
         assert pool.B.value.tobytes() == np.eye(8).tobytes() == pools[1].B.value.tobytes()
         assert [p.name for p in pool.parameters() if p.trainable] == ["pool.A1"]
         assert param_count(pool)["tunable"] == 12 * 8
@@ -85,6 +85,18 @@ class TestExpand:
         pool = random_pool()
         with pytest.raises(PoolError):
             expand(pool, (pool.node_ids[0],), period_index=2)
+
+    @pytest.mark.parametrize("mode, k, d, rank", [("lowrank", 3, 7, 3), ("full", 3, 5, 5)])
+    def test_new_segment_follows_the_shape_of_B(self, mode, k, d, rank):
+        # the pool stores no k or d of its own: a new segment is as wide as B
+        # is tall, and the prompt as wide as B
+        pool = init_pool(ids(6), d=d, k=k, mode=mode, seed=2)
+        expand(pool, ids(2, "new"), period_index=2)
+        assert [seg.A.value.shape for seg in pool.segments] == [(6, rank), (2, rank)]
+        assert materialize(pool).shape == (8, d)
+        pool.B.value = np.ones((4, 9))
+        expand(pool, ids(3, "late"), period_index=3)
+        assert pool.segments[-1].A.value.shape == (3, 4)
 
     def test_tunable_grows_by_k_per_node(self):
         pool = init_pool(ids(30), d=16, k=5)
