@@ -20,6 +20,7 @@ import ctypes
 import hashlib
 import os
 import time
+import typing
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -81,16 +82,6 @@ class TrainingAbort(RuntimeError):
                             "validation pass" if batch is None else "batch %d" % batch, lr))
 
 
-# the JSON types each config field but `seeds` accepts (true is not an int)
-_FIELD_TYPES = {"scheme": (str,), "variant": (str,), "horizon_mode": (str,),
-                "few_shot_random": (bool,), "freeze_old_segments": (bool,),
-                "few_shot_fraction": (int, float, type(None)),
-                **dict.fromkeys(("k", "d", "epochs_max", "batch_size", "patience",
-                                 "K_order", "kernel"), (int,)),
-                **dict.fromkeys(("lr_initial", "lr_continual", "dropout_initial",
-                                 "dropout_continual"), (int, float))}
-
-
 @dataclass
 class ExperimentConfig:
     scheme: str
@@ -117,7 +108,7 @@ class ExperimentConfig:
             if type(getattr(self, name)) not in kinds:
                 raise ConfigError("config field %s has the wrong type: %r"
                                   % (name, getattr(self, name)))
-        if type(self.seeds) not in (list, tuple) or any(type(s) is not int for s in self.seeds):
+        if any(type(s) is not int for s in self.seeds):
             raise ConfigError("seeds must be a list of integers, got %r" % (self.seeds,))
         if self.scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r (one of %s)" % (self.scheme, tuple(SCHEMES)))
@@ -160,6 +151,14 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("unknown config fields: %s" % sorted(unknown))
         return cls(**data)
+
+
+# the JSON types a field of each annotation accepts (true is not an int); a
+# field of any other annotation fails here, at import
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               tuple: (list, tuple), float | None: (int, float, type(None))}
+_FIELD_TYPES = {name: _JSON_TYPES[hint]
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 @dataclass

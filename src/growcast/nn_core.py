@@ -16,21 +16,33 @@ non-finite sum, from a non-finite entry or from squares that overflow,
 pays for the exact elementwise test.  The NonFiniteError names the
 parameter or the primitive, and it is the only report: the primitives,
 backward and Adam run with numpy's overflow and invalid-value warnings
-off.  `relu` applies ReLU and dropout as one multiplier, in place
-into the fresh output of the primitive before it.  The graph layers,
-`graph_conv` and the fused `graph_input`, take a list of n x n matrices
-and a weight that is a channel mix or Chebyshev coefficients.  A record
-built with `grad=False` keeps no tape, so evaluation frees each
+off.  `relu` applies ReLU and dropout as one multiplier.  The graph
+layers, `graph_conv` and the fused `graph_input`, take a list of n x n
+matrices and a weight that is a channel mix or Chebyshev coefficients.  A
+record built with `grad=False` keeps no tape, so evaluation frees each
 intermediate once the next layer has read it.
 
-What a training record keeps: each node's value, until `backward` has
-passed the node and frees its value, grad_fn and parents (leaves and
-constants stay); and in each grad_fn, only what the gradients that will
-be taken read.  Dropout keeps its bool mask, not the float multiplier;
-`graph_conv` keeps G h only for a trainable matrix weight, and
-`graph_input` keeps G x and x only for the weights that read them.  So a
-step's memory falls as backward replays, and a record that backward has
-consumed holds its leaves and nothing else.
+What a training record keeps: at every point of a step, only arrays that
+a grad_fn still to run reads.  A grad_fn keeps only what the gradients
+that will be taken read, and never its own node's output: `relu` keeps a
+bool mask, one byte per element; `graph_conv` keeps G h only for a
+trainable matrix weight and h only for trainable coefficients;
+`temporal_conv` keeps its input only for a trainable weight;
+`graph_input` keeps G x and x only for the weights that read them.  An
+output that its primitive allocated is fresh until the next primitive
+is recorded.  The next primitive that reads it takes its array (`_take`),
+and the node's value becomes None: `relu` and a square `graph_conv`
+write their output into it, `temporal_conv` hands it to its grad_fn
+alone, `mean_pool_time` keeps it to receive the input gradient, and a
+primitive whose gradient needs no such array drops it.
+`backward` frees each node once it has passed it (value, grad_fn and
+parents; leaves and constants stay).  It owns a gradient that it alone
+holds, one a grad_fn allocated rather than a view or a broadcast, and
+the grad_fn it hands an owned gradient to may overwrite it; a grad_fn
+may overwrite the arrays its primitive took as well.  So nothing writes
+a leaf, a constant, or an array that no primitive took, such as the
+prediction a caller holds, and no float operation depends on where its
+result is stored.
 
 Shared steps run overlapping windows once per distinct step: a `Steps`
 layout says where each window lies on one timeline of steps, and
@@ -114,8 +126,9 @@ class Parameter:
 class Node:
     """A value on the tape, a finite float64 array (module docstring).
 
-    An in-place `relu` sets `value` to None; `backward` sets `value`,
-    `grad_fn` and `parents` to None once it is done with the node.
+    A primitive that takes the node's array (`_take`) sets `value` to
+    None; `backward` sets `value`, `grad_fn` and `parents` to None once it
+    is done with the node.
     """
 
     __slots__ = ("value", "parents", "grad_fn", "needs_grad")
@@ -144,6 +157,7 @@ class ComputeRecord:
         self.consumed = False
         self._param_nodes = {}
         self._fresh = None  # last output whose array no other node reads yet
+        self._owned = None  # the gradient backward hands over to a grad_fn to overwrite
 
     def leaf(self, param: Parameter) -> Node:
         if not _finite(param.value):
@@ -163,7 +177,7 @@ class ComputeRecord:
 
         scan=False is for ops that map finite inputs to finite outputs.
         fresh=True says `value` is an array the primitive allocated, which
-        a `relu` right after it may overwrite.
+        the primitive right after it may take (`_take`) when C-contiguous.
         """
         if scan and not _finite(value):
             raise NonFiniteError("non-finite output of %s" % op_name)
@@ -171,7 +185,7 @@ class ComputeRecord:
             node = Node(value, tuple(parents), grad_fn, any(p.needs_grad for p in parents))
         else:
             node = Node(value)
-        self._fresh = node if fresh else None
+        self._fresh = node if fresh and value.flags.c_contiguous else None
         return self._keep(node)
 
     def _keep(self, node: Node) -> Node:
@@ -199,8 +213,23 @@ def _as_node(record: ComputeRecord, x) -> Node:
     if x.value is None:
         if x.parents is None:
             raise NnError("backward has freed this node; build a new record")
-        raise NnError("a relu has overwritten this node in place; read the relu's output")
+        raise NnError("the primitive that read this node took its array in place; "
+                      "read that primitive's output")
     return x
+
+
+def _take(record, x):
+    """(x's array, whether the primitive now reading x takes it).
+
+    It does when x is the fresh output of the primitive recorded just
+    before, which no other node has read: x's node then gives the array up
+    (its value becomes None), and the primitive may overwrite it, keep it
+    for its grad_fn alone, or drop it.  Call after the shape checks.
+    """
+    if record._fresh is not x:
+        return x.value, False
+    value, x.value = x.value, None
+    return value, True
 
 
 def _shape_check(op, cond, *shapes):
@@ -240,44 +269,41 @@ def linear(record, x, W, b=None):
 def relu(record, x, p=0.0, rng=None):
     """max(x, 0) followed by inverted dropout at rate p, in one pass.
 
-    p = 0: np.maximum(x, 0) (-0.0 maps to +0.0), no rng; backward takes
-    its mask from the output.  p > 0: one rng.random(x.shape) call, as the
-    unfused dropout drew, gives the multiplier m = (x > 0) * (draw >= p)
-    / (1 - p); the output is x * m (so -0.0 where x < 0).  The tape keeps
-    the bool mask, one byte per element, and backward rebuilds m from it
-    with the same division, so g * m rounds as before.  The result
-    overwrites x's array when x is the fresh output of the primitive
-    recorded just before; x's value is then gone.  Leaves,
-    constants and outputs another primitive read are never written.  Only
-    dropout scaling can overflow, so only then is the output scanned.
+    p = 0: np.maximum(x, 0) (-0.0 maps to +0.0), no rng.  p > 0: one
+    rng.random(x.shape) call, as the unfused dropout drew, gives the
+    multiplier m = (x > 0) * (draw >= p) / (1 - p); the output is x * m
+    (so -0.0 where x < 0).  The tape keeps a bool mask, one byte per
+    element: out > 0, or the entries that dropout keeps.  Backward
+    multiplies the mask into g, then for p > 0 scales by 1 / (1 - p),
+    which rounds as g * m would; both run in place on an owned g.  When
+    relu takes x (`_take`), the output overwrites x's array.  Only dropout
+    scaling can overflow, so only then is the output scanned.
     """
     x = _as_node(record, x)
     if not (0.0 <= p < 1.0):
         raise NnError("dropout rate must lie in [0, 1), got %r" % p)
     if p > 0.0 and rng is None:
         raise NnError("dropout with p > 0 needs an explicit rng")
-    in_place = record._fresh is x
-    out = x.value if in_place else None
+    value, own = _take(record, x)
+    out = value if own else None
     if p == 0.0:
-        out = np.maximum(x.value, 0.0, out=out)
-
-        def grad_fn(g):
-            return [g * (out > 0)]
+        out = np.maximum(value, 0.0, out=out)
+        keep = out > 0 if record.grad else None  # evaluation keeps no mask
     else:
-        m = rng.random(x.shape)
+        m = rng.random(value.shape)
         keep = m >= p
-        keep &= x.value > 0
+        keep &= value > 0
         np.divide(keep, 1.0 - p, out=m)
-        out = np.multiply(x.value, m, out=out)
-        del m  # backward rebuilds the multiplier from the one-byte mask
+        out = np.multiply(value, m, out=out)
+        del m  # backward scales by 1 / (1 - p) after the one-byte mask
 
-        def grad_fn(g):
-            return [g * np.divide(keep, 1.0 - p)]
+    def grad_fn(g):
+        g = np.multiply(g, keep, out=g if record._owned is g else None)
+        if p > 0.0:
+            g *= 1.0 / (1.0 - p)
+        return [g]
 
-    node = record.record("relu", out, [x], grad_fn, scan=p > 0.0)
-    if in_place:
-        x.value = None
-    return node
+    return record.record("relu", out, [x], grad_fn, scan=p > 0.0, fresh=True)
 
 
 def concat_rows(record, parts):
@@ -316,10 +342,11 @@ def _taps(K, T):
 class Steps:
     """Overlapping windows laid over one timeline of distinct steps, under a K-tap conv.
 
-    heads[i] is the timeline row on which window i starts, so step o of
-    window i is timeline row heads[i] + o; the heads are distinct, and the
-    windows read the first `length` rows of the timeline.  Built once per
-    batch and passed as `steps=` to `temporal_conv` and `mean_pool_time`.
+    Built from `heads`, where heads[i] is the timeline row on which window
+    i starts, so step o of window i is timeline row heads[i] + o; the heads
+    are distinct, and the windows read the first `length` rows of the
+    timeline.  Built once per batch and passed as `steps=` to
+    `temporal_conv` and `mean_pool_time`.
 
     Window row o is an edge row when one of the conv's taps reads padding
     for it: the first K // 2 rows and the last K - 1 - K // 2.  Interior
@@ -370,7 +397,7 @@ class Steps:
                              "nonnegative integers, got %s of %s" % (heads.shape, heads.dtype))
         heads = heads.astype(np.intp, copy=False)
         B, h = len(heads), int(heads[0])
-        self.heads, self.T, self.K = heads, T, K
+        self.T, self.K = T, K
         self.length = int(heads.max()) + T
         edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
         E = len(edges)
@@ -435,6 +462,40 @@ def _tap_sum(src, mats, taps, out):
     return out
 
 
+def _packed_weight_grad(src, g, slabs, gW):
+    """gW[k] += src[i]^T g[o], rows flattened, over a windowed layout's slabs (k, i, o, _).
+
+    src is a (B, T, ...) array that nothing else reads, and this leaves it
+    scrambled.  A slab that reads rows [a, a + m) of every window, m < T,
+    is strided; instead of copying it, its rows move to the front of src's
+    buffer window by window, in the order a copy would hold them, so its
+    GEMM reads the same operand.  The slab that reads every row goes
+    first; for each later slab but the last, the rows outside it are saved
+    and the move is undone after its GEMM.  g's slab is copied as before.
+    """
+    B, T = src.shape[:2]
+    row = src[0, 0].size
+    flat = src.reshape(-1)
+    slabs = sorted(slabs, key=lambda slab: slab[1][1].start - slab[1][1].stop)
+    for j, (k, i, o, _) in enumerate(slabs):
+        a, m = i[1].start, i[1].stop - i[1].start
+        # (to, from) of each window's rows; 1-D copies need no buffer where they overlap
+        moves = [(slice(w * m * row, (w + 1) * m * row),
+                  slice((w * T + a) * row, (w * T + a + m) * row))
+                 for w in range(B)] if m < T else []
+        undo = moves and j < len(slabs) - 1
+        if undo:
+            rest = np.r_[0:a, a + m:T]
+            saved = src[:, rest]
+        for to, frm in moves:
+            flat[to] = flat[frm]
+        gW[k] += flat[:B * m * row].reshape(-1, gW.shape[1]).T @ g[o].reshape(-1, gW.shape[2])
+        if undo:
+            for to, frm in reversed(moves):
+                flat[frm] = flat[to]
+            src[:, rest] = saved
+
+
 @_quiet
 def temporal_conv(record, x, W, b, steps=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
@@ -449,6 +510,12 @@ def temporal_conv(record, x, W, b, steps=None):
     of at least `steps.length` rows and the output is the layout's
     (n_rows, n, d_out) stack.  The forward runs `steps.taps`, each tap's
     product once, and backward the same kernels as above on their slabs.
+
+    Only the weight gradient reads x, so a frozen W keeps nothing of it.
+    When temporal_conv takes x (`_take`), a frozen W drops x's array and a
+    trainable one hands it to the grad_fn alone, which reads the windowed
+    layout's slabs by moving rows inside it (`_packed_weight_grad`) and
+    then writes the input gradient into it.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
@@ -456,30 +523,42 @@ def temporal_conv(record, x, W, b, steps=None):
                  and (steps is None or (x.shape[0] == 1 and x.shape[1] >= steps.length
                                         and W.shape[0] == steps.K)),
                  x.shape, W.shape, b.shape)
-    K = W.shape[0]
+    K, shape = W.shape[0], x.shape
+    value, own = _take(record, x)
+    src = value if steps is None else value[0]
     if steps is not None:
-        src = x.value[0]
         out = _tap_sum(src, W.value, steps.taps,
-                       np.empty((steps.n_rows, x.shape[2], W.shape[2])))
+                       np.empty((steps.n_rows, shape[2], W.shape[2])))
     else:
-        src = x.value
-        out = np.empty(x.shape[:3] + (W.shape[2],))
-        out[:, :min(K // 2, x.shape[1] - 1)] = 0.0  # the rows the first tap misses
-        out = _slab_sum(src, W.value, _taps(K, x.shape[1]), out)
+        out = np.empty(shape[:3] + (W.shape[2],))
+        out[:, :min(K // 2, shape[1] - 1)] = 0.0  # the rows the first tap misses
+        out = _slab_sum(src, W.value, _taps(K, shape[1]), out)
     out += b.value
+    if not W.needs_grad:
+        value = src = None
 
     def grad_fn(g):
-        slabs = (_taps(K, src.shape[1]) if steps is None else
+        nonlocal value, src
+        slabs = (_taps(K, shape[1]) if steps is None else
                  [(k,) + slab for k, _, _, tap in steps.taps for slab in tap])
         gx = gW = gb = None
         if W.needs_grad:
             gW = np.zeros(W.shape)
-            for k, i, o, _ in slabs:
-                gW[k] += src[i].reshape(-1, W.shape[1]).T @ g[o].reshape(-1, W.shape[2])
+            if own and steps is None:
+                _packed_weight_grad(src, g, slabs, gW)
+            else:
+                for k, i, o, _ in slabs:
+                    gW[k] += src[i].reshape(-1, W.shape[1]).T @ g[o].reshape(-1, W.shape[2])
         if x.needs_grad:
+            if own and value is not None:
+                gx = value  # taken, and no longer read
+                gx.fill(0.0)
+            else:
+                gx = np.zeros(shape)
             swapped = [(k, o, i, False) for k, i, o, _ in slabs]
-            gx = _slab_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)), swapped,
-                           np.zeros(src.shape)).reshape(x.shape)
+            _slab_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)), swapped,
+                      gx if steps is None else gx[0])
+        value = src = None
         if b.needs_grad:
             gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
         return [gx, gW, gb]
@@ -516,6 +595,13 @@ def graph_conv(record, operator, h, weight):
     batch/time axes with nodes on axis -2.  Forward is one propagation G h
     and the input gradient one G^T g; a coefficient gradient is <T_k, S>
     with S = sum over windows of g h^T, one GEMM.
+
+    A trainable matrix weight keeps G h and trainable coefficients keep h;
+    nothing else is kept.  When graph_conv takes h (`_take`), a square
+    matrix weight writes (G h) W into h's array; otherwise h's array goes
+    unless the coefficients keep it.  Backward forms the weight gradient
+    first, then writes g W^T into the kept G h and G^T (g W^T) into an
+    owned g of the same shape, or G^T g into a taken h.
     """
     h, weight = _as_node(record, h), _as_node(record, weight)
     basis = [np.asarray(Tk, dtype=float) for Tk in operator]
@@ -523,23 +609,34 @@ def graph_conv(record, operator, h, weight):
                  and _fits(basis, weight.value, h.shape[-2], h.shape[-1]),
                  weight.shape, h.shape, *[Tk.shape for Tk in basis])
     G, W = _propagator(basis, weight.value)
-    Gh = np.matmul(G, h.value)
-    out = Gh if W is None else Gh @ W
+    value, own = _take(record, h)
+    Gh = np.matmul(G, value)
+    if W is None:
+        out = Gh
+    else:
+        out = np.matmul(Gh, W, out=value if own and W.shape[0] == W.shape[1] else None)
     if W is None or not weight.needs_grad:
         Gh = None  # only a matrix weight's gradient reads it
+    if W is not None or not weight.needs_grad:
+        value = None  # only a coefficient gradient reads h
 
     def grad_fn(g):
-        nonlocal Gh
+        nonlocal Gh, value
         gh = gw = None
         if weight.needs_grad and W is None:
             axes = [a for a in range(g.ndim) if a != g.ndim - 2]
-            S = np.tensordot(g, h.value, axes=(axes, axes))  # (n, n)
+            S = np.tensordot(g, value, axes=(axes, axes))  # (n, n)
             gw = np.array([np.vdot(Tk, S) for Tk in basis])
         elif weight.needs_grad:
             gw = np.einsum("...i,...j->ij", Gh, g, optimize=True)
-            Gh = None  # freed before the input gradient allocates
         if h.needs_grad:
-            gh = np.matmul(G.T, g if W is None else g @ W.T)
+            mixed = g if W is None else np.matmul(g, W.T, out=Gh)
+            if W is None:
+                into = value if own else None
+            else:
+                into = g if record._owned is g and g.shape == mixed.shape else None
+            gh = np.matmul(G.T, mixed, out=into)
+        Gh = value = None
         return [gh, gw]
 
     return record.record("graph_conv", out, [h, weight], grad_fn, fresh=True)
@@ -620,25 +717,43 @@ def mean_pool_time(record, x, steps=None):
     one buffer in time order, as numpy's mean over the time axis of the
     gathered (B, T, n, d) windows adds them, with no such copy; backward
     adds each window's gradient into the column it read.
+
+    Backward reads only x's shape.  When mean_pool_time takes x (`_take`),
+    x's array receives x's gradient, an array that size either way, so
+    backward need not allocate one while the step is at its largest;
+    otherwise the windowed gradient is a broadcast view.
     """
     x = _as_node(record, x)
     if steps is None:
         _shape_check("mean_pool_time", x.value.ndim == 4, x.shape)
         T = x.shape[1]
-        out = x.value.mean(axis=1)
     else:
         _shape_check("mean_pool_time", x.value.ndim == 3 and x.shape[0] == steps.n_rows,
                      x.shape, (steps.n_rows,))
         columns, T = steps.columns, steps.T
-        out = np.array(x.value[columns[0]])
+    shape = x.shape
+    value, own = _take(record, x)
+    if steps is None:
+        out = value.mean(axis=1)
+    else:
+        out = np.array(value[columns[0]])
         for c in columns[1:]:
-            out += x.value[c]
+            out += value[c]
         out /= T
+    if not (own and x.needs_grad):
+        value = None  # the gradient reads no value; a taken array holds x's gradient
 
     def grad_fn(g):
+        nonlocal value
+        gx, value = value, None
         if steps is None:
-            return [np.broadcast_to(g[:, None] / T, x.shape)]
-        gx = np.zeros(x.shape)
+            if gx is None:
+                return [np.broadcast_to(g[:, None] / T, shape)]
+            return [np.divide(g[:, None], T, out=gx)]
+        if gx is None:
+            gx = np.zeros(shape)
+        else:
+            gx.fill(0.0)
         g = g / T
         for c in columns:
             gx[c] += g
@@ -673,6 +788,13 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     grad_fn and parents are dropped, since every reader of them (the
     node's children) has already run.  Leaves and constants keep their
     values, and `record.nodes` keeps its length.
+
+    Each node's gradient goes to its grad_fn alone.  Backward owns it when
+    nothing else holds it: a C-contiguous array that a grad_fn allocated
+    (not a view, such as a broadcast or a slice) and handed to one parent,
+    the owned g that a grad_fn wrote into and returned, or a sum of two
+    gradients.  It marks an owned g as `record._owned` for the grad_fn,
+    which may then overwrite it.
     """
     if record.consumed:
         raise NnError("compute record already consumed")
@@ -681,23 +803,31 @@ def backward(record: ComputeRecord, loss: Node) -> dict:
     if loss.value.shape != ():
         raise NnError("loss must be scalar, got shape %s" % (loss.value.shape,))
     record.consumed = True
-    grads = {id(loss): np.asarray(1.0)}
+    grads = {id(loss): (np.asarray(1.0), True)}  # id -> (gradient, owned)
     for node in reversed(record.nodes):
         if node.grad_fn is None:
             continue  # leaves keep their value and their accumulated gradient
-        g = grads.pop(id(node), None)
+        g, owned = grads.pop(id(node), (None, False))
         if g is not None:
-            for parent, pg in zip(node.parents, node.grad_fn(g)):
+            record._owned = g if owned else None
+            pgs = node.grad_fn(g)
+            record._owned = None
+            for parent, pg in zip(node.parents, pgs):
                 if not parent.needs_grad:
                     continue
                 acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                if acc is None:
+                    grads[id(parent)] = (pg, pg.base is None and pg.flags.c_contiguous
+                                         and (pg is not g or owned)
+                                         and sum(q is pg for q in pgs) == 1)
+                else:
+                    grads[id(parent)] = (acc[0] + pg, True)
         node.value = node.grad_fn = node.parents = None
     out = {}
     for name, (param, node) in record._param_nodes.items():
         if not param.trainable:
             continue
-        g = grads.get(id(node))
+        g, _ = grads.get(id(node), (None, False))
         out[name] = np.zeros_like(param.value) if g is None else np.asarray(g)
     return out
 

@@ -67,8 +67,9 @@ def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None) 
 def keeping_backward(record, loss) -> dict:
     """Reverse accumulation that leaves the whole tape in place.
 
-    The replay `nn.backward` did before it freed each node behind it; the
-    gradients must not depend on the freeing.
+    The replay `nn.backward` did before it freed each node behind it and
+    handed grad_fns gradients to overwrite; the gradients must depend on
+    neither.
     """
     grads = {id(loss): np.asarray(1.0)}
     for node in reversed(record.nodes):

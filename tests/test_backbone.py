@@ -231,7 +231,7 @@ class TestSharedSteps:
                 assert got.value.tobytes() == want.value.tobytes()
                 assert got.value.tobytes() == windowed_forward(bb, op, gathered,
                                                                prompt).tobytes()
-        assert [(len(s.heads), s.T, s.K) for s in shared] == [(B, 12, kernel)] * 4
+        assert [(s.length, s.T, s.K) for s in shared] == [(B + 11, 12, kernel)] * 4
 
     @pytest.mark.parametrize("nan_at", [(3, 2), (3 + 36 + 11, 5)])
     def test_nan_input_names_the_primitive(self, nan_at):

@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import gathering_pool, slab_steps_conv, step_rows, step_slabs
+from oracles import (gathering_pool, keeping_backward, slab_steps_conv, step_rows,
+                     step_slabs)
 
 from growcast import nn_core as nn
 
@@ -140,12 +141,25 @@ def relu_then_dropout(x, g, p, rng):
     return np.maximum(x, 0.0) * mask, (g * mask) * (x > 0)
 
 
-def primitive_grads(op, *args, g):
-    """Forward value and the parents' gradients for upstream gradient g."""
+def primitive_grads(op, *args, g, fresh=False):
+    """Forward value and the parents' gradients for upstream gradient g.
+
+    fresh: the first array argument reaches op as a fresh copy of its leaf,
+    an array that op takes (`nn._take`).
+    """
     rec = nn.ComputeRecord()
-    node = op(rec, *[rec.leaf(nn.Parameter("a%d" % i, a)) if isinstance(a, np.ndarray)
-                     else a for i, a in enumerate(args)])
+    nodes = [rec.leaf(nn.Parameter("a%d" % i, a)) if isinstance(a, np.ndarray) else a
+             for i, a in enumerate(args)]
+    if fresh:
+        i = next(i for i, a in enumerate(args) if isinstance(a, np.ndarray))
+        nodes[i] = copied(rec, nodes[i])
+    node = op(rec, *nodes)
     return node.value, node.grad_fn(g)
+
+
+def copied(rec, node):
+    """A fresh copy of node's value on rec, whose gradient passes through."""
+    return rec.record("copy", node.value.copy(), [node], lambda g: [g], fresh=True)
 
 
 class TestKernelOracles:
@@ -158,12 +172,14 @@ class TestKernelOracles:
             W = rng.standard_normal((K, shape[-1], 5))
             b = rng.standard_normal(5)
             g = rng.standard_normal(shape[:3] + (5,))
-            out, (gx, gW, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
             want_out, want_gx, want_gW = padded_temporal_conv(x, W, b, g)
-            assert out.tobytes() == want_out.tobytes()
-            assert gx.tobytes() == want_gx.tobytes()
-            assert gW.tobytes() == want_gW.tobytes()
-            assert np.array_equal(gb, g.sum(axis=(0, 1, 2)))
+            for fresh in (False, True):  # a taken input is read by moving its rows
+                out, (gx, gW, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g,
+                                                    fresh=fresh)
+                assert out.tobytes() == want_out.tobytes()
+                assert gx.tobytes() == want_gx.tobytes()
+                assert gW.tobytes() == want_gW.tobytes()
+                assert np.array_equal(gb, g.sum(axis=(0, 1, 2)))
 
     def test_graph_conv_cheb_matches_per_term_sum(self):
         rng = np.random.default_rng(11)
@@ -483,7 +499,7 @@ class TestSharedStepOracles:
                 stack = nn.temporal_conv(nn.ComputeRecord(grad=False), x, W, b,
                                          steps=steps).value
                 assert stack.tobytes() == slab_steps_conv(x, W, b, steps).tobytes()
-                g = rng.standard_normal((len(steps.heads), n, d))
+                g = rng.standard_normal((len(HEADS[layout]), n, d))
                 pooled, (gx,) = primitive_grads(
                     lambda rec, s: nn.mean_pool_time(rec, s, steps=steps), stack, g=g)
                 want, want_gx = gathering_pool(stack, steps, g)
@@ -495,7 +511,7 @@ class TestSharedStepOracles:
         steps = nn.Steps(np.array(HEADS[layout]), 12, 3)
         for o, column in enumerate(steps.columns):
             # one distinct stack row per window
-            assert len(np.unique(np.arange(steps.n_rows)[column])) == len(steps.heads)
+            assert len(np.unique(np.arange(steps.n_rows)[column])) == len(HEADS[layout])
             # edge columns always, interior ones when the heads are consecutive
             assert isinstance(column, slice) == (o in (0, 11) or layout in ("consecutive",
                                                                             "single"))
@@ -583,6 +599,38 @@ class TestFiniteCheck:
                 rec.leaf(nn.Parameter("head.W", arr))
 
 
+def _layout(K):
+    return nn.Steps(np.array([5, 0, 9, 3, 1]), 4, K)
+
+
+# primitives that may take a fresh input or write into an owned g:
+# (op over the argument nodes, argument shapes, indices of frozen arguments)
+A_HAT = np.random.default_rng(19).standard_normal((4, 4)) / 4
+CHEB = [np.eye(4), A_HAT, 2 * A_HAT @ A_HAT - np.eye(4)]
+TAKERS = {
+    "relu": (lambda rec, x: nn.relu(rec, x), [(3, 4, 5, 2)], ()),
+    "relu_dropout": (lambda rec, x: nn.relu(rec, x, 0.3, nn.rng_stream(1, "drop")),
+                     [(3, 4, 5, 2)], ()),
+    "temporal_conv_k3": (nn.temporal_conv, [(3, 6, 4, 5), (3, 5, 5), (5,)], ()),
+    "temporal_conv_k4_frozen": (nn.temporal_conv, [(3, 6, 4, 5), (4, 5, 2), (2,)], (1,)),
+    "temporal_conv_steps": (lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, _layout(3)),
+                            [(1, 13, 4, 5), (3, 5, 5), (5,)], ()),
+    "graph_conv_square": (lambda rec, h, W: nn.graph_conv(rec, [A_HAT], h, W),
+                          [(3, 2, 4, 5), (5, 5)], ()),
+    "graph_conv_square_frozen": (lambda rec, h, W: nn.graph_conv(rec, [A_HAT], h, W),
+                                 [(3, 2, 4, 5), (5, 5)], (1,)),
+    "graph_conv_wide": (lambda rec, h, W: nn.graph_conv(rec, [A_HAT], h, W),
+                        [(3, 2, 4, 5), (5, 7)], ()),
+    "graph_conv_cheb": (lambda rec, h, th: nn.graph_conv(rec, CHEB, h, th),
+                        [(3, 2, 4, 5), (3,)], ()),
+    "graph_conv_cheb_frozen": (lambda rec, h, th: nn.graph_conv(rec, CHEB, h, th),
+                               [(3, 2, 4, 5), (3,)], (1,)),
+    "mean_pool_time": (nn.mean_pool_time, [(3, 6, 4, 5)], ()),
+    "mean_pool_time_steps": (lambda rec, x: nn.mean_pool_time(rec, x, _layout(3)),
+                             [(_layout(3).n_rows, 4, 5)], ()),
+}
+
+
 class TestRecordContracts:
     @pytest.mark.parametrize("grad", [True, False])
     def test_nonfinite_leaf_or_constant_is_rejected_on_entry(self, grad):
@@ -628,6 +676,32 @@ class TestRecordContracts:
             assert out.value is arr and h.value is None
             with pytest.raises(nn.NnError, match="in place"):
                 nn.linear(rec, h, rec.leaf(W))
+
+    @pytest.mark.parametrize("case", sorted(TAKERS))
+    def test_taking_the_input_and_owning_g_change_no_bit(self, case):
+        # nn.backward hands each grad_fn an owned g, which the oracle replay
+        # never does; a copied input is one the primitive takes
+        op, shapes, frozen = TAKERS[case]
+        rng = np.random.default_rng(len(case))
+        arrays = [np.maximum(rng.standard_normal(shape), 0.0) for shape in shapes]
+        runs = []
+        for fresh in (False, True):
+            for replay in (nn.backward, keeping_backward):
+                rec = nn.ComputeRecord()
+                params = [nn.Parameter("a%d" % i, a.copy(), trainable=i not in frozen)
+                          for i, a in enumerate(arrays)]
+                nodes = [rec.leaf(param) for param in params]
+                if fresh:
+                    nodes[0] = copied(rec, nodes[0])
+                out = op(rec, *nodes)
+                value = out.value.copy()
+                grads = replay(rec, nn.mse_loss(rec, out, np.ones(value.shape)))
+                assert nodes[0].value is None or not fresh
+                assert all(p.value.tobytes() == a.tobytes() for p, a in zip(params, arrays))
+                runs.append([value] + [grads[name] for name in sorted(grads)])
+        assert len(runs[0]) == 1 + len(arrays) - len(frozen)
+        for run in runs[1:]:
+            assert [v.tobytes() for v in run] == [v.tobytes() for v in runs[0]]
 
     def test_gradient_free_record_keeps_nothing(self):
         rng = np.random.default_rng(17)
@@ -691,6 +765,23 @@ class TestBackward:
             with pytest.raises(nn.NnError, match="backward has freed") as caught:
                 nn.linear(nn.ComputeRecord(), node, W.value)
             assert "in place" not in str(caught.value)
+
+    @pytest.mark.parametrize("case", ["relu", "relu_dropout", "graph_conv_square"])
+    def test_a_gradient_two_parents_share_is_written_by_neither(self, case):
+        # each parent writes into a gradient it owns; this one both read
+        op, shapes, _ = TAKERS[case]
+        rng = np.random.default_rng(21)
+        arrays = [rng.standard_normal(shape) for shape in shapes + shapes]
+        grads = []
+        for replay in (nn.backward, keeping_backward):
+            rec = nn.ComputeRecord()
+            leaves = [rec.leaf(nn.Parameter("a%d" % i, a)) for i, a in enumerate(arrays)]
+            half = len(shapes)
+            one, two = op(rec, *leaves[:half]), op(rec, *leaves[half:])
+            both = rec.record("sum", one.value + two.value, [one, two], lambda g: [g, g])
+            grads.append(replay(rec, nn.mse_loss(rec, both, np.ones(both.shape))))
+        got, want = grads
+        assert [got[k].tobytes() for k in sorted(got)] == [want[k].tobytes() for k in sorted(want)]
 
     def test_loss_must_be_scalar(self):
         w = scalar_param("w", [1.0, 2.0])
