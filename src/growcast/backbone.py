@@ -4,10 +4,13 @@ The architecture is node-count-free: an input projection, two graph
 convolutions around one temporal convolution, and a pooled linear head,
 so the same parameter set serves every period of the stream.
 
-The two variants differ only in `graph_operator` and the graph weights:
-spatial layers propagate over [A_hat] with d x d weights `gconv*.W`,
-spectral ones over the Chebyshev basis [T_0, ..., T_K] with coefficients
-`gconv*.theta`.
+A backbone is its weights: the name -> `Parameter` dict `build_backbone`
+returns.  Everything else is read from them: the layer sizes from their
+shapes, and the variant from which graph weight is present.  Spatial
+layers propagate over [A_hat] with d x d weights `gconv*.W`, spectral
+ones over the Chebyshev basis [T_0, ..., T_K] with coefficients
+`gconv*.theta`.  The dropout rate is not a weight: a training phase
+passes it to `forward_predict`, and evaluation never applies it.
 
 The n x d prompt is added to the projected input before the first graph
 convolution.  Raw inputs have one channel and nothing before the first
@@ -30,8 +33,6 @@ a start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn_core as nn
@@ -45,26 +46,12 @@ class BackboneError(ValueError):
     pass
 
 
-@dataclass
-class STGNNBackbone:
-    """The layer sizes are the weights' shapes: width d of `input_proj.W`,
-    kernel of `tconv.W`, Chebyshev order of `gconv*.theta`."""
-
-    variant: str
-    dropout_p: float
-    params: dict  # name -> Parameter
-
-    def parameters(self) -> list:
-        return list(self.params.values())
-
-    def set_trainable(self, trainable: bool) -> None:
-        for p in self.params.values():
-            p.trainable = trainable
-
-
 def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
-                   t_out: int = T_OUT, dropout_p: float = 0.0, seed: int = 0) -> STGNNBackbone:
-    """Weights uniform in +-1/sqrt(fan_in), drawn from named seed streams."""
+                   t_out: int = T_OUT, seed: int = 0) -> dict:
+    """The backbone's name -> Parameter dict.
+
+    Weights uniform in +-1/sqrt(fan_in), drawn from named seed streams.
+    """
     if variant not in VARIANTS:
         raise BackboneError("unknown backbone variant %r" % variant)
     if d <= 0 or t_out <= 0 or kernel <= 0:
@@ -94,15 +81,14 @@ def build_backbone(variant: str, d: int = 64, kernel: int = 3, K_order: int = 2,
     put(uniform("tconv.b", (d,), kernel * d))
     put(uniform("head.W", (d, t_out), d))
     put(uniform("head.b", (t_out,), d))
-    return STGNNBackbone(variant=variant, dropout_p=dropout_p, params=params)
+    return params
 
 
-def graph_operator(backbone: STGNNBackbone, adjacency: np.ndarray) -> list:
+def graph_operator(backbone: dict, adjacency: np.ndarray) -> list:
     """The graph layers' constant operator for one period: a list of n x n matrices."""
-    if backbone.variant == "spatial":
+    if "gconv1.W" in backbone:
         return [normalize_adjacency(adjacency)]
-    return cheb_polynomials(scaled_laplacian(adjacency),
-                            len(backbone.params["gconv1.theta"].value) - 1)
+    return cheb_polynomials(scaled_laplacian(adjacency), len(backbone["gconv1.theta"].value) - 1)
 
 
 def _shared_steps(x, starts, kernel):
@@ -135,18 +121,21 @@ def _shared_steps(x, starts, kernel):
     return timeline[None, ..., None], layout
 
 
-def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
-                    record=None, train: bool = False, rng=None, starts=None):
-    """Run the network on a batch.
+def forward_predict(backbone: dict, operator, inputs, prompt=None,
+                    record=None, train: bool = False, rng=None, starts=None,
+                    dropout: float = 0.0):
+    """Run the network on a batch; returns (pred, record).
 
     inputs: (B, t_in, n, 1), one input channel; prompt: n x d matrix,
-    ndarray or tape Node, or None.  Returns a (B, t_out, n) Node on `record`.
+    ndarray or tape Node, or None.  pred is a (B, t_out, n) Node on `record`.
     When none is given, a fresh record is created that keeps a backward
-    tape only if `train` is set.  Dropout applies only when `train` is set.
-    starts: each window's offset in its segment.  A batch with starts that
-    draws no dropout mask takes the shared-step path (module docstring)
-    unless its windows overlap too little; it raises BackboneError when
-    two windows share a start, or on that path disagree with their starts.
+    tape only if `train` is set.  dropout: the training phase's rate after
+    the first two ReLUs, masks drawn from `rng`; it applies only when
+    `train` is set.  starts: each window's offset in its segment.  A batch
+    with starts that draws no dropout mask takes the shared-step path
+    (module docstring) unless its windows overlap too little; it raises
+    BackboneError when two windows share a start, or on that path
+    disagree with their starts.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -157,20 +146,19 @@ def forward_predict(backbone: STGNNBackbone, operator, inputs, prompt=None,
                             % (operator[0].shape[0], n))
     if record is None:
         record = nn.ComputeRecord(grad=train)
-    p = backbone.params
-    leaf = {name: record.leaf(param) for name, param in p.items()}
+    leaf = {name: record.leaf(param) for name, param in backbone.items()}
 
     if prompt is not None:
         prompt = prompt if isinstance(prompt, nn.Node) else record.constant(prompt)
-        d = p["input_proj.W"].value.shape[1]
+        d = backbone["input_proj.W"].value.shape[1]
         if prompt.shape != (n, d):
             raise BackboneError("prompt shape %s does not match (%d, %d)"
                                 % (prompt.shape, n, d))
 
-    weight = "W" if backbone.variant == "spatial" else "theta"
-    drop_p = backbone.dropout_p if train else 0.0
+    weight = "W" if "gconv1.W" in backbone else "theta"
+    drop_p = dropout if train else 0.0
     shared = None if starts is None or drop_p > 0.0 else _shared_steps(
-        x, starts, p["tconv.W"].value.shape[0])
+        x, starts, backbone["tconv.W"].value.shape[0])
     steps = None
     if shared is not None:
         x, steps = shared

@@ -51,6 +51,11 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
+# the JSON type that json.load turns into each Python type
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def _parse_synth_spec(spec: str) -> dict:
     fields = {"n0": 40, "growth": 10, "periods": 3, "T": 2000,
               "seed": 0, "noise": 0.1, "offsets": 1.0, "r": 0.5}
@@ -65,6 +70,9 @@ def _parse_synth_spec(spec: str) -> dict:
             fields[key] = int(val) if key in int_keys else float(val)
         except ValueError:
             raise DataError("bad value %r for synth spec key %r" % (val, key))
+    if fields["seed"] < 0:
+        raise DataError("synth spec seed must be a non-negative integer, got %d"
+                        % fields["seed"])
     return fields
 
 
@@ -87,6 +95,9 @@ def cmd_run(args) -> int:
                 raw_config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (args.config, exc))
+        if not isinstance(raw_config, dict):
+            raise ConfigError("config %s must be a JSON object, got %s"
+                              % (args.config, _JSON_TYPES[type(raw_config)]))
         if args.seeds:
             try:
                 raw_config["seeds"] = [int(s) for s in args.seeds.split(",")]

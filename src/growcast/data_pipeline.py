@@ -1,7 +1,11 @@
 """Observation ingestion, windowing, splits, normalization, synthesis.
 
-The raw timeline of each period is split 6:2:2 first and windowed inside
-each segment, so no supervised sample ever straddles a split boundary.
+A period's observations are a T x n matrix whose columns are its
+graph's nodes in order; node ids live in the graph only, and
+`build_period_dataset`, where a series meets its graph, checks the
+column count.  The raw timeline of each period is split 6:2:2 first and
+windowed inside each segment, so no supervised sample ever straddles a
+split boundary.
 A split's windows are one `Windows(X, Y, starts)` record: X is (N, T_IN, n)
 and Y is (N, T_OUT, n), both read-only strided views over the split's
 normalized (T_s, n) segment, so windowing copies nothing; starts gives
@@ -39,17 +43,20 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """T x n readings for one period, columns in graph node order, stored row-major."""
+    """T x n readings for one period, stored row-major.
 
-    node_ids: tuple
+    Column j is node j of the period's graph; the ids live in the graph
+    only, and `build_period_dataset` checks that the counts agree.
+    """
+
     values: np.ndarray
     period_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.ascontiguousarray(self.values))
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.node_ids):
-            raise DataError("observation matrix shape %s does not match %d nodes"
-                            % (self.values.shape, len(self.node_ids)))
+        if self.values.ndim != 2:
+            raise DataError("period %d observations must be a T x n matrix, got shape %s"
+                            % (self.period_index, self.values.shape))
         if not np.isfinite(self.values).all():
             raise DataError("period %d has non-finite observations" % self.period_index)
 
@@ -160,8 +167,7 @@ def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
                                 % (observations_path, lineno, exc))
     values = _impute(np.asarray(rows, dtype=float).reshape(len(rows), len(file_ids)))
     order = [file_ids.index(nid) for nid in graph.nodes]
-    return ObservationSeries(node_ids=graph.nodes, values=values[:, order],
-                             period_index=graph.period_index)
+    return ObservationSeries(values=values[:, order], period_index=graph.period_index)
 
 
 def _impute(values: np.ndarray) -> np.ndarray:
@@ -224,8 +230,12 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
                          few_shot_random: bool = False) -> PeriodDataset:
     """Split, normalize on train statistics, window each segment.
 
-    A split whose normalized values overflow is a DataError naming it.
+    A series with a column count other than the graph's node count, and a
+    split whose normalized values overflow, are DataErrors naming the period.
     """
+    if series.values.shape[1] != graph.n:
+        raise DataError("period %d has %d observation columns for %d graph nodes"
+                        % (graph.period_index, series.values.shape[1], graph.n))
     segments = chrono_split(series)
     norm = Normalizer.fit(segments[0], series.period_index)
     windows = []
@@ -288,8 +298,7 @@ def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: in
         row_norm = adj / np.where(row_sum > 0, row_sum, 1.0)[:, None]
         values = base + diffusion * (base @ row_norm.T)
         graphs.append(graph)
-        series.append(ObservationSeries(node_ids=node_ids[:n], values=values,
-                                        period_index=tau))
+        series.append(ObservationSeries(values=values, period_index=tau))
     return StreamGraph(periods=tuple(graphs)), series
 
 

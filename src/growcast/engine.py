@@ -108,8 +108,9 @@ class ExperimentConfig:
             if type(getattr(self, name)) not in kinds:
                 raise ConfigError("config field %s has the wrong type: %r"
                                   % (name, getattr(self, name)))
-        if any(type(s) is not int for s in self.seeds):
-            raise ConfigError("seeds must be a list of integers, got %r" % (self.seeds,))
+        if any(type(s) is not int or s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be a list of non-negative integers, got %r"
+                              % (self.seeds,))
         if self.scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r (one of %s)" % (self.scheme, tuple(SCHEMES)))
         if self.variant not in VARIANTS:
@@ -274,16 +275,16 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
 
 def _backbone_hash(backbone) -> str:
     h = hashlib.sha256()
-    for name in sorted(backbone.params):
+    for name in sorted(backbone):
         h.update(name.encode())
-        h.update(backbone.params[name].value.tobytes())
+        h.update(backbone[name].value.tobytes())
     return h.hexdigest()
 
 
 def _fused_dispersion(backbone, pool, dataset):
     """Dispersion of (projected mean input + prompt) rows, one per node."""
     X_mean = dataset.train.X.mean(axis=(0, 1)).reshape(-1, 1)  # (N, T_IN, n) -> (n, 1)
-    proj = X_mean @ backbone.params["input_proj.W"].value + backbone.params["input_proj.b"].value
+    proj = X_mean @ backbone["input_proj.W"].value + backbone["input_proj.b"].value
     fused = proj + (materialize(pool) if pool is not None else 0.0)
     return heterogeneity_D(fused)
 
@@ -297,27 +298,28 @@ def _induced_subperiod(graph, series, new_ids, config, seed):
     sub_graph = PeriodGraph(period_index=graph.period_index, nodes=new_ids,
                             distances=graph.distances[new, new],
                             adjacency=graph.adjacency[new, new])
-    sub_series = ObservationSeries(node_ids=new_ids, values=series.values[:, new],
-                                   period_index=series.period_index)
+    sub_series = ObservationSeries(values=series.values[:, new], period_index=series.period_index)
     return build_period_dataset(sub_graph, sub_series,
                                 few_shot_fraction=config.few_shot_fraction,
                                 seed=seed, few_shot_random=config.few_shot_random)
 
 
-def _make_forward(backbone, operator, pool, rng=None):
+def _make_forward(backbone, operator, pool, rng=None, dropout=0.0):
     """forward(batch_x, train, starts) over the live parameters, prompted by `pool` if given.
 
     An evaluation forward (train=False) records no backward tape; starts
-    are the windows' segment offsets, or None (`forward_predict`).
+    are the windows' segment offsets, or None (`forward_predict`).  A
+    training phase passes its dropout rate with the stream its masks come
+    from; a training batch (train=True) applies it.
     """
     def forward(batch_x, train, starts=None):
         record = nn.ComputeRecord(grad=train)
         prompt = None
         if pool is not None:
-            factors = nn.concat_rows(record, [record.leaf(seg.A) for seg in pool.segments])
+            factors = nn.concat_rows(record, [record.leaf(A) for A in pool.factors])
             prompt = nn.linear(record, factors, record.leaf(pool.B))
-        return forward_predict(backbone, operator, batch_x, prompt=prompt,
-                               record=record, train=train, rng=rng, starts=starts)
+        return forward_predict(backbone, operator, batch_x, prompt=prompt, record=record,
+                               train=train, rng=rng, starts=starts, dropout=dropout)
     return forward
 
 
@@ -338,16 +340,15 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
 
         if scheme.pool is not None:
             if tau == 1:
-                pool = init_pool(graph.nodes, d=config.d, k=config.k, mode=scheme.pool,
-                                 seed=seed)
+                pool = init_pool(graph.n, d=config.d, k=config.k, mode=scheme.pool, seed=seed)
             else:
-                expand(pool, new_ids, period_index=tau)
-                backbone.set_trainable(False)
+                for p in backbone.values():
+                    p.trainable = False
                 if config.freeze_old_segments:
-                    for seg in pool.segments:
-                        seg.A.trainable = seg.period_index == tau
-                    pool.B.trainable = False
-        params = backbone.parameters() + (pool.parameters() if pool is not None else [])
+                    for p in pool.parameters():  # B and the earlier periods' factors
+                        p.trainable = False
+                expand(pool, len(new_ids), period_index=tau)
+        params = list(backbone.values()) + (pool.parameters() if pool is not None else [])
 
         if (train_on == "new" and not new_ids) or not any(p.trainable for p in params):
             warnings.warn("period %d adds no nodes; skipping training" % tau)
@@ -357,19 +358,19 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
         if train_on == "new":
             train_dataset = _induced_subperiod(graph, series, new_ids, config, seed)
             train_operator = graph_operator(backbone, train_dataset.graph.adjacency)
-        backbone.dropout_p = config.dropout_initial if initial else config.dropout_continual
 
         hetero = None if pool is None else {"D_init": _fused_dispersion(backbone, pool, dataset)}
         if train_on == "none":
             epochs_run, wall_per_epoch, best_epoch = 0, 0.0, 0
         else:
+            lr, dropout = ((config.lr_initial, config.dropout_initial) if initial
+                           else (config.lr_continual, config.dropout_continual))
             forward = _make_forward(backbone, train_operator, pool,
-                                    nn.rng_stream(seed, "dropout", tau))
+                                    nn.rng_stream(seed, "dropout", tau), dropout)
             epochs_run, wall_per_epoch, best_epoch = train_period(
                 forward, params, train_dataset.train, train_dataset.val,
-                train_dataset.normalizer,
-                config.lr_initial if initial else config.lr_continual,
-                config.epochs_max, config.patience, config.batch_size, seed, tau)
+                train_dataset.normalizer, lr, config.epochs_max, config.patience,
+                config.batch_size, seed, tau)
         if hetero is not None:
             hetero["D_trained"] = _fused_dispersion(backbone, pool, dataset)
 

@@ -85,7 +85,7 @@ def gradcheck_table(seeds=range(20)) -> list:
                                     np.zeros((n, n))), [Wr])
 
         for variant in ("spatial", "spectral"):
-            bb = build_backbone(variant, d=d, t_out=3, seed=seed, K_order=2, dropout_p=0.3)
+            bb = build_backbone(variant, d=d, t_out=3, seed=seed, K_order=2)
             op = graph_operator(bb, adj)
             prompt = nn.Parameter("prompt", 0.1 * rng.standard_normal((n, d)))
             target = rng.standard_normal((2, 3, n))
@@ -95,11 +95,12 @@ def gradcheck_table(seeds=range(20)) -> list:
                 def build(r, bb=bb, op=op, prompt=prompt, target=target, train=train):
                     pred, _ = forward_predict(bb, op, x, prompt=r.leaf(prompt), record=r,
                                               train=train,
-                                              rng=nn.rng_stream(seed, "gradcheck", "drop"))
+                                              rng=nn.rng_stream(seed, "gradcheck", "drop"),
+                                              dropout=0.3)
                     return nn.mse_loss(r, pred, target)
 
                 check("backbone_%s%s:%d" % (variant, suffix, seed),
-                      build, bb.parameters() + [prompt])
+                      build, list(bb.values()) + [prompt])
 
         P = nn.Parameter("P", 0.3 * rng.standard_normal((n, d)))
         for name, op, w in graph_layers:

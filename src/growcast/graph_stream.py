@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import power_of_two_above
+
 __all__ = [
     "GraphStreamError",
     "ExpansionViolation",
@@ -106,7 +108,7 @@ def build_adjacency(distances, r: float) -> np.ndarray:
     deviation of the off-diagonal distances (the zero diagonal would bias
     the spread); a zero spread falls back to sigma = 1.
 
-    Distances are first divided by the power of two just above the largest
+    Distances are first divided by `power_of_two_above` the largest
     off-diagonal one, so tiny distances do not square to zero before sigma
     and the kernel are computed.  Dividing by a power of two is exact in
     binary and the kernel is scale-free, so the result is otherwise that of
@@ -118,7 +120,7 @@ def build_adjacency(distances, r: float) -> np.ndarray:
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)]
     top = off.max() if off.size else 0.0
-    scale = np.ldexp(1.0, int(np.frexp(top)[1])) if top > 0.0 else 1.0
+    scale = power_of_two_above(top)
     sigma = float(np.std(off / scale)) if off.size else 0.0
     if sigma == 0.0:
         scale, sigma = 1.0, 1.0  # no spread: sigma = 1 in the input's units

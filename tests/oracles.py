@@ -18,13 +18,13 @@ def heterogeneity_D_double_sum(X) -> float:
 
 def backbone_param_count(backbone) -> int:
     """Every backbone weight, trainable or not."""
-    return sum(p.value.size for p in backbone.params.values())
+    return sum(p.value.size for p in backbone.values())
 
 
 def pool_param_count(pool) -> dict:
     """Trainable pool entries against the n x d prompt they materialize."""
     tunable = sum(p.value.size for p in pool.parameters() if p.trainable)
-    materialized = len(pool.node_ids) * pool.B.value.shape[1]
+    materialized = sum(len(A.value) for A in pool.factors) * pool.B.value.shape[1]
     return {"tunable": tunable, "materialized": materialized,
             "ratio": tunable / materialized}
 
@@ -44,16 +44,17 @@ def neutralize_cross_covariance(X, P) -> np.ndarray:
     return pc - xc @ coef
 
 
-def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None) -> np.ndarray:
+def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None,
+                     dropout=0.0) -> np.ndarray:
     """The backbone's prediction with every layer over all B*T window rows.
 
     The primitives composed in `forward_predict`'s order without shared
     steps, as every batch ran before evaluation shared them.
     """
     record = nn.ComputeRecord(grad=train)
-    leaf = {name: record.leaf(p) for name, p in backbone.params.items()}
-    w = "W" if backbone.variant == "spatial" else "theta"
-    p = backbone.dropout_p if train else 0.0
+    leaf = {name: record.leaf(p) for name, p in backbone.items()}
+    w = "W" if "gconv1.W" in backbone else "theta"
+    p = dropout if train else 0.0
     prompt = None if prompt is None else record.constant(prompt)
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
                                        leaf["input_proj.b"], prompt, leaf["gconv1." + w]),

@@ -156,17 +156,18 @@ def later_period_epochs(stream_series, tau, rounds):
     cfg = ExperimentConfig.from_dict(dict(BASE_CONFIG, scheme="EAC"))
     graph = stream.periods[tau - 1]
     data = build_period_dataset(graph, series[tau - 1], seed=1)
-    pool = init_pool(stream.periods[0].nodes, d=cfg.d, k=cfg.k, seed=1)
+    pool = init_pool(stream.periods[0].n, d=cfg.d, k=cfg.k, seed=1)
     for t in range(2, tau + 1):
-        expand(pool, diff_nodes(stream.periods[t - 2], stream.periods[t - 1]), t)
+        expand(pool, len(diff_nodes(stream.periods[t - 2], stream.periods[t - 1])), t)
     runs = {}
     for scheme, scheme_pool in (("EAC", pool), ("ContinualAN", None)):
         bb = build_backbone(cfg.variant, d=cfg.d, kernel=cfg.kernel, K_order=cfg.K_order,
-                            dropout_p=cfg.dropout_continual, seed=1)
-        bb.set_trainable(scheme_pool is None)
-        params = bb.parameters() + (pool.parameters() if scheme_pool else [])
+                            seed=1)
+        for p in bb.values():
+            p.trainable = scheme_pool is None
+        params = list(bb.values()) + (pool.parameters() if scheme_pool else [])
         forward = _make_forward(bb, graph_operator(bb, graph.adjacency), scheme_pool,
-                                rng_stream(1, "dropout", tau))
+                                rng_stream(1, "dropout", tau), cfg.dropout_continual)
         runs[scheme] = (forward, params, [])
     for r in range(rounds):
         for scheme in (("EAC", "ContinualAN") if r % 2 == 0 else ("ContinualAN", "EAC")):
@@ -192,7 +193,7 @@ def test_criterion_6_per_epoch_speedup(stream_series):
 
 
 def test_criterion_7_lightweight_ratio():
-    pool = init_pool(["n%d" % i for i in range(500)], k=6, d=64, seed=0)
+    pool = init_pool(500, k=6, d=64, seed=0)
     counts = pool_param_count(pool)
     exact = (500 * 6 + 6 * 64) / (500 * 64)
     report(7, "lightweight pool ratio",

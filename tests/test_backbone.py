@@ -29,8 +29,9 @@ class TestBuild:
     def test_deterministic_under_seed(self):
         a = build_backbone("spatial", d=8, seed=5)
         b = build_backbone("spatial", d=8, seed=5)
-        for name in a.params:
-            assert a.params[name].value.tobytes() == b.params[name].value.tobytes()
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].value.tobytes() == b[name].value.tobytes()
 
     def test_param_count_formula(self):
         bb = build_backbone("spatial", d=64, t_out=12)
@@ -61,6 +62,21 @@ class TestForward:
             assert isinstance(op, list) and len(op) == length
             assert all(Tk.shape == (6, 6) for Tk in op)
 
+    def test_layer_form_follows_the_weights(self):
+        # a backbone is its weights: swap the graph weights and the operator
+        # and the forward follow them
+        adj = small_graph(5)
+        x = np.random.default_rng(0).standard_normal((2, 12, 5, 1))
+        spatial, spectral = (build_backbone(v, d=6, K_order=3, seed=1) for v in VARIANTS)
+        for have, want in ((spatial, spectral), (spectral, spatial)):
+            swapped = {name: p for name, p in have.items() if not name.startswith("gconv")}
+            swapped.update((name, p) for name, p in want.items() if name.startswith("gconv"))
+            op = graph_operator(swapped, adj)
+            assert [Tk.tobytes() for Tk in op] == [Tk.tobytes()
+                                                    for Tk in graph_operator(want, adj)]
+            got, _ = forward_predict(swapped, op, x)
+            assert got.value.tobytes() == forward_predict(want, op, x)[0].value.tobytes()
+
     def test_output_shape(self):
         for variant in ("spatial", "spectral"):
             bb = build_backbone(variant, d=6, t_out=12)
@@ -81,11 +97,11 @@ class TestForward:
 
     def test_zero_head_weight_gives_bias(self):
         bb = build_backbone("spatial", d=6, seed=1)
-        bb.params["head.W"].value[:] = 0.0
+        bb["head.W"].value[:] = 0.0
         adj = small_graph(4)
         pred, _ = forward_predict(bb, graph_operator(bb, adj),
                                   np.ones((2, 12, 4, 1)))
-        bias = bb.params["head.b"].value
+        bias = bb["head.b"].value
         assert np.allclose(pred.value, bias[None, :, None])
 
     def test_duplicate_samples_identical_rows(self):
@@ -117,11 +133,12 @@ class TestForward:
                                            ("spatial", None, True), ("spectral", None, True),
                                            ("spatial", P, False), ("spectral", P, False)):
             bb = build_backbone(variant, d=6, seed=3)
-            bb.set_trainable(trainable)
+            for p in bb.values():
+                p.trainable = trainable
             op = graph_operator(bb, adj)
             fused, _ = forward_predict(bb, op, x, prompt=prompt)
 
-            v = {name: p.value for name, p in bb.params.items()}
+            v = {name: p.value for name, p in bb.items()}
             h = x @ v["input_proj.W"] + v["input_proj.b"]
             if prompt is not None:
                 h = h + prompt[None, None]
@@ -131,7 +148,7 @@ class TestForward:
                 h = sum(th * np.einsum("ij,btjd->btid", Tk, h)
                         for th, Tk in zip(v["gconv1.theta"], op))
             rec = nn.ComputeRecord()
-            leaf = {n: rec.leaf(p) for n, p in bb.params.items()}
+            leaf = {n: rec.leaf(p) for n, p in bb.items()}
             h = rec.constant(np.maximum(h, 0.0))
             h = nn.relu(rec, nn.temporal_conv(rec, h, leaf["tconv.W"], leaf["tconv.b"]))
             h = nn.graph_conv(rec, op, h, leaf["gconv2.W" if variant == "spatial"
@@ -160,14 +177,28 @@ class TestDropout:
         adj = small_graph(5)
         x = np.random.default_rng(4).standard_normal((2, 12, 5, 1))
         for variant in ("spatial", "spectral"):
-            bb = build_backbone(variant, d=6, seed=3, dropout_p=0.2)
+            bb = build_backbone(variant, d=6, seed=3)
             op = graph_operator(bb, adj)
             log = DrawLog(1)
-            forward_predict(bb, op, x, train=True, rng=log)
+            forward_predict(bb, op, x, train=True, rng=log, dropout=0.2)
             assert log.shapes == [(2, 12, 5, 6)] * 2
             log = DrawLog(1)
-            forward_predict(bb, op, x, train=False, rng=log)
+            forward_predict(bb, op, x, train=False, rng=log, dropout=0.2)
             assert log.shapes == []
+
+    def test_rate_comes_from_the_call(self):
+        # the backbone holds weights only: a training call without a rate
+        # draws no mask and matches evaluation bit for bit
+        adj = small_graph(5)
+        x = np.random.default_rng(4).standard_normal((2, 12, 5, 1))
+        for variant in VARIANTS:
+            bb = build_backbone(variant, d=6, seed=3)
+            op = graph_operator(bb, adj)
+            log = DrawLog(1)
+            trained, _ = forward_predict(bb, op, x, train=True, rng=log)
+            assert log.shapes == []
+            evaluated, _ = forward_predict(bb, op, x)
+            assert trained.value.tobytes() == evaluated.value.tobytes()
 
 
 def consecutive_windows(B, n, order, seed=0, nan_at=None):
@@ -247,16 +278,16 @@ class TestSharedSteps:
         # a batch that draws dropout masks, or comes without starts, runs every window row
         shared = spy_shared_steps(monkeypatch)
         for variant in VARIANTS:
-            bb = build_backbone(variant, d=5, seed=2, dropout_p=0.3)
+            bb = build_backbone(variant, d=5, seed=2)
             op = graph_operator(bb, small_graph(6))
             x = consecutive_windows(9, 6, "C")
             gathered = np.array(x)
             for inputs in (x, gathered):
                 got, rec = forward_predict(bb, op, inputs, train=True,
                                            rng=nn.rng_stream(1, "dropout"),
-                                           starts=np.arange(3, 12))
+                                           starts=np.arange(3, 12), dropout=0.3)
                 want = windowed_forward(bb, op, gathered, train=True,
-                                        rng=nn.rng_stream(1, "dropout"))
+                                        rng=nn.rng_stream(1, "dropout"), dropout=0.3)
                 assert got.value.tobytes() == want.tobytes()
                 assert rec.nodes
             got, _ = forward_predict(bb, op, gathered)
@@ -369,7 +400,7 @@ class TestSharedStepsExact:
         x = seg[starts[:, None] + np.arange(8)][..., None]
         target = seg[starts[:, None] + 8 + np.arange(2)]
         bb = build_backbone(variant, d=3, kernel=kernel, t_out=2, seed=kernel)
-        for param in bb.parameters():
+        for param in bb.values():
             param.value = rng.integers(-1, 2, size=param.value.shape).astype(float)
         P = nn.Parameter("prompt", rng.integers(-1, 2, size=(4, 3)).astype(float))
         runs = []
@@ -453,4 +484,4 @@ class TestEndToEndGradients:
                 pred, _ = forward_predict(bb, op, x, record=rec)
                 return nn.mse_loss(rec, pred, target)
 
-            assert nn.grad_check(build, bb.parameters()) < 1e-4
+            assert nn.grad_check(build, list(bb.values())) < 1e-4

@@ -270,19 +270,37 @@ class TestRun:
         assert proc.stderr == ("error: non-finite output of graph_input in period 1, seed 1, "
                                "epoch 1, validation pass, lr 1e+308\n")
 
-    @pytest.mark.parametrize("where", ["config", "--seeds"])
-    def test_repeated_seed_exits_1(self, tmp_path, capsys, where):
+    @pytest.mark.parametrize("where, seeds, error", [
+        ("config", [1, 1], "seeds must be distinct, got [1, 1]"),
+        ("--seeds", "1,1", "seeds must be distinct, got [1, 1]"),
+        # numpy's seed sequences take non-negative integers only
+        ("config", [-3], "seeds must be a list of non-negative integers, got [-3]"),
+        ("--seeds", "-5", "seeds must be a list of non-negative integers, got [-5]")])
+    def test_repeated_or_negative_seed_exits_1(self, tmp_path, capsys, where, seeds, error):
         out = tmp_path / "out"
         if where == "config":
-            args = ["--config", tiny_config(tmp_path, seeds=[1, 1])]
+            args = ["--config", tiny_config(tmp_path, seeds=seeds)]
         else:
-            args = ["--config", tiny_config(tmp_path), "--seeds", "1,1"]
+            args = ["--config", tiny_config(tmp_path), "--seeds=" + seeds]
         rc = main(["run"] + args + ["--synth", SYNTH, "--out", str(out)])
         assert rc == 1
-        error = json.loads((out / "manifest.json").read_text())["error"]
-        assert error == "seeds must be distinct, got [1, 1]"
-        assert error in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["error"] == error
+        assert capsys.readouterr().err == "error: %s\n" % error
         assert not (out / "reports.json").exists()
+
+    @pytest.mark.parametrize("text, seeds, kind", [
+        ("5", None, "a number"), ("null", None, "null"), ("5", "1", "a number"),
+        ("[1, 2]", "1", "an array"), ('"abc"', "1", "a string"), ("true", "1", "a boolean")])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, text, seeds, kind):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--synth", SYNTH, "--out", str(out)]
+                  + (["--seeds", seeds] if seeds else []))
+        assert rc == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == "config %s must be a JSON object, got %s" % (path, kind)
+        assert capsys.readouterr().err == "error: %s\n" % error
 
     def test_metric_failure_exits_3_with_manifest(self, tmp_path, capsys, monkeypatch):
         from growcast import engine
@@ -309,7 +327,7 @@ class TestRun:
 
     @pytest.mark.parametrize("spec, named", [
         ("noise=nan", "noise"), ("noise=-0.1", "noise"), ("noise=inf", "noise"),
-        ("offsets=nan", "offset"), ("offsets=-inf", "offset")])
+        ("offsets=nan", "offset"), ("offsets=-inf", "offset"), ("seed=-1", "seed")])
     def test_non_finite_synth_value_exits_2(self, tmp_path, capsys, spec, named):
         out = tmp_path / "out"
         rc = main(["run", "--config", tiny_config(tmp_path),

@@ -20,8 +20,7 @@ from growcast.graph_stream import PeriodGraph
 
 def series_of(T, n=2, tau=1):
     vals = np.arange(T * n, dtype=float).reshape(T, n)
-    ids = tuple("n%d" % i for i in range(n))
-    return ObservationSeries(node_ids=ids, values=vals, period_index=tau)
+    return ObservationSeries(values=vals, period_index=tau)
 
 
 def windows_of(count):
@@ -54,7 +53,7 @@ class TestIngest:
         assert out.values.flags.c_contiguous
         assert np.array_equal(out.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         values = np.asfortranarray(np.arange(12.0).reshape(4, 3))
-        series = ObservationSeries(node_ids=("a", "b", "c"), values=values, period_index=1)
+        series = ObservationSeries(values=values, period_index=1)
         assert series.values.flags.c_contiguous
         assert np.array_equal(series.values, values)
 
@@ -221,6 +220,20 @@ class TestMakeWindows:
         assert np.shares_memory(ws.X, seg) and np.shares_memory(ws.Y, seg)
         with pytest.raises(ValueError):
             ws.X[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("columns", [5, 7])
+    def test_dataset_rejects_a_series_of_another_graph(self, columns):
+        # the series holds no node ids: its column count must be the graph's
+        stream, _ = synth_stream(6, 0, 1, 200, seed=3)
+        series = ObservationSeries(values=np.zeros((200, columns)), period_index=1)
+        with pytest.raises(DataError, match="^period 1 has %d observation columns for 6 graph "
+                                            "nodes$" % columns):
+            build_period_dataset(stream.periods[0], series)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 4, 2)])
+    def test_series_must_be_a_matrix(self, shape):
+        with pytest.raises(DataError, match="^period 2 observations must be a T x n matrix"):
+            ObservationSeries(values=np.zeros(shape), period_index=2)
 
     def test_dataset_windows_share_one_segment(self):
         stream, series = synth_stream(6, 0, 1, 200, seed=3)

@@ -1,7 +1,11 @@
-"""README and code agree on the config fields, the synth keys and the analyses."""
+"""README and code agree on the config fields, the synth keys, the analyses
+and the one runtime dependency."""
+import ast
+import glob
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -9,7 +13,8 @@ from growcast import analysis, engine
 from growcast.cli import _parse_synth_spec, build_parser
 from growcast.data_pipeline import Normalizer
 
-README = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = open(os.path.join(ROOT, "README.md")).read()
 
 
 def table(header):
@@ -60,3 +65,22 @@ def test_analyze_choices():
     ("`Normalizer`'s std floor, 1e-8", Normalizer.fit([[5.0]] * 3, 1).std)])
 def test_absolute_thresholds(text, value):
     assert text in README and float(text.split()[-1]) == value
+
+
+def imported_modules(path):
+    """The top-level name of each module a source file imports; "." for relative ones."""
+    for node in ast.walk(ast.parse(open(path).read(), path)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." if node.level else node.module.split(".")[0]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert "numpy (the only runtime dependency)" in README
+    allowed = set(sys.stdlib_module_names) | {"numpy", "growcast", "."}
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "growcast", "*.py")))
+    assert len(sources) > 5
+    foreign = {(os.path.basename(path), name) for path in sources
+               for name in imported_modules(path) if name not in allowed}
+    assert foreign == set()

@@ -139,7 +139,7 @@ class TestTrainPeriod:
                 return forward_predict(bb, op, batch_x, train=train, starts=starts)
 
             before = _validation_mae(forward, ds.val, ds.normalizer, 64)
-            train_period(forward, bb.parameters(), ds.train, ds.val,
+            train_period(forward, list(bb.values()), ds.train, ds.val,
                          ds.normalizer, lr=0.03, epochs_max=8, patience=3,
                          batch_size=64, seed=seed, period_index=1)
             after = _validation_mae(forward, ds.val, ds.normalizer, 64)
@@ -156,7 +156,7 @@ class TestTrainPeriod:
         X[4, 7, 2] = np.nan  # in the second batch of the first epoch
         train = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))  # disjoint
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, bb.parameters(), train, train, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, train, Normalizer(0.0, 1.0), lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         abort = info.value
         assert isinstance(abort.__cause__, nn.NonFiniteError)
@@ -171,12 +171,12 @@ class TestTrainPeriod:
         from growcast.engine import _make_forward
         stream, _ = tiny_stream(periods=1)
         bb = build_backbone("spatial", d=4, seed=1)
-        bb.params["gconv1.W"].value[1, 2] = np.nan
+        bb["gconv1.W"].value[1, 2] = np.nan
         forward = _make_forward(bb, graph_operator(bb, stream.periods[0].adjacency), None)
         n = len(stream.periods[0].nodes)
         train = Windows(X=np.zeros((6, 12, n)), Y=np.zeros((6, 12, n)), starts=np.arange(6))
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, bb.parameters(), train, train, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, train, Normalizer(0.0, 1.0), lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         assert str(info.value) == ("non-finite parameter gconv1.W in period 2, seed 7, "
                                    "epoch 1, batch 0, lr 0.01")
@@ -193,7 +193,7 @@ class TestTrainPeriod:
         X[5, 3, 1] = np.nan  # finite training windows, one NaN in the validation ones
         val = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, bb.parameters(), train, val, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, val, Normalizer(0.0, 1.0), lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         abort = info.value
         assert isinstance(abort.__cause__, nn.NonFiniteError)
@@ -232,13 +232,12 @@ class TestSlicedEvaluation:
         stream, series = tiny_stream(periods=1, n0=12)
         graph = stream.periods[0]
         bb = build_backbone(variant, d=6, seed=3)
-        pool = init_pool(graph.nodes, d=6, k=2, seed=3)
-        pool.segments[0].A.value = np.random.default_rng(3).standard_normal((12, 2))
+        pool = init_pool(graph.n, d=6, k=2, seed=3)
+        pool.factors[0].value = np.random.default_rng(3).standard_normal((12, 2))
         forward = _make_forward(bb, graph_operator(bb, graph.adjacency), pool)
         shared = spy_shared_steps(monkeypatch)  # one layout per batch that shares steps
         for order in ("C", "F"):
-            obs = ObservationSeries(series[0].node_ids,
-                                    np.asarray(series[0].values, order=order), 1)
+            obs = ObservationSeries(np.asarray(series[0].values, order=order), 1)
             ds = build_period_dataset(graph, obs)
             for batch_size in (7, 64):
                 for samples in (ds.val, ds.test):
@@ -344,19 +343,19 @@ class TestMakeForward:
         from growcast.prompt_pool import expand, init_pool
         stream, _ = tiny_stream(periods=2)
         graph = stream.periods[1]
-        pool = init_pool(stream.periods[0].nodes, d=6, k=2, seed=1)
-        expand(pool, graph.nodes[len(stream.periods[0].nodes):], period_index=2)
+        pool = init_pool(stream.periods[0].n, d=6, k=2, seed=1)
+        expand(pool, graph.n - stream.periods[0].n, period_index=2)
         rng = np.random.default_rng(3)
-        for seg in pool.segments:
-            seg.A.value = rng.standard_normal(seg.A.value.shape)
+        for A in pool.factors:
+            A.value = rng.standard_normal(A.value.shape)
         bb = build_backbone(variant, d=6, seed=2)
-        forward = _make_forward(bb, graph_operator(bb, graph.adjacency), pool,
-                                nn.rng_stream(1, "dropout"))
-        x = rng.standard_normal((4, 12, len(graph.nodes), 1))
-        bb.dropout_p = 0.0
-        train_pred, train_rec = forward(x, train=True)
-        bb.dropout_p = 0.3  # evaluation never applies dropout
-        eval_pred, eval_rec = forward(x, train=False)
+        operator = graph_operator(bb, graph.adjacency)
+        x = rng.standard_normal((4, 12, graph.n, 1))
+        train_pred, train_rec = _make_forward(bb, operator, pool, nn.rng_stream(1, "dropout"),
+                                              0.0)(x, train=True)
+        # evaluation never applies dropout
+        eval_pred, eval_rec = _make_forward(bb, operator, pool, nn.rng_stream(1, "dropout"),
+                                            0.3)(x, train=False)
         assert eval_pred.value.tobytes() == train_pred.value.tobytes()
         assert train_rec.nodes and not eval_rec.nodes
         assert eval_pred.parents == () and eval_pred.grad_fn is None
@@ -375,17 +374,19 @@ def prompted_step(variant, p=0.0, frozen=False, B=5, n=7, d=6, seed=4):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(n, 2))
     adjacency = build_adjacency(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 0.5)
-    bb = build_backbone(variant, d=d, dropout_p=p, seed=seed)
-    bb.set_trainable(not frozen)
-    pool = init_pool(tuple("s%d" % i for i in range(n)), d=d, k=3, seed=seed)
-    for seg in pool.segments:
-        seg.A.value = rng.standard_normal(seg.A.value.shape)
+    bb = build_backbone(variant, d=d, seed=seed)
+    for param in bb.values():
+        param.trainable = not frozen
+    pool = init_pool(n, d=d, k=3, seed=seed)
+    for A in pool.factors:
+        A.value = rng.standard_normal(A.value.shape)
     series = rng.standard_normal((2 * B + 12, n))
     starts = np.sort(rng.choice(2 * B, size=B, replace=False))
     x = series[starts[:, None] + np.arange(12)][..., None]
     forward = _make_forward(bb, graph_operator(bb, adjacency), pool,
-                            nn.rng_stream(seed, "dropout"))
-    return forward, x, starts, rng.standard_normal((B, 12, n)), bb.parameters() + pool.parameters()
+                            nn.rng_stream(seed, "dropout"), p)
+    return (forward, x, starts, rng.standard_normal((B, 12, n)),
+            list(bb.values()) + pool.parameters())
 
 
 # (variant, p, shared, frozen): the first 16 hex digits of the SHA-256 of one
@@ -543,18 +544,18 @@ class TestFusedDispersion:
             stream, series = tiny_stream(periods=1, n0=40, seed=seed)
             for order in ("C", "F"):
                 values = np.asarray(series[0].values, order=order)
-                obs = ObservationSeries(series[0].node_ids, values, 1)
+                obs = ObservationSeries(values, 1)
                 for fraction, random in ((None, False), (0.3, False), (0.3, True)):
                     ds = build_period_dataset(stream.periods[0], obs, few_shot_fraction=fraction,
                                               seed=seed, few_shot_random=random)
                     bb = build_backbone("spatial", d=8, seed=seed)
-                    pool = init_pool(stream.periods[0].nodes, d=8, k=3, seed=seed)
+                    pool = init_pool(stream.periods[0].n, d=8, k=3, seed=seed)
                     seg = ds.normalizer.apply(chrono_split(obs)[0])
                     starts = [int(np.flatnonzero(seg[:, 0] == v)[0]) for v in ds.train.X[:, 0, 0]]
                     dense = np.stack([seg[s:s + 12] for s in starts])
                     x_mean = dense.mean(axis=(0, 1)).reshape(-1, 1)
-                    want = heterogeneity_D(x_mean @ bb.params["input_proj.W"].value
-                                           + bb.params["input_proj.b"].value + materialize(pool))
+                    want = heterogeneity_D(x_mean @ bb["input_proj.W"].value
+                                           + bb["input_proj.b"].value + materialize(pool))
                     assert _fused_dispersion(bb, pool, ds) == want
 
 
@@ -572,7 +573,7 @@ class TestInducedSubperiod:
         cfg = ExperimentConfig(scheme="ContinualNN", seeds=(1,), **TINY)
         ds = _induced_subperiod(stream.periods[1], series[1], new_ids, cfg, seed=1)
         (sub,) = seen
-        assert sub.node_ids == new_ids and sub.values.flags.c_contiguous
+        assert sub.values.flags.c_contiguous
         assert np.array_equal(sub.values, series[1].values[:, -3:])
         assert ds.train.X.shape[2] == 3
 
@@ -601,7 +602,7 @@ class TestSchemes:
 
     @pytest.mark.parametrize("scheme", ["EAC", "EAC_full"])
     def test_freeze_old_segments_without_growth_skips(self, scheme):
-        # no new segment, so nothing is trainable: skip like ContinualNN does
+        # no new factor, so nothing is trainable: skip like ContinualNN does
         stream, series = tiny_stream(periods=2, growth=0)
         cfg = ExperimentConfig(scheme=scheme, seeds=(1,), freeze_old_segments=True, **TINY)
         with pytest.warns(UserWarning, match="no nodes"):
@@ -631,9 +632,7 @@ class TestSchemes:
         _, raw_a = run_stream(cfg, stream, series)
         # perturb period-1 observations only
         from growcast.data_pipeline import ObservationSeries
-        mutated = ObservationSeries(node_ids=series[0].node_ids,
-                                    values=series[0].values + 13.0,
-                                    period_index=1)
+        mutated = ObservationSeries(values=series[0].values + 13.0, period_index=1)
         _, raw_b = run_stream(cfg, stream, [mutated, series[1]])
         assert json.dumps(raw_a[2][1]["metrics"], sort_keys=True) == \
             json.dumps(raw_b[2][1]["metrics"], sort_keys=True)

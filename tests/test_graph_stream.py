@@ -257,6 +257,13 @@ class TestStreamGraph:
 
 
 class TestPeriodGraph:
+    @pytest.mark.parametrize("ids", [["a", "b", "a"], ["a", "b", "c", "c"]])
+    def test_duplicate_ids_rejected(self, ids):
+        # with the prefix rule this makes the ids a period adds new and
+        # distinct, so each prompt-pool row belongs to one node
+        with pytest.raises(GraphStreamError, match="^duplicate node ids in period 2$"):
+            make_graph(2, ids)
+
     @pytest.mark.parametrize("field", ["distances", "adjacency"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_names_the_period(self, field, bad):

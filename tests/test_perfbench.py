@@ -9,7 +9,8 @@ its own (an unnamed primitive's time goes to backbone.glue, so renaming
 `relu` or `mean_pool_time` shows nowhere).
 The harness runs from a copy beside BENCHMARK.json and a link to src/,
 so its results and work files land in a temporary directory, not in
-perfbench/.
+perfbench/.  A fast test pins the positions the tracer reads the probed
+calls' arguments from, which the end-to-end metrics are computed with.
 """
 import json
 import os
@@ -17,7 +18,61 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
+
+from growcast import engine
+from growcast.data_pipeline import T_IN, Windows, build_period_dataset, synth_stream
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_probed_calls_carry_what_the_tracer_reads(monkeypatch):
+    # the tracer counts evaluated windows as shape[0] of forward_predict's
+    # argument 2, tells training from evaluation by `train` at position 5 or
+    # by keyword, and reads train_period's argument 2 and first three results
+    forwards, phases = [], []
+    forward_predict, train_period = engine.forward_predict, engine.train_period
+
+    def record_forward(*args, **kwargs):
+        assert len(args) > 5 or "train" in kwargs
+        train = args[5] if len(args) > 5 else kwargs["train"]
+        assert type(train) is bool and isinstance(args[2], np.ndarray)
+        assert args[2].shape[0] == len(kwargs["starts"])
+        forwards.append((train, args[2].shape))
+        return forward_predict(*args, **kwargs)
+
+    def record_train(*args, **kwargs):
+        first = len(forwards)
+        out = train_period(*args, **kwargs)
+        phases.append((args[2], out, first, len(forwards)))
+        return out
+
+    monkeypatch.setattr(engine, "forward_predict", record_forward)
+    monkeypatch.setattr(engine, "train_period", record_train)
+    stream, series = synth_stream(8, 3, 3, 300, seed=2)
+    config = engine.ExperimentConfig(scheme="EAC", d=8, k=3, epochs_max=3, patience=2,
+                                     batch_size=64, seeds=(4,))
+    _, seed_results = engine.run_stream(config, stream, series)
+
+    assert len(phases) == len(stream.periods)
+    ends = [first for _, _, first, _ in phases[1:]] + [len(forwards)]
+    for (train_windows, out, first, last), end, graph, obs, result in zip(
+            phases, ends, stream.periods, series, seed_results[4]):
+        data = build_period_dataset(graph, obs, seed=4)
+        assert isinstance(train_windows, Windows) and len(train_windows) == len(data.train)
+        assert out[:3] == (result["epochs_run"], result["wall_seconds_per_epoch"],
+                           result["best_epoch"])
+        assert all(shape[1:] == (T_IN, graph.n, 1) for _, shape in forwards[first:end])
+
+        def windows(calls, train):
+            return sum(shape[0] for t, shape in calls if t == train)
+
+        # training batches and validation passes, then the test split
+        epochs = result["epochs_run"]
+        assert windows(forwards[first:last], True) == epochs * len(data.train)
+        assert windows(forwards[first:last], False) == epochs * len(data.val)
+        assert forwards[last:end] and windows(forwards[last:end], False) == len(data.test)
+        assert windows(forwards[last:end], True) == 0
 
 
 def test_selftest_and_a_short_traced_run(tmp_path):
