@@ -60,17 +60,30 @@ def metrics(pred, truth) -> dict:
     return {"MAE": mae, "RMSE": rmse, "MAPE": mape}
 
 
+def _centered(x):
+    """x minus its mean row, the mean's rounding error removed by a second pass.
+
+    A common offset c makes the first mean err by about c * 1e-16; the
+    centered rows' own mean is that error, to their precision.
+    """
+    xc = x - x.mean(axis=0)
+    xc -= xc.mean(axis=0)
+    return xc
+
+
 def heterogeneity_D(X) -> float:
     """Mean squared pairwise distance between rows, via the closed form
-    2*(mean ||x_i||^2 - ||mean x||^2)."""
+    2 * mean ||x_i - mean x||^2.
+
+    The rows are centered first, so an offset common to all rows costs
+    no digits and D is never negative.
+    """
     x = np.asarray(X, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] < 1:
         raise AnalysisError("need at least one row")
-    sq = float((x ** 2).sum(axis=1).mean())
-    mu = x.mean(axis=0)
-    return 2.0 * (sq - float(mu @ mu))
+    return 2.0 * float((_centered(x) ** 2).sum(axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -100,10 +113,8 @@ def dispersion_decomposition(X, P) -> DispersionReport:
         raise AnalysisError("X and P shapes differ: %s vs %s" % (x.shape, p.shape))
     d_before = heterogeneity_D(x)
     d_after = heterogeneity_D(x + p)
-    mu_x = x.mean(axis=0)
-    mu_p = p.mean(axis=0)
     rhs = heterogeneity_D(p)
-    cross = 4.0 * (float((x * p).sum(axis=1).mean()) - float(mu_x @ mu_p))
+    cross = 4.0 * float((_centered(x) * _centered(p)).sum(axis=1).mean())
     residual = (d_after - d_before) - rhs - cross
     return DispersionReport(D_before=d_before, D_after=d_after, paper_rhs=rhs,
                             cross_term=cross, residual=residual,

@@ -237,14 +237,14 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
         raise DataError("period %d has %d observation columns for %d graph nodes"
                         % (graph.period_index, series.values.shape[1], graph.n))
     segments = chrono_split(series)
-    norm = Normalizer.fit(segments[0], series.period_index)
+    norm = Normalizer.fit(segments[0], graph.period_index)
     windows = []
     for name, seg in zip(("train", "val", "test"), segments):
         with np.errstate(over="ignore"):
             seg = norm.apply(seg)
         if not np.isfinite(seg).all():
             raise DataError("period %d %s observations overflow once normalized "
-                            "(train mean %r, std %r)" % (series.period_index, name,
+                            "(train mean %r, std %r)" % (graph.period_index, name,
                                                          norm.mean, norm.std))
         windows.append(make_windows(seg))
     train, val, test = windows

@@ -49,7 +49,10 @@ layout says where each window lies on one timeline of steps, and
 `temporal_conv` and `mean_pool_time` take it as `steps=`.  Either layout
 of the temporal conv is a list of slabs, one tap's GEMM over a block of
 rows, and one backward kernel runs both; the shared-step forward forms
-each tap's product once and slices its slabs from it.
+each tap's product once and slices its slabs from it.  The weight
+gradient is one GEMM per slab whose rows are one block of memory, and
+one per window, summed in window order, over a windowed tap's strided
+rows, so it copies no window-sized slab.
 """
 from __future__ import annotations
 
@@ -462,40 +465,6 @@ def _tap_sum(src, mats, taps, out):
     return out
 
 
-def _packed_weight_grad(src, g, slabs, gW):
-    """gW[k] += src[i]^T g[o], rows flattened, over a windowed layout's slabs (k, i, o, _).
-
-    src is a (B, T, ...) array that nothing else reads, and this leaves it
-    scrambled.  A slab that reads rows [a, a + m) of every window, m < T,
-    is strided; instead of copying it, its rows move to the front of src's
-    buffer window by window, in the order a copy would hold them, so its
-    GEMM reads the same operand.  The slab that reads every row goes
-    first; for each later slab but the last, the rows outside it are saved
-    and the move is undone after its GEMM.  g's slab is copied as before.
-    """
-    B, T = src.shape[:2]
-    row = src[0, 0].size
-    flat = src.reshape(-1)
-    slabs = sorted(slabs, key=lambda slab: slab[1][1].start - slab[1][1].stop)
-    for j, (k, i, o, _) in enumerate(slabs):
-        a, m = i[1].start, i[1].stop - i[1].start
-        # (to, from) of each window's rows; 1-D copies need no buffer where they overlap
-        moves = [(slice(w * m * row, (w + 1) * m * row),
-                  slice((w * T + a) * row, (w * T + a + m) * row))
-                 for w in range(B)] if m < T else []
-        undo = moves and j < len(slabs) - 1
-        if undo:
-            rest = np.r_[0:a, a + m:T]
-            saved = src[:, rest]
-        for to, frm in moves:
-            flat[to] = flat[frm]
-        gW[k] += flat[:B * m * row].reshape(-1, gW.shape[1]).T @ g[o].reshape(-1, gW.shape[2])
-        if undo:
-            for to, frm in reversed(moves):
-                flat[frm] = flat[to]
-            src[:, rest] = saved
-
-
 @_quiet
 def temporal_conv(record, x, W, b, steps=None):
     """1D convolution over the time axis, kernel K, same-length zero padding.
@@ -503,19 +472,22 @@ def temporal_conv(record, x, W, b, steps=None):
     x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
     one shifted (B, T - |s|, n) slab of x @ W[k] (`_taps`) in kernel order,
     so every row rounds as a loop over a zero-padded copy of x would.  The
-    input gradient runs the slabs from output to input with W[k]^T, and
-    the weight gradient is one 2-D GEMM per slab over the rows it reads.
+    input gradient runs the slabs from output to input with W[k]^T.  The
+    weight gradient is one 2-D GEMM per slab whose rows are one block of
+    memory; a windowed tap that skips rows at a window's edge is one GEMM
+    per window over views of x and g, summed in window order.  Only that
+    sum rounds otherwise than one GEMM over a copy of the slab's rows.
 
     steps (a `Steps` layout with K taps): x is a (1, L, n, d_in) timeline
     of at least `steps.length` rows and the output is the layout's
     (n_rows, n, d_out) stack.  The forward runs `steps.taps`, each tap's
-    product once, and backward the same kernels as above on their slabs.
+    product once, and backward the same kernels as above on their slabs,
+    each one block of timeline rows.
 
     Only the weight gradient reads x, so a frozen W keeps nothing of it.
     When temporal_conv takes x (`_take`), a frozen W drops x's array and a
-    trainable one hands it to the grad_fn alone, which reads the windowed
-    layout's slabs by moving rows inside it (`_packed_weight_grad`) and
-    then writes the input gradient into it.
+    trainable one hands it to the grad_fn alone, which forms the weight
+    gradient and then writes the input gradient into it.
     """
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
@@ -544,11 +516,11 @@ def temporal_conv(record, x, W, b, steps=None):
         gx = gW = gb = None
         if W.needs_grad:
             gW = np.zeros(W.shape)
-            if own and steps is None:
-                _packed_weight_grad(src, g, slabs, gW)
-            else:
-                for k, i, o, _ in slabs:
-                    gW[k] += src[i].reshape(-1, W.shape[1]).T @ g[o].reshape(-1, W.shape[2])
+            for k, i, o, _ in slabs:
+                rows = src[i]
+                w = 1 if rows.flags.c_contiguous else len(rows)  # else one GEMM per window
+                gW[k] += np.matmul(rows.reshape(w, -1, W.shape[1]).transpose(0, 2, 1),
+                                   g[o].reshape(w, -1, W.shape[2])).sum(axis=0)
         if x.needs_grad:
             if own and value is not None:
                 gx = value  # taken, and no longer read

@@ -83,6 +83,19 @@ class TestHeterogeneity:
             b = heterogeneity_D_double_sum(X)
             assert abs(a - b) <= 1e-9 * (1 + abs(b))
 
+    @pytest.mark.parametrize("c", [1e4, 1e8, 1e9, 1e12])
+    def test_a_common_offset_costs_no_digits(self, c):
+        # entries on a 2^-13 grid, which X + c holds exactly up to c = 1e12;
+        # the uncentered closed form read 64.0 at 1e8 and 8.6e9 at 1e12
+        X, P = np.round(np.random.default_rng(0).standard_normal((2, 50, 16)) * 2**13) / 2**13
+        assert heterogeneity_D(X + c) == pytest.approx(heterogeneity_D(X), rel=1e-9, abs=0)
+        got, want = dispersion_decomposition(X + c, P + c), dispersion_decomposition(X, P)
+        assert got.cross_term == pytest.approx(want.cross_term, rel=1e-9, abs=0)
+
+    def test_offset_rows_have_nonnegative_dispersion(self):
+        X = np.random.default_rng(0).standard_normal((50, 16))
+        assert heterogeneity_D(X + 1e9) >= 0.0  # the uncentered closed form read -4096
+
 
 class TestDispersionDecomposition:
     def test_equal_row_prompt_no_shift(self):

@@ -230,6 +230,19 @@ class TestMakeWindows:
                                             "nodes$" % columns):
             build_period_dataset(stream.periods[0], series)
 
+    @pytest.mark.parametrize("zero_train, row, reading, message", [
+        (False, 5, 1e200, "training observations span 1e.200, whose square overflows$"),
+        (True, 190, 1e303, "test observations overflow once normalized")])
+    def test_data_errors_name_the_graph_period(self, zero_train, row, reading, message):
+        # the series claims period 7; every error names the graph's period 2
+        stream, series = synth_stream(6, 2, 2, 200, seed=1)
+        values = series[1].values.copy()
+        if zero_train:
+            values[:120] = 0.0  # the train segment; its std clamps to 1e-8
+        values[row, 3] = reading
+        with pytest.raises(DataError, match="^period 2 " + message):
+            build_period_dataset(stream.periods[1], ObservationSeries(values, period_index=7))
+
     @pytest.mark.parametrize("shape", [(12,), (3, 4, 2)])
     def test_series_must_be_a_matrix(self, shape):
         with pytest.raises(DataError, match="^period 2 observations must be a T x n matrix"):

@@ -394,21 +394,21 @@ def prompted_step(variant, p=0.0, frozen=False, B=5, n=7, d=6, seed=4):
 # order; numpy 2.4 on x86-64 with OpenBLAS, any thread count.  A batch that
 # draws dropout masks runs windowed, so p = 0.1 digests repeat.
 GOLDEN_STEPS = {
-    ("spatial", 0.0, False, False): "4cad85e96457d24a",
+    ("spatial", 0.0, False, False): "e366b1e411c32a46",
     ("spatial", 0.0, False, True): "8ff9179a2acb55bf",
     ("spatial", 0.0, True, False): "6a6e04ab75a6cbe4",
     ("spatial", 0.0, True, True): "1c7dd4e3b21470b4",
-    ("spatial", 0.1, False, False): "d5514bcbb3c23283",
+    ("spatial", 0.1, False, False): "11f178dd6596f1c7",
     ("spatial", 0.1, False, True): "9b8d34a415205ca7",
-    ("spatial", 0.1, True, False): "d5514bcbb3c23283",
+    ("spatial", 0.1, True, False): "11f178dd6596f1c7",
     ("spatial", 0.1, True, True): "9b8d34a415205ca7",
-    ("spectral", 0.0, False, False): "793427d278d18ff5",
+    ("spectral", 0.0, False, False): "1f1e1a0557d94a50",
     ("spectral", 0.0, False, True): "aa6ce93ff49c4006",
     ("spectral", 0.0, True, False): "61f02ed83b6885f2",
     ("spectral", 0.0, True, True): "1c3ad344bb09bb33",
-    ("spectral", 0.1, False, False): "9da5fb422a76513b",
+    ("spectral", 0.1, False, False): "b605a340d8b0fbb9",
     ("spectral", 0.1, False, True): "4618e8a9840eacbd",
-    ("spectral", 0.1, True, False): "9da5fb422a76513b",
+    ("spectral", 0.1, True, False): "b605a340d8b0fbb9",
     ("spectral", 0.1, True, True): "4618e8a9840eacbd",
 }
 

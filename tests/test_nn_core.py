@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,19 +167,20 @@ class TestKernelOracles:
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("T", [1, 2, 12])
     def test_temporal_conv_bit_equal_to_padded_loop(self, K, T):
+        # the weight gradient sums a strided slab window by window, so it is
+        # held to the loop on exact data (TestSlabLists)
         rng = np.random.default_rng(10 * K + T)
         for shape in ((2, T, 3, 4), (16, T, 40, 16)):
             x = np.maximum(rng.standard_normal(shape), 0.0)
             W = rng.standard_normal((K, shape[-1], 5))
             b = rng.standard_normal(5)
             g = rng.standard_normal(shape[:3] + (5,))
-            want_out, want_gx, want_gW = padded_temporal_conv(x, W, b, g)
-            for fresh in (False, True):  # a taken input is read by moving its rows
-                out, (gx, gW, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g,
-                                                    fresh=fresh)
+            want_out, want_gx, _ = padded_temporal_conv(x, W, b, g)
+            for fresh in (False, True):  # a taken input becomes gx's buffer
+                out, (gx, _, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g,
+                                                   fresh=fresh)
                 assert out.tobytes() == want_out.tobytes()
                 assert gx.tobytes() == want_gx.tobytes()
-                assert gW.tobytes() == want_gW.tobytes()
                 assert np.array_equal(gb, g.sum(axis=(0, 1, 2)))
 
     def test_graph_conv_cheb_matches_per_term_sum(self):
@@ -468,10 +470,41 @@ class TestSlabLists:
         assert set(first_at) | zero == set(range(n_rows)) and not set(first_at) & zero
         assert all(r in zero or first_at[r] < j for r, j in adds)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("layout", ["windowed"] + sorted(HEADS))
+    def test_weight_gradient_bit_equal_to_padded_loop_on_integers(self, K, T, layout):
+        # small integers make every partial sum exact in any order, so the
+        # per-window and per-slab sums must give the loop's bytes
+        rng = np.random.default_rng([K, T, len(layout)])
+        heads = np.arange(16) if layout == "windowed" else np.array(HEADS[layout])
+        timeline = rng.integers(0, 4, size=(heads.max() + T, 40, 16)).astype(float)
+        windows = timeline[heads[:, None] + np.arange(T)]
+        W = rng.integers(-2, 3, size=(K, 16, 5)).astype(float)
+        b = np.zeros(5)
+        g = rng.integers(-2, 3, size=windows.shape[:3] + (5,)).astype(float)
+        _, _, want = padded_temporal_conv(windows, W, b, g)
+        if layout == "windowed":
+            x, conv = windows, nn.temporal_conv
+        else:
+            steps = nn.Steps(heads, T, K)
+            x = timeline[None]
+            g_stack = np.zeros((steps.n_rows,) + g.shape[2:])
+            for o, column in enumerate(steps.columns):
+                g_stack[column] += g[:, o]  # a column holds each stack row once
+            g = g_stack
+
+            def conv(rec, x, W, b):
+                return nn.temporal_conv(rec, x, W, b, steps=steps)
+        for fresh in (False, True):
+            _, (_, gW, _) = primitive_grads(conv, x, W, b, g=g, fresh=fresh)
+            assert gW.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("K", [2, 3, 5])
     def test_windowed_weight_gradient_at_training_size(self, K):
-        # the weight gradient sums only unpadded rows, one GEMM per tap; at
-        # this size it may round differently from the padded copy's sum
+        # the weight gradient sums only unpadded rows, one GEMM per window of
+        # a strided tap; at this size it may round differently from the
+        # padded copy's sum
         rng = np.random.default_rng(K)
         x = np.maximum(rng.standard_normal((128, 12, 60, 16)), 0.0)
         W = rng.standard_normal((K, 16, 16))
@@ -480,6 +513,27 @@ class TestSlabLists:
         _, (_, gW, _) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
         _, _, want = padded_temporal_conv(x, W, b, g)
         assert np.abs(gW - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_weight_gradient_of_a_taken_input_copies_no_slab(self):
+        # x has a constant parent, so backward forms gW alone.  One GEMM over
+        # a strided tap's flattened rows copies its (B, T - 1, n, d) slab of
+        # g, 14.4 MB; GEMMs over each window's rows read views
+        rng = np.random.default_rng(0)
+        B, T, n, d = 64, 12, 40, 64
+        rec = nn.ComputeRecord()
+        x = copied(rec, rec.constant(rng.standard_normal((B, T, n, d))))
+        W = rec.leaf(nn.Parameter("W", rng.standard_normal((3, d, d))))
+        node = nn.temporal_conv(rec, x, W, np.zeros(d))
+        assert x.value is None and not x.needs_grad  # taken, and no gx is formed
+        g = rng.standard_normal((B, T, n, d))
+        tracemalloc.start()
+        try:
+            gx, gW, _ = node.grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx is None and gW is not None
+        assert peak < B * (T - 1) * n * d * 8
 
 
 class TestSharedStepOracles:
