@@ -22,14 +22,22 @@ one n x d constant, and no (B, T, n, d) tensor crosses the graph.
 Batches share steps.  Windows of one split overlap: consecutive ones in
 all but one step, and a shuffled training batch of 128 of 457 windows
 reads only about 460 distinct steps in its 1,536 window rows.  When the
-caller passes the windows' start offsets and the batch draws no dropout
-mask, layer 1 runs on the batch's sorted distinct steps, passed as one
-window, the temporal conv and the time pooling take the `nn.Steps`
-layout of the windows over them, and the second graph conv runs on the
-conv's stack.  `nn.Steps` says what is computed once per step and how
-closely it matches the windowed path.  A batch that draws dropout masks
-keeps the windowed path and its (B, T, n, d) draws; no other may repeat
-a start.
+caller passes the windows' start offsets, layer 1 runs on the batch's
+sorted distinct steps, passed as one window, the temporal conv and the
+time pooling take the `nn.Steps` layout of the windows over them, and
+the second graph conv runs on the conv's stack.  `nn.Steps` says what is
+computed once per step and how closely it matches the windowed path.
+No two windows of such a batch may share a start.
+
+Dropout draws its masks over the rows computed: one (1, L, n, d) draw
+over the L distinct steps after layer 1, and one over the conv's stack
+after it, whose shared interior rows serve every window and whose edge
+rows belong to one window each.  So windows that share a step share its
+masks, except at their edge rows after the conv, a mask tied across
+positions as in Gal and Ghahramani, "A Theoretically Grounded
+Application of Dropout in Recurrent Neural Networks" (NeurIPS 2016).
+A batch without starts, or one whose windows overlap too little, runs
+every window row and draws (B, T, n, d) masks.
 """
 from __future__ import annotations
 
@@ -132,10 +140,10 @@ def forward_predict(backbone: dict, operator, inputs, prompt=None,
     tape only if `train` is set.  dropout: the training phase's rate after
     the first two ReLUs, masks drawn from `rng`; it applies only when
     `train` is set.  starts: each window's offset in its segment.  A batch
-    with starts that draws no dropout mask takes the shared-step path
-    (module docstring) unless its windows overlap too little; it raises
-    BackboneError when two windows share a start, or on that path
-    disagree with their starts.
+    with starts takes the shared-step path (module docstring), where
+    windows that share a step share its dropout masks, unless its windows
+    overlap too little; it raises BackboneError when two windows share a
+    start, or on that path disagree with their starts.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -157,7 +165,7 @@ def forward_predict(backbone: dict, operator, inputs, prompt=None,
 
     weight = "W" if "gconv1.W" in backbone else "theta"
     drop_p = dropout if train else 0.0
-    shared = None if starts is None or drop_p > 0.0 else _shared_steps(
+    shared = None if starts is None else _shared_steps(
         x, starts, backbone["tconv.W"].value.shape[0])
     steps = None
     if shared is not None:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -51,6 +53,20 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
+def _blas_threads():
+    """Threads numpy's bundled OpenBLAS uses, asked of the library; None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+
 # the JSON type that json.load turns into each Python type
 _JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
                bool: "a boolean", type(None): "null"}
@@ -87,7 +103,8 @@ def cmd_run(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"version": __version__, "inputs": {}, "error": None,
-                "report_paths": [], "total_wall_seconds": None}
+                "report_paths": [], "total_wall_seconds": None,
+                "blas_threads": _blas_threads()}
     t_start = time.perf_counter()
     try:
         try:

@@ -92,7 +92,13 @@ class Normalizer:
         large constant segment does not square its rounding residue past
         the float range, and ordinary data get the same mean and std as
         the unscaled formula.  A segment whose range squares past the
-        float range is rejected too.
+        float range (about 1.3e154) is rejected too.  No sum or square
+        downstream needs that rule, since `analysis.metrics` and
+        `engine._validation_mae` scale errors by a power of two; it is a
+        data check.  Beside such a range, readings of ordinary size
+        normalize to one and the same float, so training could not tell
+        them apart; one reading of 1e20 among readings of order 1 does
+        that too, and passes.
         """
         segment = np.asarray(train_segment, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -9,10 +9,10 @@ trains after period 1; `SCHEMES` is the one place a scheme is defined.
 Training batches are shuffled windows, gathered into fresh arrays;
 validation and test batches are slices of the split's strided window
 view.  Every batch passes its windows' start offsets, so the backbone
-computes each distinct time step of a batch once (`nn_core.Steps`)
-unless the batch draws dropout masks: period-1 training and RetrainST
-keep the windowed path, while pool tuning and the later periods of
-ContinualAN and ContinualNN share steps.
+computes each distinct time step of a batch once (`nn_core.Steps`) in
+every phase.  A training batch that draws dropout masks (period 1, and
+every period of RetrainST) draws one per distinct step, which the
+windows that read the step share (`backbone` module docstring).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn_core as nn
-from .analysis import heterogeneity_D, metrics
+from .analysis import heterogeneity_D, metrics, power_of_two_above
 from .backbone import VARIANTS, build_backbone, forward_predict, graph_operator
 from .data_pipeline import build_period_dataset
 from .graph_stream import diff_nodes
@@ -247,12 +247,23 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
 
 
 def _validation_mae(forward, val_samples, normalizer, batch_size):
-    abs_sum, count = 0.0, 0
+    """Mean absolute error in original units over the validation split.
+
+    The sum runs on errors divided by `power_of_two_above` the largest one
+    so far (at least 1), and the mean scales back, so errors near the float
+    range do not overflow it; the division is exact, so ordinary errors
+    give the bits of the unscaled sum.
+    """
+    abs_sum, scale, count = 0.0, 1.0, 0
     for pred, run in _predictions(forward, val_samples, batch_size):
-        err = normalizer.invert(pred) - normalizer.invert(val_samples.Y[run])
-        abs_sum += float(np.abs(err).sum())
+        err = np.abs(normalizer.invert(pred) - normalizer.invert(val_samples.Y[run]))
+        top = power_of_two_above(err.max())
+        if top > scale:
+            abs_sum, scale = abs_sum * (scale / top), top
+        err /= scale
+        abs_sum += float(err.sum())
         count += err.size
-    return abs_sum / count
+    return abs_sum / count * scale
 
 
 def evaluate_period(forward, test_samples, normalizer, batch_size,

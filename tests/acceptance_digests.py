@@ -10,8 +10,9 @@ first 16 hex digits of the SHA-256 of each scheme's reports.json,
 aggregate.csv and heterogeneity.json.  With --parent, a DIR that this
 script wrote from another checkout, it also prints for each scheme the
 largest relative difference of any number in reports.json and
-heterogeneity.json, and every epochs_run or best_epoch in timings.json
-that changed.  --json writes the digests and the drift as one JSON
+heterogeneity.json, every epochs_run or best_epoch in timings.json
+that changed, and per period the avg-horizon MAE's mean and seed std of
+both runs.  --json writes the digests and the drift as one JSON
 object.  pytest does not collect this file.
 """
 import os
@@ -115,7 +116,14 @@ def drift(out, parent):
                 if now["best_epoch"][seed] != epoch:
                     changed.append("period %d seed %s best_epoch %s -> %s"
                                    % (period, seed, epoch, now["best_epoch"][seed]))
-        table[name] = {"max_rel_diff": worst, "at": at, "epochs_changed": changed}
+        periods = []
+        for now, before in zip(*(load(os.path.join(d, name, "reports.json"))
+                                 for d in (out, parent))):
+            periods.append({"period": before["period_index"],
+                            **{side: report["horizons"]["avg"]["MAE"]
+                               for side, report in (("parent", before), ("change", now))}})
+        table[name] = {"max_rel_diff": worst, "at": at, "epochs_changed": changed,
+                       "avg_MAE": periods}
     return table
 
 
@@ -134,6 +142,10 @@ def cli(argv=None):
         for name, row in result["drift"].items():
             print("%-13s max rel diff %.3g at %s; epochs changed: %s"
                   % (name, row["max_rel_diff"], row["at"], row["epochs_changed"] or "none"))
+            for cell in row["avg_MAE"]:
+                print("%-13s period %d avg MAE %.4f +- %.4f -> %.4f +- %.4f"
+                      % ((name, cell["period"]) + tuple(cell[side][stat] for side in
+                         ("parent", "change") for stat in ("mean", "std"))))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=1)

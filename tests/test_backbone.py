@@ -160,14 +160,27 @@ class TestForward:
 
 
 class DrawLog:
-    """A Generator stand-in that logs the shape of each random() call."""
+    """A Generator stand-in that logs each random() call's shape and draw."""
 
     def __init__(self, seed):
-        self.rng, self.shapes = nn.rng_stream(seed, "dropout"), []
+        self.rng, self.shapes, self.draws = nn.rng_stream(seed, "dropout"), [], []
 
     def random(self, shape):
         self.shapes.append(tuple(shape))
-        return self.rng.random(shape)
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1].copy()  # relu writes its multiplier into the draw
+
+
+class Replay:
+    """A Generator stand-in whose random() calls return the given arrays in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == tuple(shape)
+        return draw.copy()
 
 
 class TestDropout:
@@ -275,21 +288,20 @@ class TestSharedSteps:
                                 starts=np.arange(3, 40))
 
     def test_training_and_gathered_batches_keep_windowed_bits(self, monkeypatch):
-        # a batch that draws dropout masks, or comes without starts, runs every window row
+        # a batch without starts runs every window row and draws (B, T, n, d) masks
         shared = spy_shared_steps(monkeypatch)
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2)
             op = graph_operator(bb, small_graph(6))
             x = consecutive_windows(9, 6, "C")
             gathered = np.array(x)
-            for inputs in (x, gathered):
-                got, rec = forward_predict(bb, op, inputs, train=True,
-                                           rng=nn.rng_stream(1, "dropout"),
-                                           starts=np.arange(3, 12), dropout=0.3)
-                want = windowed_forward(bb, op, gathered, train=True,
-                                        rng=nn.rng_stream(1, "dropout"), dropout=0.3)
-                assert got.value.tobytes() == want.tobytes()
-                assert rec.nodes
+            log = DrawLog(1)
+            got, rec = forward_predict(bb, op, gathered, train=True, rng=log, dropout=0.3)
+            want = windowed_forward(bb, op, gathered, train=True,
+                                    rng=nn.rng_stream(1, "dropout"), dropout=0.3)
+            assert got.value.tobytes() == want.tobytes()
+            assert log.shapes == [(9, 12, 6, 5)] * 2
+            assert rec.nodes
             got, _ = forward_predict(bb, op, gathered)
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
             got, rec = forward_predict(bb, op, x, record=nn.ComputeRecord())
@@ -337,7 +349,8 @@ class TestSharedSteps:
             assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_batch_without_overlap_keeps_windowed_bits(self, monkeypatch):
-        # disjoint windows would stack more rows than they have; they run windowed
+        # disjoint windows would stack more rows than they have; they run
+        # windowed, and with dropout draw (B, T, n, d) masks
         shared = spy_shared_steps(monkeypatch)
         seg = np.random.default_rng(5).standard_normal((60, 6))
         starts = np.array([0, 24, 12, 40])
@@ -345,8 +358,14 @@ class TestSharedSteps:
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2)
             op = graph_operator(bb, small_graph(6))
-            got, _ = forward_predict(bb, op, x, train=True, starts=starts)
-            assert got.value.tobytes() == windowed_forward(bb, op, x, train=True).tobytes()
+            for dropout in (0.0, 0.3):
+                log = DrawLog(1)
+                got, _ = forward_predict(bb, op, x, train=True, rng=log, starts=starts,
+                                         dropout=dropout)
+                want = windowed_forward(bb, op, x, train=True, rng=nn.rng_stream(1, "dropout"),
+                                        dropout=dropout)
+                assert got.value.tobytes() == want.tobytes()
+                assert log.shapes == [(4, 12, 6, 5)] * (2 if dropout else 0)
         assert shared == []
 
     def test_windows_must_agree_with_their_starts(self):
@@ -413,6 +432,47 @@ class TestSharedStepsExact:
         (got, got_grads), (want, want_grads) = runs
         assert got.tobytes() == want.tobytes()
         assert sorted(got_grads) == sorted(want_grads)
+        assert any(g.any() for g in want_grads.values())
+        for name, g in want_grads.items():
+            assert got_grads[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("layout", EXACT_LAYOUTS)
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_windows_that_share_a_step_share_its_masks(self, variant, kernel, layout,
+                                                       monkeypatch):
+        # a training batch with starts draws one layer-1 mask per timeline
+        # step and one layer-2 mask per stack row, shared interior rows and
+        # each window's own edge rows.  At p = 1/2 the kept entries double,
+        # which is exact, so the shared path equals bit for bit the windowed
+        # path given those masks laid out per window: windows that share a
+        # step read its one mask.
+        shared = spy_shared_steps(monkeypatch)
+        rng = np.random.default_rng([kernel, 8, EXACT_LAYOUTS.index(layout)])
+        starts = exact_starts(layout, 8, rng)
+        seg = rng.integers(0, 4, size=(starts.max() + 10, 4)).astype(float)
+        rows = starts[:, None] + np.arange(8)
+        x = seg[rows][..., None]
+        target = seg[starts[:, None] + 8 + np.arange(2)]
+        bb = build_backbone(variant, d=3, kernel=kernel, t_out=2, seed=kernel)
+        for param in bb.values():
+            param.value = rng.integers(-1, 2, size=param.value.shape).astype(float)
+        runs, log = [], DrawLog(kernel)
+        for batch_starts in (starts, None):
+            if batch_starts is None:
+                steps, (first, second) = shared[0], log.draws
+                assert first.shape == (1, steps.length, 4, 3)
+                assert second.shape == (steps.n_rows, 4, 3)
+                window = np.searchsorted(np.unique(rows), rows)  # timeline row of each step
+                per_window = np.stack([second[column] for column in steps.columns], axis=1)
+                log = Replay([first[0][window], per_window])
+            rec = nn.ComputeRecord()
+            pred, _ = forward_predict(bb, EXACT_OPERATORS[variant], x, record=rec, train=True,
+                                      rng=log, starts=batch_starts, dropout=0.5)
+            runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
+        assert len(shared) == 1 and log.draws == []
+        (got, got_grads), (want, want_grads) = runs
+        assert got.tobytes() == want.tobytes()
         assert any(g.any() for g in want_grads.values())
         for name, g in want_grads.items():
             assert got_grads[name].tobytes() == g.tobytes(), name

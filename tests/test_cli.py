@@ -507,6 +507,7 @@ class TestBlasThreads:
                                    config, "--synth", "n0=40,growth=10,periods=3,T=400,seed=0",
                                    "--out", str(out)], env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
+            assert json.loads((out / "manifest.json").read_text())["blas_threads"] == int(threads)
             blobs.append([(out / name).read_bytes()
                           for name in ("reports.json", "heterogeneity.json")])
         assert blobs[0] == blobs[1]
