@@ -21,13 +21,14 @@ one n x d constant, and no (B, T, n, d) tensor crosses the graph.
 
 Batches share steps.  Windows of one split overlap: consecutive ones in
 all but one step, and a shuffled training batch of 128 of 457 windows
-reads only about 460 distinct steps in its 1,536 window rows.  When the
-caller passes the windows' start offsets, layer 1 runs on the batch's
-sorted distinct steps, passed as one window, the temporal conv and the
-time pooling take the `nn.Steps` layout of the windows over them, and
-the second graph conv runs on the conv's stack.  `nn.Steps` says what is
-computed once per step and how closely it matches the windowed path.
-No two windows of such a batch may share a start.
+reads only about 460 distinct steps in its 1,536 window rows.  Layer 1
+runs on the batch's sorted distinct steps, passed as one window, the
+temporal conv and the time pooling take the `nn.Steps` layout of the
+windows over them, and the second graph conv runs on the conv's stack,
+which never has more rows than the batch has window rows.  `nn.Steps`
+says what is computed once per step and how closely it matches a loop
+over each window.  The caller passes the windows' start offsets, no two
+alike; a batch without them is B disjoint windows, laid end to end.
 
 Dropout draws its masks over the rows computed: one (1, L, n, d) draw
 over the L distinct steps after layer 1, and one over the conv's stack
@@ -36,8 +37,6 @@ rows belong to one window each.  So windows that share a step share its
 masks, except at their edge rows after the conv, a mask tied across
 positions as in Gal and Ghahramani, "A Theoretically Grounded
 Application of Dropout in Recurrent Neural Networks" (NeurIPS 2016).
-A batch without starts, or one whose windows overlap too little, runs
-every window row and draws (B, T, n, d) masks.
 """
 from __future__ import annotations
 
@@ -103,30 +102,28 @@ def _shared_steps(x, starts, kernel):
     """(timeline, layout) that run windows x starting at `starts` once per step.
 
     The timeline is the sorted distinct steps of all windows, (1, L, n, 1),
-    and the layout the `nn.Steps` that lays the windows over it.  None when
-    the layout would stack more rows than the B*T window rows.  Raises
+    and the layout the `nn.Steps` that lays the windows over it.  Without
+    starts the windows are disjoint, starts = T * arange(B).  Raises
     BackboneError when two windows share a start or the windows do not
     agree with their starts.
     """
     B, T = x.shape[:2]
-    starts = np.asarray(starts)
+    starts = T * np.arange(B) if starts is None else np.asarray(starts)
     if starts.shape != (B,) or starts.dtype.kind not in "iu":
         raise BackboneError("starts must be %d integer window offsets, got %s of %s"
                             % (B, starts.shape, starts.dtype))
-    if len(np.unique(starts)) < B:
-        raise BackboneError("two windows of the batch share a start offset")
     steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
     window = window.reshape(B, T)
-    layout = nn.Steps(window[:, 0], T, kernel)
-    if layout.n_rows > B * T:
-        return None
+    heads = np.sort(window[:, 0])
+    if (heads[1:] == heads[:-1]).any():
+        raise BackboneError("two windows of the batch share a start offset")
     x = x[..., 0]
     timeline = np.empty((len(steps),) + x.shape[2:])
     timeline[window] = x
     got = timeline[window]
     if not ((got == x).all() or np.array_equal(got, x, equal_nan=True)):
         raise BackboneError("windows do not agree with their start offsets")
-    return timeline[None, ..., None], layout
+    return timeline[None, ..., None], nn.Steps(window[:, 0], T, kernel)
 
 
 def forward_predict(backbone: dict, operator, inputs, prompt=None,
@@ -139,11 +136,11 @@ def forward_predict(backbone: dict, operator, inputs, prompt=None,
     When none is given, a fresh record is created that keeps a backward
     tape only if `train` is set.  dropout: the training phase's rate after
     the first two ReLUs, masks drawn from `rng`; it applies only when
-    `train` is set.  starts: each window's offset in its segment.  A batch
-    with starts takes the shared-step path (module docstring), where
-    windows that share a step share its dropout masks, unless its windows
-    overlap too little; it raises BackboneError when two windows share a
-    start, or on that path disagree with their starts.
+    `train` is set.  starts: each window's offset in its segment, or None
+    for B disjoint windows.  The batch runs once per distinct step (module
+    docstring), and windows that share a step share its dropout masks.
+    Raises BackboneError when two windows share a start or disagree with
+    their starts.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 4 or x.shape[-1] != 1:
@@ -165,11 +162,7 @@ def forward_predict(backbone: dict, operator, inputs, prompt=None,
 
     weight = "W" if "gconv1.W" in backbone else "theta"
     drop_p = dropout if train else 0.0
-    shared = None if starts is None else _shared_steps(
-        x, starts, backbone["tconv.W"].value.shape[0])
-    steps = None
-    if shared is not None:
-        x, steps = shared
+    x, steps = _shared_steps(x, starts, backbone["tconv.W"].value.shape[0])
     h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
                                        leaf["input_proj.b"], prompt, leaf["gconv1." + weight]),
                 drop_p, rng)

@@ -10,7 +10,8 @@ Training batches are shuffled windows, gathered into fresh arrays;
 validation and test batches are slices of the split's strided window
 view.  Every batch passes its windows' start offsets, so the backbone
 computes each distinct time step of a batch once (`nn_core.Steps`) in
-every phase.  A training batch that draws dropout masks (period 1, and
+every phase, and no layer runs more rows than the batch has window
+rows.  A training batch that draws dropout masks (period 1, and
 every period of RetrainST) draws one per distinct step, which the
 windows that read the step share (`backbone` module docstring).
 """

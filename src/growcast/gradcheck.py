@@ -39,10 +39,12 @@ def gradcheck_table(seeds=range(20)) -> list:
         h0 = rng.standard_normal((2, t_in, n, d))
         Wt = nn.Parameter("Wt", 0.3 * rng.standard_normal((3, d, d)))
         bt = nn.Parameter("bt", 0.3 * rng.standard_normal(d))
+        # two disjoint windows, laid end to end on one timeline
+        disjoint = nn.Steps(t_in * np.arange(2), t_in, 3)
         check("temporal_conv:%d" % seed,
-              lambda r: nn.mse_loss(r, nn.temporal_conv(r, r.constant(h0), r.leaf(Wt),
-                                                        r.leaf(bt)),
-                                    np.zeros((2, t_in, n, d))), [Wt, bt])
+              lambda r: nn.mse_loss(r, nn.temporal_conv(r, r.constant(h0.reshape(1, -1, n, d)),
+                                                        r.leaf(Wt), r.leaf(bt), disjoint),
+                                    np.zeros((disjoint.n_rows, n, d))), [Wt, bt])
 
         # shared steps: three 4-step windows at rows 0, 2 and 1 of a t_in-step timeline
         steps = nn.Steps(np.array([0, 2, 1]), 4, 3)
@@ -116,14 +118,17 @@ def gradcheck_table(seeds=range(20)) -> list:
 
         # input-gradient paths with frozen weights, as pool tuning runs them
         H = nn.Parameter("H", rng.standard_normal((1, 3, n, d)))
+        window = nn.Steps(np.zeros(1, dtype=int), 3, 3)  # one 3-step window: 3 stack rows
         layers = [("temporal_conv_input",
                    lambda r, h: nn.temporal_conv(r, h, r.constant(Wt.value),
-                                                 r.constant(bt.value)))]
+                                                 r.constant(bt.value), window))]
         layers += [("graph_conv_%s_input" % name,
                     lambda r, h, op=op, w=w: nn.graph_conv(r, op, h, r.constant(w.value)))
                    for name, op, w in graph_layers]
         for name, layer in layers:
-            check("%s:%d" % (name, seed),
-                  lambda r, layer=layer: nn.mse_loss(r, layer(r, r.leaf(H)),
-                                                     np.zeros((1, 3, n, d))), [H])
+            def build(r, layer=layer):
+                out = layer(r, r.leaf(H))
+                return nn.mse_loss(r, out, np.zeros(out.shape))
+
+            check("%s:%d" % (name, seed), build, [H])
     return rows

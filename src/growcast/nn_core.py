@@ -44,15 +44,13 @@ a leaf, a constant, or an array that no primitive took, such as the
 prediction a caller holds, and no float operation depends on where its
 result is stored.
 
-Shared steps run overlapping windows once per distinct step: a `Steps`
-layout says where each window lies on one timeline of steps, and
-`temporal_conv` and `mean_pool_time` take it as `steps=`.  Either layout
-of the temporal conv is a list of slabs, one tap's GEMM over a block of
-rows, and one backward kernel runs both; the shared-step forward forms
-each tap's product once and slices its slabs from it.  The weight
-gradient is one GEMM per slab whose rows are one block of memory, and
-one per window, summed in window order, over a windowed tap's strided
-rows, so it copies no window-sized slab.
+Windows run once per distinct step: a `Steps` layout says where each
+window lies on one timeline of steps, and `temporal_conv` and
+`mean_pool_time` take it.  Windows that share no step, such as B
+disjoint ones, are a layout too.  The temporal conv is a list of slabs,
+one tap's GEMM over a block of rows; the forward forms each tap's
+product once and slices its slabs from it, and backward runs one input
+GEMM and one weight GEMM per slab.
 """
 from __future__ import annotations
 
@@ -328,125 +326,120 @@ def concat_rows(record, parts):
     return record.record("concat_rows", out, parts, grad_fn, scan=False)
 
 
-def _taps(K, T):
-    """Slabs (k, input rows, output rows, first) of a K-tap conv along axis 1 of (B, T, ...).
-
-    With same-length zero padding, tap k reads input row o + s into output
-    row o, where s = k - K // 2; a tap with |s| >= T reads only padding.
-    The first tap writes its rows and misses the first min(K // 2, T - 1).
-    """
-    every = slice(None)
-    shifts = [(k, k - K // 2) for k in range(K) if abs(k - K // 2) < T]
-    return [(k, (every, slice(max(0, s), T - max(0, -s))),
-             (every, slice(max(0, -s), T - max(0, s))), j == 0)
-            for j, (k, s) in enumerate(shifts)]
+def _even(first):
+    """r -> the rows first + r, a slice when `first` rises in even steps, else an index array."""
+    lo, stop = int(first[0]), int(first[-1]) + 1
+    step = int(first[1]) - lo if len(first) > 1 else 1
+    if step > 0 and first.tolist() == list(range(lo, stop, step)):
+        return lambda r: slice(lo + r, stop + r, step)
+    return lambda r: first + r
 
 
 class Steps:
-    """Overlapping windows laid over one timeline of distinct steps, under a K-tap conv.
+    """Windows laid over one timeline of distinct steps, under a K-tap conv.
 
     Built from `heads`, where heads[i] is the timeline row on which window
     i starts, so step o of window i is timeline row heads[i] + o; the heads
     are distinct, and the windows read the first `length` rows of the
-    timeline.  Built once per batch and passed as `steps=` to
-    `temporal_conv` and `mean_pool_time`.
+    timeline.  Built once per batch and passed to `temporal_conv` and
+    `mean_pool_time`.  B disjoint windows, heads T * arange(B), are a
+    layout like any other.
 
     Window row o is an edge row when one of the conv's taps reads padding
     for it: the first K // 2 rows and the last K - 1 - K // 2.  Interior
     rows see only their own window's steps, and windows that overlap see
     the same steps there, so the conv computes each interior timeline row
-    once and only the edge rows per window.  Its output is a stack of
-    `n_rows` rows: shared row j is the interior row at timeline row
-    j + K // 2, for every timeline row up to the last one a window reads
-    (none when every row is an edge), and each window's edge rows follow,
-    window by window.  `columns[o]` is the stack rows of window row o of
-    every window: a strided slice for an edge row, and for an interior
-    row a slice when the windows follow one another step by step, else an
-    index array.  No row repeats within a column.
+    that some window reads once, and the edge rows per window.  The read
+    interior rows form runs, blocks of consecutive timeline rows.  The
+    conv's output is a stack of `n_rows` rows: the runs' rows in timeline
+    order, then each window's edge rows, window by window, so `n_rows` is
+    at most the B*T window rows.  `columns[o]` is the stack rows of window
+    row o of every window: a strided slice for an edge row, and for an
+    interior row a slice when the windows' rows rise in even steps, else
+    an index array.  No row repeats within a column, and every stack row
+    is in some column.
 
-    `taps` are the conv's slabs as in `_taps`, grouped by tap: entries
-    (k, span, in_place, slabs), each slab (timeline rows, stack rows,
-    first).  Tap k reads one timeline slice into all shared rows, and for
-    each edge row o, row o + s of every window (a slice when the windows
-    are consecutive, else an index array) into that row's column.  Slabs
-    go tap by tap; the first tap to reach a row writes it.  With distinct
+    `taps` are the conv's slabs grouped by tap: entries (k, span, in_place,
+    slabs), each slab (timeline rows, stack rows, first).  Tap k reads one
+    block of timeline rows into each run, and for each edge row o, row
+    o + s of every window, s = k - K // 2 (a slice when the heads rise in
+    even steps, else an index array), into that row's column.  Slabs go
+    tap by tap; the first tap to reach a row writes it.  With distinct
     heads no slab reads or writes a row twice, so backward runs one GEMM
     per slab and adds each window's gradient with an indexed +=.
 
     The forward instead forms each product row once: tap k multiplies
     `span`, the timeline rows its slabs read, by W[k] in one call, and its
-    slabs then slice (consecutive windows) or gather (otherwise) their
-    rows of that product, so edge rows cost no GEMM of their own.  With
-    shared rows the span is every timeline row but at most K - 1, so no
-    tap multiplies more rows than its slabs do.  The first tap writes its
-    product straight into the stack's leading rows, so its first slab, the
-    shared block, is `in_place` and the forward skips it; the row or two
-    its edges read past the shared block land on the first window's
-    left-edge rows, which only a later tap writes.
+    slabs then slice or gather their rows of that product, so edge rows
+    cost no GEMM of their own.  When the stack holds one run, from
+    timeline row K // 2, the first tap writes its product straight into
+    the stack's leading rows, so its first slab, the run, is `in_place` and
+    the forward skips it; the row or two its edges read past the run land
+    on the first window's left-edge rows, which only a later tap writes.
 
     Every layer after the first meets each step with the same products in
-    the same order as the windowed path.  The caller's layer-1 GEMM has
-    one row per timeline step instead of B*T, and BLAS may round a row
-    differently with the row count, so predictions agree with per-window
-    evaluation up to that last-digit rounding.  Gradients sum the windows'
-    contributions in another order, so they agree up to rounding too.
+    the same order as a loop over each window's zero-padded rows.  The
+    caller's layer-1 GEMM has one row per timeline step instead of B*T, and
+    BLAS may round a row differently with the row count, so predictions
+    agree with per-window evaluation up to that last-digit rounding.
+    Gradients sum the windows' contributions in another order, so they
+    agree up to rounding too.
     """
 
     def __init__(self, heads, T, K):
         heads = np.asarray(heads)
-        if not (heads.ndim == 1 and heads.size > 0 and heads.dtype.kind in "iu"
-                and heads.min() >= 0 and len(np.unique(heads)) == len(heads)):
+        valid = heads.ndim == 1 and heads.size > 0 and heads.dtype.kind in "iu"
+        if valid:
+            heads = heads.astype(np.intp, copy=False)
+            order = np.sort(heads)
+            gaps = order[1:] - order[:-1]
+            valid = order[0] >= 0 and (gaps > 0).all()
+        if not valid:
             raise ShapeError("steps: heads must be a nonempty 1-D array of distinct "
                              "nonnegative integers, got %s of %s" % (heads.shape, heads.dtype))
-        heads = heads.astype(np.intp, copy=False)
-        B, h = len(heads), int(heads[0])
+        B, a = len(heads), K // 2
         self.T, self.K = T, K
-        self.length = int(heads.max()) + T
-        edges = [o for o in range(T) if o < K // 2 or o > T - K + K // 2]
-        E = len(edges)
-        n_shared = self.length + 1 - K if E < T else 0
+        self.length = int(order[-1]) + T
+        edges = [o for o in range(T) if o < a or o > T - K + a]
+        E, I = len(edges), T - len(edges)  # interior rows: head + a .. head + a + I - 1
+        runs, base = [], heads
+        if I:
+            # a gap wider than a window's interior ends one run and opens the next:
+            # order[i] opens a run where wide[i] and closes one where wide[i + 1]
+            wide = np.ones(B + 1, dtype=bool)
+            wide[1:-1] = gaps > I
+            firsts = order[wide[:-1]] + a
+            ends = order[wide[1:]] + a + I
+            sizes = ends - firsts
+            offsets = np.cumsum(sizes) - sizes
+            runs = list(zip(firsts.tolist(), ends.tolist(), offsets.tolist()))
+            run = np.searchsorted(firsts, heads + a, side="right") - 1
+            base = heads + (offsets - firsts)[run]  # window row o sits at stack row base + o
+        n_shared = sum(end - first for first, end, _ in runs)
         self.n_rows = n_shared + B * E
-        consecutive = np.array_equal(heads, h + np.arange(B))
-
-        def across(r):
-            # row r past each head: a slice when the windows are consecutive
-            return slice(h + r, h + r + B) if consecutive else heads + r
-
+        across, inside = _even(heads), _even(base)
         self.columns = [slice(n_shared + edges.index(o), None, E) if o in edges
-                        else across(o - K // 2) for o in range(T)]
+                        else inside(o) for o in range(T)]
         self.taps = []
         for k in range(K):
-            s = k - K // 2
-            tap = [(slice(k, k + n_shared), slice(0, n_shared), k == 0)] if n_shared else []
+            s = k - a
+            tap = [(slice(first + s, end + s), slice(c, c + end - first), k == 0)
+                   for first, end, c in runs]
             tap += [(across(o + s), slice(n_shared + e, None, E), k == 0 or o + s == 0)
                     for e, o in enumerate(edges) if 0 <= o + s < T]
             if tap:
-                reads = [np.arange(i.start, i.stop) if isinstance(i, slice) else i
-                         for i, _, _ in tap]
-                span = slice(int(min(r.min() for r in reads)),
-                             int(max(r.max() for r in reads)) + 1)
-                self.taps.append((k, span, k == 0 and n_shared > 0, tap))
-
-
-def _slab_sum(src, mats, slabs, out):
-    """out[o] = sum over slabs (k, i, o, first) of src[i] @ mats[k], in list order.
-
-    A first slab writes its rows and every other slab adds into them, so
-    rows no first slab writes must hold zeros; no slab's o repeats a row.
-    """
-    for k, i, o, first in slabs:
-        if first:
-            np.matmul(src[i], mats[k], out=out[o])
-        else:
-            out[o] += src[i] @ mats[k]
-    return out
+                span = slice(int(order[0]) + max(s, 0), self.length + min(s, 0))
+                in_place = k == 0 and len(runs) == 1 and runs[0][0] == a
+                self.taps.append((k, span, in_place, tap))
 
 
 def _tap_sum(src, mats, taps, out):
-    """The `Steps` forward: `_slab_sum` of the layout's slabs, each product row formed once.
+    """The `Steps` forward: each tap's slabs of src @ mats[k], each product row formed once.
 
-    Every row gets the same per-matrix products in the same order as
-    `_slab_sum` gives it, so the stack is the same to the last bit.
+    A first slab writes its rows and every other slab adds into them, in
+    list order; every row gets the same per-matrix products in the same
+    order as one GEMM per slab would give it, so the stack is the same to
+    the last bit.
     """
     product = None
     for k, span, in_place, slabs in taps:
@@ -466,23 +459,17 @@ def _tap_sum(src, mats, taps, out):
 
 
 @_quiet
-def temporal_conv(record, x, W, b, steps=None):
-    """1D convolution over the time axis, kernel K, same-length zero padding.
+def temporal_conv(record, x, W, b, steps):
+    """1D convolution over the time axis of each window, kernel K, same-length zero padding.
 
-    x: (B, T, n, d_in), W: (K, d_in, d_out), b: (d_out,).  Each tap adds
-    one shifted (B, T - |s|, n) slab of x @ W[k] (`_taps`) in kernel order,
-    so every row rounds as a loop over a zero-padded copy of x would.  The
-    input gradient runs the slabs from output to input with W[k]^T.  The
-    weight gradient is one 2-D GEMM per slab whose rows are one block of
-    memory; a windowed tap that skips rows at a window's edge is one GEMM
-    per window over views of x and g, summed in window order.  Only that
-    sum rounds otherwise than one GEMM over a copy of the slab's rows.
-
-    steps (a `Steps` layout with K taps): x is a (1, L, n, d_in) timeline
-    of at least `steps.length` rows and the output is the layout's
-    (n_rows, n, d_out) stack.  The forward runs `steps.taps`, each tap's
-    product once, and backward the same kernels as above on their slabs,
-    each one block of timeline rows.
+    steps: the `Steps` layout of the windows, with K taps.  x: a (1, L, n,
+    d_in) timeline of at least `steps.length` rows, W: (K, d_in, d_out),
+    b: (d_out,); the output is the layout's (n_rows, n, d_out) stack.  The
+    forward runs `steps.taps`, each tap's product once, adding the taps in
+    kernel order, so every window row rounds as a loop over a zero-padded
+    copy of its window would.  The input gradient runs the slabs from
+    output to input with W[k]^T, and the weight gradient is one 2-D GEMM
+    per slab, over its rows as one block.
 
     Only the weight gradient reads x, so a frozen W keeps nothing of it.
     When temporal_conv takes x (`_take`), a frozen W drops x's array and a
@@ -492,47 +479,36 @@ def temporal_conv(record, x, W, b, steps=None):
     x, W, b = _as_node(record, x), _as_node(record, W), _as_node(record, b)
     _shape_check("temporal_conv", x.value.ndim == 4 and W.value.ndim == 3
                  and x.shape[-1] == W.shape[1] and b.shape == (W.shape[2],)
-                 and (steps is None or (x.shape[0] == 1 and x.shape[1] >= steps.length
-                                        and W.shape[0] == steps.K)),
+                 and x.shape[0] == 1 and x.shape[1] >= steps.length and W.shape[0] == steps.K,
                  x.shape, W.shape, b.shape)
-    K, shape = W.shape[0], x.shape
+    shape, (_, d_in, d_out) = x.shape, W.shape
     value, own = _take(record, x)
-    src = value if steps is None else value[0]
-    if steps is not None:
-        out = _tap_sum(src, W.value, steps.taps,
-                       np.empty((steps.n_rows, shape[2], W.shape[2])))
-    else:
-        out = np.empty(shape[:3] + (W.shape[2],))
-        out[:, :min(K // 2, shape[1] - 1)] = 0.0  # the rows the first tap misses
-        out = _slab_sum(src, W.value, _taps(K, shape[1]), out)
+    src = value[0]
+    out = _tap_sum(src, W.value, steps.taps, np.empty((steps.n_rows, shape[2], d_out)))
     out += b.value
     if not W.needs_grad:
         value = src = None
 
     def grad_fn(g):
         nonlocal value, src
-        slabs = (_taps(K, shape[1]) if steps is None else
-                 [(k,) + slab for k, _, _, tap in steps.taps for slab in tap])
+        slabs = [(k,) + slab for k, _, _, tap in steps.taps for slab in tap]
         gx = gW = gb = None
         if W.needs_grad:
             gW = np.zeros(W.shape)
             for k, i, o, _ in slabs:
-                rows = src[i]
-                w = 1 if rows.flags.c_contiguous else len(rows)  # else one GEMM per window
-                gW[k] += np.matmul(rows.reshape(w, -1, W.shape[1]).transpose(0, 2, 1),
-                                   g[o].reshape(w, -1, W.shape[2])).sum(axis=0)
+                gW[k] += src[i].reshape(-1, d_in).T @ g[o].reshape(-1, d_out)
         if x.needs_grad:
             if own and value is not None:
                 gx = value  # taken, and no longer read
                 gx.fill(0.0)
             else:
                 gx = np.zeros(shape)
-            swapped = [(k, o, i, False) for k, i, o, _ in slabs]
-            _slab_sum(g, np.ascontiguousarray(W.value.transpose(0, 2, 1)), swapped,
-                      gx if steps is None else gx[0])
+            Wt = np.ascontiguousarray(W.value.transpose(0, 2, 1))
+            for k, i, o, _ in slabs:
+                gx[0][i] += g[o] @ Wt[k]
         value = src = None
         if b.needs_grad:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+            gb = g.reshape(-1, d_out).sum(axis=0)
         return [gx, gW, gb]
 
     return record.record("temporal_conv", out, [x, W, b], grad_fn, fresh=True)
@@ -681,47 +657,34 @@ def graph_input(record, operator, x, W_in, b_in, prompt, weight):
 
 
 @_quiet
-def mean_pool_time(record, x, steps=None):
-    """Mean over the time axis of a (B, T, n, d) tensor, or of a `Steps` stack's windows.
+def mean_pool_time(record, x, steps):
+    """Mean over each window's T rows of a `Steps` stack.
 
-    steps (a `Steps` layout): x is the layout's (n_rows, n, d) stack.  The
-    T (B, n, d) columns, views where `steps.columns` are slices, add into
-    one buffer in time order, as numpy's mean over the time axis of the
-    gathered (B, T, n, d) windows adds them, with no such copy; backward
-    adds each window's gradient into the column it read.
+    x is the layout's (n_rows, n, d) stack.  The T (B, n, d) columns, views
+    where `steps.columns` are slices, add into one buffer in time order, as
+    numpy's mean over the time axis of the gathered (B, T, n, d) windows
+    adds them, with no such copy; backward adds each window's gradient into
+    the column it read.
 
     Backward reads only x's shape.  When mean_pool_time takes x (`_take`),
     x's array receives x's gradient, an array that size either way, so
-    backward need not allocate one while the step is at its largest;
-    otherwise the windowed gradient is a broadcast view.
+    backward need not allocate one while the step is at its largest.
     """
     x = _as_node(record, x)
-    if steps is None:
-        _shape_check("mean_pool_time", x.value.ndim == 4, x.shape)
-        T = x.shape[1]
-    else:
-        _shape_check("mean_pool_time", x.value.ndim == 3 and x.shape[0] == steps.n_rows,
-                     x.shape, (steps.n_rows,))
-        columns, T = steps.columns, steps.T
-    shape = x.shape
+    _shape_check("mean_pool_time", x.value.ndim == 3 and x.shape[0] == steps.n_rows,
+                 x.shape, (steps.n_rows,))
+    columns, T, shape = steps.columns, steps.T, x.shape
     value, own = _take(record, x)
-    if steps is None:
-        out = value.mean(axis=1)
-    else:
-        out = np.array(value[columns[0]])
-        for c in columns[1:]:
-            out += value[c]
-        out /= T
+    out = np.array(value[columns[0]])
+    for c in columns[1:]:
+        out += value[c]
+    out /= T
     if not (own and x.needs_grad):
         value = None  # the gradient reads no value; a taken array holds x's gradient
 
     def grad_fn(g):
         nonlocal value
         gx, value = value, None
-        if steps is None:
-            if gx is None:
-                return [np.broadcast_to(g[:, None] / T, shape)]
-            return [np.divide(g[:, None], T, out=gx)]
         if gx is None:
             gx = np.zeros(shape)
         else:

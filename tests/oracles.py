@@ -44,24 +44,35 @@ def neutralize_cross_covariance(X, P) -> np.ndarray:
     return pc - xc @ coef
 
 
+def padded_conv(x, W, b) -> np.ndarray:
+    """Same-length temporal conv of (B, T, n, d_in) windows: a loop over a zero-padded copy."""
+    K, T = W.shape[0], x.shape[1]
+    pad = np.zeros((x.shape[0], T + K - 1) + x.shape[2:])
+    pad[:, K // 2:K // 2 + T] = x
+    out = np.zeros(x.shape[:3] + (W.shape[2],))
+    for k in range(K):
+        out += pad[:, k:k + T] @ W[k]
+    return out + b
+
+
 def windowed_forward(backbone, operator, x, prompt=None, train=False, rng=None,
                      dropout=0.0) -> np.ndarray:
     """The backbone's prediction with every layer over all B*T window rows.
 
-    The primitives composed in `forward_predict`'s order without shared
-    steps, as every batch ran before evaluation shared them.
+    The primitives of `forward_predict` in its order, except that the
+    temporal conv is `padded_conv` and the time pool numpy's mean over the
+    window axis, so nothing here lays windows over a timeline.  With
+    dropout each ReLU draws (B, T, n, d) masks from rng.
     """
-    record = nn.ComputeRecord(grad=train)
-    leaf = {name: record.leaf(p) for name, p in backbone.items()}
+    record = nn.ComputeRecord(grad=False)
+    v = {name: p.value for name, p in backbone.items()}
     w = "W" if "gconv1.W" in backbone else "theta"
     p = dropout if train else 0.0
-    prompt = None if prompt is None else record.constant(prompt)
-    h = nn.relu(record, nn.graph_input(record, operator, x, leaf["input_proj.W"],
-                                       leaf["input_proj.b"], prompt, leaf["gconv1." + w]),
-                p, rng)
-    h = nn.relu(record, nn.temporal_conv(record, h, leaf["tconv.W"], leaf["tconv.b"]), p, rng)
-    h = nn.relu(record, nn.graph_conv(record, operator, h, leaf["gconv2." + w]))
-    out = nn.linear(record, nn.mean_pool_time(record, h), leaf["head.W"], leaf["head.b"])
+    h = nn.relu(record, nn.graph_input(record, operator, x, v["input_proj.W"],
+                                       v["input_proj.b"], prompt, v["gconv1." + w]), p, rng)
+    h = nn.relu(record, padded_conv(h.value, v["tconv.W"], v["tconv.b"]), p, rng)
+    h = nn.relu(record, nn.graph_conv(record, operator, h, v["gconv2." + w]))
+    out = nn.linear(record, h.value.mean(axis=1), v["head.W"], v["head.b"])
     return np.transpose(out.value, (0, 2, 1))
 
 

@@ -15,7 +15,7 @@ from growcast.backbone import (
 )
 from growcast.data_pipeline import make_windows
 from growcast.graph_stream import build_adjacency
-from oracles import backbone_param_count, windowed_forward
+from oracles import backbone_param_count, padded_conv, step_rows, windowed_forward
 
 
 def small_graph(n, seed=0):
@@ -147,15 +147,14 @@ class TestForward:
             else:
                 h = sum(th * np.einsum("ij,btjd->btid", Tk, h)
                         for th, Tk in zip(v["gconv1.theta"], op))
-            rec = nn.ComputeRecord()
-            leaf = {n: rec.leaf(p) for n, p in bb.items()}
-            h = rec.constant(np.maximum(h, 0.0))
-            h = nn.relu(rec, nn.temporal_conv(rec, h, leaf["tconv.W"], leaf["tconv.b"]))
-            h = nn.graph_conv(rec, op, h, leaf["gconv2.W" if variant == "spatial"
-                                               else "gconv2.theta"])
-            h = nn.mean_pool_time(rec, nn.relu(rec, h))
-            out = nn.linear(rec, h, leaf["head.W"], leaf["head.b"])
-            manual = np.transpose(out.value, (0, 2, 1))
+            h = np.maximum(padded_conv(np.maximum(h, 0.0), v["tconv.W"], v["tconv.b"]), 0.0)
+            if variant == "spatial":
+                h = np.einsum("ij,btjd->btid", op[0], h) @ v["gconv2.W"]
+            else:
+                h = sum(th * np.einsum("ij,btjd->btid", Tk, h)
+                        for th, Tk in zip(v["gconv2.theta"], op))
+            h = np.maximum(h, 0.0).mean(axis=1)
+            manual = np.transpose(h @ v["head.W"] + v["head.b"], (0, 2, 1))
             assert np.allclose(fused.value, manual, atol=1e-12), (variant, trainable)
 
 
@@ -185,8 +184,8 @@ class Replay:
 
 class TestDropout:
     def test_one_draw_per_dropout_in_layer_order(self):
-        # the unfused relu -> dropout chain drew one (B, T, n, d) array
-        # after the input block and one after the temporal conv
+        # one draw after the input block, over the timeline of the two
+        # disjoint windows, and one after the temporal conv, over its stack
         adj = small_graph(5)
         x = np.random.default_rng(4).standard_normal((2, 12, 5, 1))
         for variant in ("spatial", "spectral"):
@@ -194,7 +193,7 @@ class TestDropout:
             op = graph_operator(bb, adj)
             log = DrawLog(1)
             forward_predict(bb, op, x, train=True, rng=log, dropout=0.2)
-            assert log.shapes == [(2, 12, 5, 6)] * 2
+            assert log.shapes == [(1, 24, 5, 6), (24, 5, 6)]
             log = DrawLog(1)
             forward_predict(bb, op, x, train=False, rng=log, dropout=0.2)
             assert log.shapes == []
@@ -228,18 +227,13 @@ def consecutive_windows(B, n, order, seed=0, nan_at=None):
 
 
 def spy_shared_steps(monkeypatch):
-    """The `nn.Steps` layouts of the batches that share steps, one per batch.
-
-    A batch whose windows overlap too little builds a layout too, then
-    runs windowed; `_shared_steps` returns None for it, so it is not listed.
-    """
+    """The `nn.Steps` layout of each batch, in call order."""
     layouts = []
     shared_steps = backbone._shared_steps
 
     def spy(*args):
         out = shared_steps(*args)
-        if out is not None:
-            layouts.append(out[1])
+        layouts.append(out[1])
         return out
 
     monkeypatch.setattr(backbone, "_shared_steps", spy)
@@ -251,9 +245,36 @@ LAYOUTS = {"shuffled": [5, 0, 9, 3, 1, 7, 2], "gapped": [0, 30, 31, 50, 7],
            "single": [13], "repeated": [3, 3, 4, 10, 3]}
 
 
+def per_window_masks(steps, draws, window):
+    """Two dropout draws of a batch on `steps`, laid out per (B, T) window row.
+
+    window[i, o] is the timeline row of step o of window i.
+    """
+    first, second = draws
+    assert first.shape[:2] == (1, steps.length) and second.shape[0] == steps.n_rows
+    return first[0][window], second[step_rows(steps)]
+
+
+def disjoint_masks(masks, kernel=3):
+    """Per-window masks laid out as the draws of a batch without starts."""
+    first, second = masks
+    B, T = first.shape[:2]
+    steps = nn.Steps(T * np.arange(B), T, kernel)
+    stack = np.empty((steps.n_rows,) + second.shape[2:])
+    stack[step_rows(steps)] = second
+    return Replay([first.reshape((1, B * T) + first.shape[2:]), stack])
+
+
+def is_disjoint(steps, B):
+    """Whether `steps` is the layout of B windows that lie end to end, as without starts."""
+    return (steps.length, steps.n_rows) == (B * steps.T, B * steps.T) and np.array_equal(
+        step_rows(steps), step_rows(nn.Steps(steps.T * np.arange(B), steps.T, steps.K)))
+
+
 class TestSharedSteps:
-    """Batches with starts share steps: evaluation keeps the windowed bits, and
-    training matches the windowed predictions and gradients up to rounding."""
+    """Every batch runs on a layout: evaluation keeps the windowed bits, and
+    training matches the windowed predictions and gradients up to rounding.
+    A batch without starts is B disjoint windows."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5, 13])
@@ -275,7 +296,10 @@ class TestSharedSteps:
                 assert got.value.tobytes() == want.value.tobytes()
                 assert got.value.tobytes() == windowed_forward(bb, op, gathered,
                                                                prompt).tobytes()
-        assert [(s.length, s.T, s.K) for s in shared] == [(B + 11, 12, kernel)] * 4
+        # with starts, then without: the consecutive windows, then disjoint ones
+        assert [(s.length, s.T, s.K) for s in shared] == [(B + 11, 12, kernel),
+                                                          (12 * B, 12, kernel)] * 4
+        assert all(is_disjoint(s, B) for s in shared[1::2])
 
     @pytest.mark.parametrize("nan_at", [(3, 2), (3 + 36 + 11, 5)])
     def test_nan_input_names_the_primitive(self, nan_at):
@@ -288,8 +312,12 @@ class TestSharedSteps:
                                 starts=np.arange(3, 40))
 
     def test_training_and_gathered_batches_keep_windowed_bits(self, monkeypatch):
-        # a batch without starts runs every window row and draws (B, T, n, d) masks
+        # a batch without starts is B disjoint windows: its dropout draws a
+        # (1, B*T, n, d) mask over their timeline and one over the conv's
+        # B*T stack rows, and given those masks laid out per window it
+        # keeps the windowed bits
         shared = spy_shared_steps(monkeypatch)
+        window = np.arange(9 * 12).reshape(9, 12)
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2)
             op = graph_operator(bb, small_graph(6))
@@ -297,17 +325,17 @@ class TestSharedSteps:
             gathered = np.array(x)
             log = DrawLog(1)
             got, rec = forward_predict(bb, op, gathered, train=True, rng=log, dropout=0.3)
-            want = windowed_forward(bb, op, gathered, train=True,
-                                    rng=nn.rng_stream(1, "dropout"), dropout=0.3)
+            assert log.shapes == [(1, 108, 6, 5), (108, 6, 5)]
+            masks = per_window_masks(shared[-1], log.draws, window)
+            want = windowed_forward(bb, op, gathered, train=True, rng=Replay(masks), dropout=0.3)
             assert got.value.tobytes() == want.tobytes()
-            assert log.shapes == [(9, 12, 6, 5)] * 2
             assert rec.nodes
             got, _ = forward_predict(bb, op, gathered)
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
             got, rec = forward_predict(bb, op, x, record=nn.ComputeRecord())
             assert got.value.tobytes() == windowed_forward(bb, op, gathered).tobytes()
             assert nn.backward(rec, nn.mse_loss(rec, got, np.zeros(got.shape)))
-        assert shared == []
+        assert len(shared) == 6 and all(is_disjoint(s, 9) for s in shared)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("t_in", [1, 2, 12])
@@ -337,24 +365,27 @@ class TestSharedSteps:
                                       starts=batch_starts)
             runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
         (got, got_grads), (want, want_grads) = runs
-        # two-step windows a 2-tap conv reads at both ends stack more rows
-        # than they have unless they overlap, so these two batches run windowed
-        windowed = (t_in, kernel) == (2, 2) and layout in ("gapped", "shuffled")
-        assert len(shared) == (0 if windowed else 1)
-        if windowed:
-            assert got.tobytes() == windowed_forward(bb, op, x, P.value, train=True).tobytes()
+        # with starts, the windows share steps; without, they are disjoint,
+        # with the windowed bits.  Neither stacks more rows than the batch
+        # has window rows
+        assert len(shared) == 2 and is_disjoint(shared[1], len(starts))
+        assert all(s.n_rows <= len(starts) * t_in for s in shared)
+        assert want.tobytes() == windowed_forward(bb, op, x, P.value).tobytes()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert sorted(got_grads) == sorted(want_grads)
         for name, g in want_grads.items():
             assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_batch_without_overlap_keeps_windowed_bits(self, monkeypatch):
-        # disjoint windows would stack more rows than they have; they run
-        # windowed, and with dropout draw (B, T, n, d) masks
+        # windows that share no step lay one run of interior rows each over
+        # their timeline, so the stack holds their B*T rows; with dropout,
+        # given the masks laid out per window, they keep the windowed bits
         shared = spy_shared_steps(monkeypatch)
         seg = np.random.default_rng(5).standard_normal((60, 6))
         starts = np.array([0, 24, 12, 40])
-        x = seg[starts[:, None] + np.arange(12)][..., None]
+        rows = starts[:, None] + np.arange(12)
+        x = seg[rows][..., None]
+        window = np.searchsorted(np.unique(rows), rows)  # timeline row of each step
         for variant in VARIANTS:
             bb = build_backbone(variant, d=5, seed=2)
             op = graph_operator(bb, small_graph(6))
@@ -362,11 +393,16 @@ class TestSharedSteps:
                 log = DrawLog(1)
                 got, _ = forward_predict(bb, op, x, train=True, rng=log, starts=starts,
                                          dropout=dropout)
-                want = windowed_forward(bb, op, x, train=True, rng=nn.rng_stream(1, "dropout"),
+                assert (shared[-1].length, shared[-1].n_rows) == (48, 48)
+                assert log.shapes == [(1, 48, 6, 5), (48, 6, 5)] if dropout else not log.shapes
+                masks = per_window_masks(shared[-1], log.draws, window) if dropout else ()
+                want = windowed_forward(bb, op, x, train=True, rng=Replay(masks),
                                         dropout=dropout)
                 assert got.value.tobytes() == want.tobytes()
-                assert log.shapes == [(4, 12, 6, 5)] * (2 if dropout else 0)
-        assert shared == []
+                got, _ = forward_predict(bb, op, x, train=True, dropout=dropout,
+                                         rng=disjoint_masks(masks) if dropout else None)
+                assert got.value.tobytes() == want.tobytes()
+        assert len(shared) == 8 and all(is_disjoint(s, 4) for s in shared[1::2])
 
     def test_windows_must_agree_with_their_starts(self):
         bb = build_backbone("spatial", d=5, seed=2)
@@ -428,7 +464,8 @@ class TestSharedStepsExact:
             pred, _ = forward_predict(bb, EXACT_OPERATORS[variant], x, prompt=rec.leaf(P),
                                       record=rec, train=True, starts=batch_starts)
             runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
-            assert len(shared) == 1  # the run with starts shared steps, the other did not
+        # with starts, then the disjoint layout of the same windows
+        assert len(shared) == 2 and is_disjoint(shared[1], B)
         (got, got_grads), (want, want_grads) = runs
         assert got.tobytes() == want.tobytes()
         assert sorted(got_grads) == sorted(want_grads)
@@ -444,9 +481,9 @@ class TestSharedStepsExact:
         # a training batch with starts draws one layer-1 mask per timeline
         # step and one layer-2 mask per stack row, shared interior rows and
         # each window's own edge rows.  At p = 1/2 the kept entries double,
-        # which is exact, so the shared path equals bit for bit the windowed
-        # path given those masks laid out per window: windows that share a
-        # step read its one mask.
+        # which is exact, so the shared path equals bit for bit the disjoint
+        # layout of the same windows given those masks laid out per window:
+        # windows that share a step read its one mask.
         shared = spy_shared_steps(monkeypatch)
         rng = np.random.default_rng([kernel, 8, EXACT_LAYOUTS.index(layout)])
         starts = exact_starts(layout, 8, rng)
@@ -460,17 +497,13 @@ class TestSharedStepsExact:
         runs, log = [], DrawLog(kernel)
         for batch_starts in (starts, None):
             if batch_starts is None:
-                steps, (first, second) = shared[0], log.draws
-                assert first.shape == (1, steps.length, 4, 3)
-                assert second.shape == (steps.n_rows, 4, 3)
                 window = np.searchsorted(np.unique(rows), rows)  # timeline row of each step
-                per_window = np.stack([second[column] for column in steps.columns], axis=1)
-                log = Replay([first[0][window], per_window])
+                log = disjoint_masks(per_window_masks(shared[0], log.draws, window), kernel)
             rec = nn.ComputeRecord()
             pred, _ = forward_predict(bb, EXACT_OPERATORS[variant], x, record=rec, train=True,
                                       rng=log, starts=batch_starts, dropout=0.5)
             runs.append((pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target))))
-        assert len(shared) == 1 and log.draws == []
+        assert len(shared) == 2 and is_disjoint(shared[1], 8) and log.draws == []
         (got, got_grads), (want, want_grads) = runs
         assert got.tobytes() == want.tobytes()
         assert any(g.any() for g in want_grads.values())

@@ -3,14 +3,31 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (gathering_pool, keeping_backward, slab_steps_conv, step_rows,
-                     step_slabs)
+from oracles import (gathering_pool, keeping_backward, padded_conv, slab_steps_conv,
+                     step_rows, step_slabs)
 
 from growcast import nn_core as nn
 
 
 def scalar_param(name, v, trainable=True):
     return nn.Parameter(name, np.asarray(v, dtype=float), trainable=trainable)
+
+
+def disjoint(B, T, K):
+    """The layout of B windows of T steps that lie end to end on one timeline."""
+    return nn.Steps(T * np.arange(B), T, K)
+
+
+def as_timeline(windows):
+    """(B, T, ...) windows as the (1, B*T, ...) timeline of `disjoint` layouts."""
+    return windows.reshape((1, -1) + windows.shape[2:])
+
+
+def as_stack(steps, windows):
+    """(B, T, ...) window rows laid out as the rows of `steps`'s stack."""
+    stack = np.zeros((steps.n_rows,) + windows.shape[2:])
+    stack[step_rows(steps)] = windows
+    return stack
 
 
 class TestForwardPrimitives:
@@ -95,12 +112,13 @@ class TestForwardPrimitives:
             nn.linear(rec, np.array([np.inf]), np.ones((1, 1)))
 
     def test_temporal_conv_same_length(self):
+        # one 5-step window: 3 interior rows and 2 edge rows
         rec = nn.ComputeRecord()
         x = np.ones((1, 5, 2, 3))
         out = nn.temporal_conv(rec, rec.constant(x),
                                rec.constant(np.zeros((3, 3, 4))),
-                               rec.constant(np.zeros(4)))
-        assert out.shape == (1, 5, 2, 4)
+                               rec.constant(np.zeros(4)), disjoint(1, 5, 3))
+        assert out.shape == (5, 2, 4)
 
     def test_concat_rows(self):
         rec = nn.ComputeRecord()
@@ -167,8 +185,9 @@ class TestKernelOracles:
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("T", [1, 2, 12])
     def test_temporal_conv_bit_equal_to_padded_loop(self, K, T):
-        # the weight gradient sums a strided slab window by window, so it is
-        # held to the loop on exact data (TestSlabLists)
+        # disjoint windows, each on its own rows of the timeline and stack;
+        # the weight gradient sums slab by slab, so it is held to the loop
+        # on exact data (TestSlabLists)
         rng = np.random.default_rng(10 * K + T)
         for shape in ((2, T, 3, 4), (16, T, 40, 16)):
             x = np.maximum(rng.standard_normal(shape), 0.0)
@@ -176,12 +195,16 @@ class TestKernelOracles:
             b = rng.standard_normal(5)
             g = rng.standard_normal(shape[:3] + (5,))
             want_out, want_gx, _ = padded_temporal_conv(x, W, b, g)
+            steps = disjoint(shape[0], T, K)
+            g_stack = as_stack(steps, g)
             for fresh in (False, True):  # a taken input becomes gx's buffer
-                out, (gx, _, gb) = primitive_grads(nn.temporal_conv, x, W, b, g=g,
-                                                   fresh=fresh)
-                assert out.tobytes() == want_out.tobytes()
-                assert gx.tobytes() == want_gx.tobytes()
-                assert np.array_equal(gb, g.sum(axis=(0, 1, 2)))
+                out, (gx, _, gb) = primitive_grads(
+                    lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, steps),
+                    as_timeline(x), W, b, g=g_stack, fresh=fresh)
+                assert out.shape[0] == shape[0] * T
+                assert out[step_rows(steps)].tobytes() == want_out.tobytes()
+                assert gx.reshape(shape).tobytes() == want_gx.tobytes()
+                assert np.array_equal(gb, g_stack.sum(axis=(0, 1)))
 
     def test_graph_conv_cheb_matches_per_term_sum(self):
         rng = np.random.default_rng(11)
@@ -242,11 +265,12 @@ class TestKernelOracles:
             assert fused_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_mean_pool_time_gradient_spreads_evenly(self):
-        x = np.random.default_rng(12).standard_normal((2, 3, 4, 5))
+        steps = disjoint(2, 3, 3)
+        x = np.random.default_rng(12).standard_normal((steps.n_rows, 4, 5))
         g = np.random.default_rng(13).standard_normal((2, 4, 5))
-        _, (gx,) = primitive_grads(nn.mean_pool_time, x, g=g)
+        _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, steps), x, g=g)
         assert gx.shape == x.shape
-        assert np.array_equal(gx, np.repeat(g[:, None] / 3, 3, axis=1))
+        assert np.array_equal(gx[step_rows(steps)], np.repeat(g[:, None] / 3, 3, axis=1))
 
     def test_nonfinite_output_names_the_op(self):
         # finite inputs whose product, sum or dropout scaling overflows in
@@ -254,14 +278,15 @@ class TestKernelOracles:
         big = np.full((1, 2, 3, 4), 1e300)
         cases = [
             ("temporal_conv", lambda rec: nn.temporal_conv(
-                rec, big, np.full((3, 4, 4), 1e300), np.zeros(4))),
+                rec, big, np.full((3, 4, 4), 1e300), np.zeros(4), disjoint(1, 2, 3))),
             ("graph_conv", lambda rec: nn.graph_conv(
                 rec, [np.full((3, 3), 1e300)], big, np.eye(4))),
             ("graph_conv", lambda rec: nn.graph_conv(
                 rec, [np.eye(3), np.full((3, 3), 1e300)], big, np.ones(2))),
             ("relu", lambda rec: nn.relu(rec, np.full(64, 1.5e308), 0.5,
                                          nn.rng_stream(0, "drop"))),
-            ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.full(big.shape, 1.5e308))),
+            ("mean_pool_time", lambda rec: nn.mean_pool_time(rec, np.full(big.shape[1:], 1.5e308),
+                                                             disjoint(1, 2, 3))),
         ]
         for op, call in cases:
             # the scan is the only report: numpy warns of no overflow first
@@ -288,7 +313,7 @@ class TestSharedSteps:
         W = rng.standard_normal((K, 4, 3))
         b = rng.standard_normal(3)
         windows = np.ascontiguousarray(consecutive(steps, B, T))
-        want = nn.temporal_conv(nn.ComputeRecord(grad=False), windows, W, b).value
+        want = padded_conv(windows, W, b)
         layout = nn.Steps(np.arange(B), T, K)
         got = nn.temporal_conv(nn.ComputeRecord(grad=False), steps[None], W, b,
                                steps=layout).value
@@ -320,19 +345,20 @@ class TestSharedSteps:
             return
         layout = nn.Steps(heads, T, K)
 
-        def conv_and_pool(x, shared):
+        def conv_and_pool(x, layout):
             rec = nn.ComputeRecord()
             h = nn.temporal_conv(rec, rec.leaf(nn.Parameter("x", x)), rec.leaf(nn.Parameter("W", W)),
-                                 rec.leaf(nn.Parameter("b", b)), steps=layout if shared else None)
-            out = nn.mean_pool_time(rec, h, steps=layout if shared else None)
+                                 rec.leaf(nn.Parameter("b", b)), steps=layout)
+            out = nn.mean_pool_time(rec, h, steps=layout)
             (gh,) = out.grad_fn(g)
             return [out.value] + h.grad_fn(gh)
 
-        got = conv_and_pool(steps[None], True)
-        want = conv_and_pool(steps[window], False)
+        got = conv_and_pool(steps[None], layout)
+        # the same windows, gathered and laid end to end
+        want = conv_and_pool(as_timeline(steps[window]), disjoint(len(heads), T, K))
         assert got[0].tobytes() == want[0].tobytes()
         gx_windows = np.zeros(steps.shape)
-        np.add.at(gx_windows, window, want[1])
+        np.add.at(gx_windows, window, want[1].reshape(window.shape + steps.shape[1:]))
         assert got[1].shape == (1,) + steps.shape
         for a, w in zip([got[1][0]] + got[2:], [gx_windows] + want[2:]):
             assert np.abs(a - w).max() <= 1e-12 * np.abs(w).max()
@@ -440,23 +466,20 @@ def slab_rows(slabs, n_out, n_in):
     return [(k, in_ids[i].ravel(), out_ids[o].ravel(), first) for k, i, o, first in slabs]
 
 
+def layout_heads(layout, T, B=3):
+    """The heads of one of `HEADS`' layouts, or of B disjoint T-step windows."""
+    return T * np.arange(B) if layout == "disjoint" else np.array(HEADS[layout])
+
+
 class TestSlabLists:
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 13])
     @pytest.mark.parametrize("T", [1, 2, 12])
-    @pytest.mark.parametrize("layout", ["windowed"] + sorted(HEADS))
+    @pytest.mark.parametrize("layout", ["disjoint"] + sorted(HEADS))
     def test_each_row_is_zero_or_written_first_once(self, K, T, layout):
-        if layout == "windowed":
-            B = 3
-            rows = slab_rows(nn._taps(K, T), (B, T), (B, T))
-            n_rows = B * T
-            # the rows the first tap misses, which temporal_conv zeroes
-            zero = {i * T + o for i in range(B) for o in range(min(K // 2, T - 1))}
-        else:
-            steps = nn.Steps(np.array(HEADS[layout]), T, K)
-            n_rows = steps.n_rows
-            rows = slab_rows(step_slabs(steps), (n_rows,), (steps.length,))
-            assert n_rows == step_rows(steps).max() + 1
-            zero = set()
+        steps = nn.Steps(layout_heads(layout, T), T, K)
+        n_rows = steps.n_rows
+        rows = slab_rows(step_slabs(steps), (n_rows,), (steps.length,))
+        assert n_rows == step_rows(steps).max() + 1
         first_at, adds = {}, []
         for j, (k, src, dst, first) in enumerate(rows):
             # no slab reads or writes a row twice, so indexed += adds every row
@@ -467,65 +490,83 @@ class TestSlabLists:
                     first_at[r] = j
                 else:
                     adds.append((r, j))
-        assert set(first_at) | zero == set(range(n_rows)) and not set(first_at) & zero
-        assert all(r in zero or first_at[r] < j for r, j in adds)
+        assert set(first_at) == set(range(n_rows))
+        assert all(first_at[r] < j for r, j in adds)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("layout", ["random", "gapped", "disjoint"])
+    def test_stack_holds_only_rows_some_window_reads(self, K, T, layout):
+        # the stack holds only rows some window reads, so it is never
+        # larger than the B*T window rows
+        rng = np.random.default_rng([K, T, len(layout)])
+        for B in (1, 2, 7, 40):
+            if layout == "random":
+                heads = rng.choice(3 * B + T, size=B, replace=False)
+            elif layout == "gapped":
+                heads = np.cumsum(rng.integers(1, 2 * T + 2, size=B))
+            else:
+                heads = T * rng.permutation(B)
+            steps = nn.Steps(heads, T, K)
+            assert steps.n_rows <= B * T
+            read = np.concatenate([np.arange(steps.n_rows)[c] for c in steps.columns])
+            assert np.array_equal(np.unique(read), np.arange(steps.n_rows))
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("T", [1, 2, 12])
-    @pytest.mark.parametrize("layout", ["windowed"] + sorted(HEADS))
+    @pytest.mark.parametrize("layout", ["disjoint"] + sorted(HEADS))
     def test_weight_gradient_bit_equal_to_padded_loop_on_integers(self, K, T, layout):
         # small integers make every partial sum exact in any order, so the
-        # per-window and per-slab sums must give the loop's bytes
+        # per-slab sums must give the loop's bytes
         rng = np.random.default_rng([K, T, len(layout)])
-        heads = np.arange(16) if layout == "windowed" else np.array(HEADS[layout])
+        heads = layout_heads(layout, T, B=16)
         timeline = rng.integers(0, 4, size=(heads.max() + T, 40, 16)).astype(float)
         windows = timeline[heads[:, None] + np.arange(T)]
         W = rng.integers(-2, 3, size=(K, 16, 5)).astype(float)
         b = np.zeros(5)
         g = rng.integers(-2, 3, size=windows.shape[:3] + (5,)).astype(float)
         _, _, want = padded_temporal_conv(windows, W, b, g)
-        if layout == "windowed":
-            x, conv = windows, nn.temporal_conv
-        else:
-            steps = nn.Steps(heads, T, K)
-            x = timeline[None]
-            g_stack = np.zeros((steps.n_rows,) + g.shape[2:])
-            for o, column in enumerate(steps.columns):
-                g_stack[column] += g[:, o]  # a column holds each stack row once
-            g = g_stack
+        steps = nn.Steps(heads, T, K)
+        g_stack = np.zeros((steps.n_rows,) + g.shape[2:])
+        for o, column in enumerate(steps.columns):
+            g_stack[column] += g[:, o]  # a column holds each stack row once
 
-            def conv(rec, x, W, b):
-                return nn.temporal_conv(rec, x, W, b, steps=steps)
+        def conv(rec, x, W, b):
+            return nn.temporal_conv(rec, x, W, b, steps=steps)
         for fresh in (False, True):
-            _, (_, gW, _) = primitive_grads(conv, x, W, b, g=g, fresh=fresh)
+            _, (_, gW, _) = primitive_grads(conv, timeline[None], W, b, g=g_stack, fresh=fresh)
             assert gW.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("K", [2, 3, 5])
-    def test_windowed_weight_gradient_at_training_size(self, K):
-        # the weight gradient sums only unpadded rows, one GEMM per window of
-        # a strided tap; at this size it may round differently from the
-        # padded copy's sum
+    def test_disjoint_weight_gradient_at_training_size(self, K):
+        # the weight gradient sums only unpadded rows, one GEMM per slab of
+        # one window's interior rows or of every window's edge row; at this
+        # size it may round differently from the padded copy's sum
         rng = np.random.default_rng(K)
         x = np.maximum(rng.standard_normal((128, 12, 60, 16)), 0.0)
         W = rng.standard_normal((K, 16, 16))
         b = rng.standard_normal(16)
         g = rng.standard_normal(x.shape)
-        _, (_, gW, _) = primitive_grads(nn.temporal_conv, x, W, b, g=g)
+        steps = disjoint(128, 12, K)
+        _, (_, gW, _) = primitive_grads(lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, steps),
+                                        as_timeline(x), W, b, g=as_stack(steps, g))
         _, _, want = padded_temporal_conv(x, W, b, g)
         assert np.abs(gW - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_weight_gradient_of_a_taken_input_copies_no_slab(self):
         # x has a constant parent, so backward forms gW alone.  One GEMM over
-        # a strided tap's flattened rows copies its (B, T - 1, n, d) slab of
-        # g, 14.4 MB; GEMMs over each window's rows read views
+        # a strided tap's flattened rows copied its (B, T - 1, n, d) slab of
+        # g, 14.4 MB; on disjoint windows each window's interior rows are one
+        # block, and an edge slab copies one row per window, 1.3 MB
         rng = np.random.default_rng(0)
         B, T, n, d = 64, 12, 40, 64
+        steps = disjoint(B, T, 3)
         rec = nn.ComputeRecord()
-        x = copied(rec, rec.constant(rng.standard_normal((B, T, n, d))))
+        x = copied(rec, rec.constant(rng.standard_normal((1, B * T, n, d))))
         W = rec.leaf(nn.Parameter("W", rng.standard_normal((3, d, d))))
-        node = nn.temporal_conv(rec, x, W, np.zeros(d))
+        node = nn.temporal_conv(rec, x, W, np.zeros(d), steps)
         assert x.value is None and not x.needs_grad  # taken, and no gx is formed
-        g = rng.standard_normal((B, T, n, d))
+        g = rng.standard_normal((steps.n_rows, n, d))
         tracemalloc.start()
         try:
             gx, gW, _ = node.grad_fn(g)
@@ -593,9 +634,9 @@ SCANNED = [
                                                   np.ones((1, 2)), np.zeros(2), None,
                                                   np.eye(2))),
     ("temporal_conv", lambda rec, v: nn.temporal_conv(
-        rec, _unscanned(rec, np.full((2, 4, 3, 2), v)), np.stack([np.zeros((2, 2)), np.eye(2),
+        rec, _unscanned(rec, np.full((1, 8, 3, 2), v)), np.stack([np.zeros((2, 2)), np.eye(2),
                                                                   np.zeros((2, 2))]),
-        np.zeros(2))),
+        np.zeros(2), steps=disjoint(2, 4, 3))),
     ("temporal_conv", lambda rec, v: nn.temporal_conv(
         rec, _unscanned(rec, np.full((1, 7, 3, 2), v)), np.stack([np.zeros((2, 2)), np.eye(2),
                                                                   np.zeros((2, 2))]),
@@ -606,7 +647,7 @@ SCANNED = [
                                                 _unscanned(rec, np.full((2, 3, 2), v)),
                                                 np.array([1.0, 0.0]))),
     ("mean_pool_time", lambda rec, v: nn.mean_pool_time(
-        rec, _unscanned(rec, np.full((2, 3, 4, 5), v)))),
+        rec, _unscanned(rec, np.full((6, 4, 5), v)), steps=disjoint(2, 3, 3))),
     ("mean_pool_time", lambda rec, v: nn.mean_pool_time(
         rec, _unscanned(rec, np.full((11, 2, 3), v)), steps=nn.Steps(np.array([0, 3, 1]), 4, 3))),
     ("mse_loss", lambda rec, v: nn.mse_loss(rec, _unscanned(rec, np.full((2, 3), v)),
@@ -665,8 +706,11 @@ TAKERS = {
     "relu": (lambda rec, x: nn.relu(rec, x), [(3, 4, 5, 2)], ()),
     "relu_dropout": (lambda rec, x: nn.relu(rec, x, 0.3, nn.rng_stream(1, "drop")),
                      [(3, 4, 5, 2)], ()),
-    "temporal_conv_k3": (nn.temporal_conv, [(3, 6, 4, 5), (3, 5, 5), (5,)], ()),
-    "temporal_conv_k4_frozen": (nn.temporal_conv, [(3, 6, 4, 5), (4, 5, 2), (2,)], (1,)),
+    "temporal_conv_k3": (lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, disjoint(3, 6, 3)),
+                         [(1, 18, 4, 5), (3, 5, 5), (5,)], ()),
+    "temporal_conv_k4_frozen": (lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b,
+                                                                      disjoint(3, 6, 4)),
+                                [(1, 18, 4, 5), (4, 5, 2), (2,)], (1,)),
     "temporal_conv_steps": (lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, _layout(3)),
                             [(1, 13, 4, 5), (3, 5, 5), (5,)], ()),
     "graph_conv_square": (lambda rec, h, W: nn.graph_conv(rec, [A_HAT], h, W),
@@ -679,7 +723,8 @@ TAKERS = {
                         [(3, 2, 4, 5), (3,)], ()),
     "graph_conv_cheb_frozen": (lambda rec, h, th: nn.graph_conv(rec, CHEB, h, th),
                                [(3, 2, 4, 5), (3,)], (1,)),
-    "mean_pool_time": (nn.mean_pool_time, [(3, 6, 4, 5)], ()),
+    "mean_pool_time": (lambda rec, x: nn.mean_pool_time(rec, x, disjoint(3, 6, 3)),
+                       [(18, 4, 5)], ()),
     "mean_pool_time_steps": (lambda rec, x: nn.mean_pool_time(rec, x, _layout(3)),
                              [(_layout(3).n_rows, 4, 5)], ()),
 }
