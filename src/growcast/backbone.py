@@ -103,27 +103,33 @@ def _shared_steps(x, starts, kernel):
 
     The timeline is the sorted distinct steps of all windows, (1, L, n, 1),
     and the layout the `nn.Steps` that lays the windows over it.  Without
-    starts the windows are disjoint, starts = T * arange(B).  Raises
+    starts the windows are disjoint, starts = T * arange(B), and x laid
+    end to end is the timeline.  Raises
     BackboneError when two windows share a start or the windows do not
     agree with their starts.
     """
     B, T = x.shape[:2]
-    starts = T * np.arange(B) if starts is None else np.asarray(starts)
+    if starts is None:  # the windows end to end are the timeline
+        return x.reshape((1, B * T) + x.shape[2:]), nn.Steps(T * np.arange(B), T, kernel)
+    starts = np.asarray(starts)
     if starts.shape != (B,) or starts.dtype.kind not in "iu":
         raise BackboneError("starts must be %d integer window offsets, got %s of %s"
                             % (B, starts.shape, starts.dtype))
-    steps, window = np.unique(starts[:, None] + np.arange(T), return_inverse=True)
-    window = window.reshape(B, T)
-    heads = np.sort(window[:, 0])
-    if (heads[1:] == heads[:-1]).any():
+    rank = starts.argsort()
+    gaps = np.diff(starts[rank])
+    if (gaps == 0).any():
         raise BackboneError("two windows of the batch share a start offset")
+    # a window's first timeline row counts the distinct steps before it
+    heads = np.zeros(B, dtype=np.intp)
+    heads[rank[1:]] = np.cumsum(np.minimum(gaps, T))
+    window = heads[:, None] + np.arange(T)
     x = x[..., 0]
-    timeline = np.empty((len(steps),) + x.shape[2:])
+    timeline = np.empty((int(heads.max(initial=0)) + T,) + x.shape[2:])
     timeline[window] = x
     got = timeline[window]
     if not ((got == x).all() or np.array_equal(got, x, equal_nan=True)):
         raise BackboneError("windows do not agree with their start offsets")
-    return timeline[None, ..., None], nn.Steps(window[:, 0], T, kernel)
+    return timeline[None, ..., None], nn.Steps(heads, T, kernel)
 
 
 def forward_predict(backbone: dict, operator, inputs, prompt=None,

@@ -50,7 +50,12 @@ window lies on one timeline of steps, and `temporal_conv` and
 disjoint ones, are a layout too.  The temporal conv is a list of slabs,
 one tap's GEMM over a block of rows; the forward forms each tap's
 product once and slices its slabs from it, and backward runs one input
-GEMM and one weight GEMM per slab.
+GEMM and one weight GEMM per slab.  Backward copies nothing that its
+arithmetic does not read: the conv's first tap writes its rows in place,
+the time pool adds into each window's block of rows with one slice add,
+and a batched product takes W^T or G^T contiguous, not as a view.  Each
+gives the bytes of a plain loop over the columns or slabs: the same
+float operations on the same operands, in the same order.
 """
 from __future__ import annotations
 
@@ -238,6 +243,16 @@ def _shape_check(op, cond, *shapes):
         raise ShapeError("%s: incompatible shapes %s" % (op, [tuple(s) for s in shapes]))
 
 
+def _dense(m, g):
+    """The transposed view m as the operand of a product with g: contiguous when g is batched.
+
+    A batched np.matmul runs 1.4-1.9x slower on a transposed view than on a
+    contiguous copy of it, with the same bytes; a 2-D product hands the view
+    to BLAS as a transposed operand, which a copy would round differently.
+    """
+    return np.ascontiguousarray(m) if g.ndim > 2 else m
+
+
 @_quiet
 def linear(record, x, W, b=None):
     """x @ W + b over the last axis."""
@@ -254,7 +269,7 @@ def linear(record, x, W, b=None):
     def grad_fn(g):
         # frozen weights skip their matmul entirely; backward drops None
         grads = [
-            g @ W.value.T if x.needs_grad else None,
+            g @ _dense(W.value.T, g) if x.needs_grad else None,
             np.einsum("...i,...j->ij", x.value, g, optimize=True)
             if W.needs_grad else None,
         ]
@@ -359,6 +374,12 @@ class Steps:
     an index array.  No row repeats within a column, and every stack row
     is in some column.
 
+    The interior rows of a window are one block of stack rows, and
+    `blocks` = (windows, starts, I) lists them by descending start: window
+    windows[j]'s I interior rows are stack rows starts[j] onwards.  The
+    runs' rows are the first `n_shared` stack rows, and `runs` lists each
+    run as (first timeline row, end, first stack row).
+
     `taps` are the conv's slabs grouped by tap: entries (k, span, in_place,
     slabs), each slab (timeline rows, stack rows, first).  Tap k reads one
     block of timeline rows into each run, and for each edge row o, row
@@ -391,7 +412,8 @@ class Steps:
         valid = heads.ndim == 1 and heads.size > 0 and heads.dtype.kind in "iu"
         if valid:
             heads = heads.astype(np.intp, copy=False)
-            order = np.sort(heads)
+            rank = heads.argsort()
+            order = heads[rank]
             gaps = order[1:] - order[:-1]
             valid = order[0] >= 0 and (gaps > 0).all()
         if not valid:
@@ -402,7 +424,7 @@ class Steps:
         self.length = int(order[-1]) + T
         edges = [o for o in range(T) if o < a or o > T - K + a]
         E, I = len(edges), T - len(edges)  # interior rows: head + a .. head + a + I - 1
-        runs, base = [], heads
+        self.runs, base, down = [], heads, rank[:0]
         if I:
             # a gap wider than a window's interior ends one run and opens the next:
             # order[i] opens a run where wide[i] and closes one where wide[i + 1]
@@ -412,24 +434,26 @@ class Steps:
             ends = order[wide[1:]] + a + I
             sizes = ends - firsts
             offsets = np.cumsum(sizes) - sizes
-            runs = list(zip(firsts.tolist(), ends.tolist(), offsets.tolist()))
+            self.runs = list(zip(firsts.tolist(), ends.tolist(), offsets.tolist()))
             run = np.searchsorted(firsts, heads + a, side="right") - 1
             base = heads + (offsets - firsts)[run]  # window row o sits at stack row base + o
-        n_shared = sum(end - first for first, end, _ in runs)
-        self.n_rows = n_shared + B * E
+            down = rank[::-1]  # stack rows rise with the heads, in and across runs
+        self.n_shared = sum(end - first for first, end, _ in self.runs)
+        self.n_rows = self.n_shared + B * E
+        self.blocks = (down, base[down] + a, I)
         across, inside = _even(heads), _even(base)
-        self.columns = [slice(n_shared + edges.index(o), None, E) if o in edges
+        self.columns = [slice(self.n_shared + edges.index(o), None, E) if o in edges
                         else inside(o) for o in range(T)]
         self.taps = []
         for k in range(K):
             s = k - a
             tap = [(slice(first + s, end + s), slice(c, c + end - first), k == 0)
-                   for first, end, c in runs]
-            tap += [(across(o + s), slice(n_shared + e, None, E), k == 0 or o + s == 0)
+                   for first, end, c in self.runs]
+            tap += [(across(o + s), slice(self.n_shared + e, None, E), k == 0 or o + s == 0)
                     for e, o in enumerate(edges) if 0 <= o + s < T]
             if tap:
                 span = slice(int(order[0]) + max(s, 0), self.length + min(s, 0))
-                in_place = k == 0 and len(runs) == 1 and runs[0][0] == a
+                in_place = k == 0 and len(self.runs) == 1 and self.runs[0][0] == a
                 self.taps.append((k, span, in_place, tap))
 
 
@@ -468,8 +492,12 @@ def temporal_conv(record, x, W, b, steps):
     forward runs `steps.taps`, each tap's product once, adding the taps in
     kernel order, so every window row rounds as a loop over a zero-padded
     copy of its window would.  The input gradient runs the slabs from
-    output to input with W[k]^T, and the weight gradient is one 2-D GEMM
-    per slab, over its rows as one block.
+    output to input with W[k]^T: the first tap's run slabs, blocks of
+    timeline rows that no other of them touches, write their product in
+    place, the rows between them are zeroed, and the other slabs add into
+    their rows, which gives each row the bytes of zeros plus every slab in
+    list order.  The weight gradient is one 2-D GEMM per slab, over its
+    rows as one block.
 
     Only the weight gradient reads x, so a frozen W keeps nothing of it.
     When temporal_conv takes x (`_take`), a frozen W drops x's array and a
@@ -498,13 +526,17 @@ def temporal_conv(record, x, W, b, steps):
             for k, i, o, _ in slabs:
                 gW[k] += src[i].reshape(-1, d_in).T @ g[o].reshape(-1, d_out)
         if x.needs_grad:
-            if own and value is not None:
-                gx = value  # taken, and no longer read
-                gx.fill(0.0)
-            else:
-                gx = np.zeros(shape)
+            gx = value if own and value is not None else np.empty(shape)  # taken, no longer read
             Wt = np.ascontiguousarray(W.value.transpose(0, 2, 1))
-            for k, i, o, _ in slabs:
+            # the first tap's run slabs, apart and in timeline order, write their rows
+            written, row = slabs[:len(steps.runs)], 0
+            for _, i, _, _ in written:
+                gx[0, row:i.start] = 0.0
+                row = i.stop
+            gx[0, row:] = 0.0
+            for k, i, o, _ in written:
+                np.matmul(g[o], Wt[k], out=gx[0, i])
+            for k, i, o, _ in slabs[len(written):]:
                 gx[0][i] += g[o] @ Wt[k]
         value = src = None
         if b.needs_grad:
@@ -549,7 +581,8 @@ def graph_conv(record, operator, h, weight):
     matrix weight writes (G h) W into h's array; otherwise h's array goes
     unless the coefficients keep it.  Backward forms the weight gradient
     first, then writes g W^T into the kept G h and G^T (g W^T) into an
-    owned g of the same shape, or G^T g into a taken h.
+    owned g of the same shape, or G^T g into a taken h.  A batched g meets
+    W^T and G^T as contiguous d x d and n x n copies (`_dense`).
     """
     h, weight = _as_node(record, h), _as_node(record, weight)
     basis = [np.asarray(Tk, dtype=float) for Tk in operator]
@@ -578,12 +611,12 @@ def graph_conv(record, operator, h, weight):
         elif weight.needs_grad:
             gw = np.einsum("...i,...j->ij", Gh, g, optimize=True)
         if h.needs_grad:
-            mixed = g if W is None else np.matmul(g, W.T, out=Gh)
+            mixed = g if W is None else np.matmul(g, _dense(W.T, g), out=Gh)
             if W is None:
                 into = value if own else None
             else:
                 into = g if record._owned is g and g.shape == mixed.shape else None
-            gh = np.matmul(G.T, mixed, out=into)
+            gh = np.matmul(_dense(G.T, mixed), mixed, out=into)
         Gh = value = None
         return [gh, gw]
 
@@ -663,8 +696,13 @@ def mean_pool_time(record, x, steps):
     x is the layout's (n_rows, n, d) stack.  The T (B, n, d) columns, views
     where `steps.columns` are slices, add into one buffer in time order, as
     numpy's mean over the time axis of the gathered (B, T, n, d) windows
-    adds them, with no such copy; backward adds each window's gradient into
-    the column it read.
+    adds them, with no such copy.  Backward zeroes the stack's gradient,
+    adds g[i] / T into window i's block of interior rows with one slice
+    add per window, going down `steps.blocks`, and then into the edge rows,
+    one per window and edge.  A window that starts lower reads a shared
+    row at a later window row, so each row adds its windows' terms in time
+    order: the bytes of adding g / T into each column in time order,
+    without gathering a column of rows.
 
     Backward reads only x's shape.  When mean_pool_time takes x (`_take`),
     x's array receives x's gradient, an array that size either way, so
@@ -690,8 +728,11 @@ def mean_pool_time(record, x, steps):
         else:
             gx.fill(0.0)
         g = g / T
-        for c in columns:
-            gx[c] += g
+        windows, starts, I = steps.blocks  # by descending start: each row adds in time order
+        for i, start in zip(windows.tolist(), starts.tolist()):
+            gx[start:start + I] += g[i]
+        edge = gx[steps.n_shared:].reshape((len(g), T - I) + g.shape[1:])  # gx is contiguous
+        edge += g[:, None]
         return [gx]
 
     return record.record("mean_pool_time", out, [x], grad_fn)

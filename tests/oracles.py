@@ -141,3 +141,29 @@ def gathering_pool(stack, steps, g):
     for o in range(T):
         gx[rows[:, o]] += g / T
     return out, gx
+
+
+def column_pool_gradient(steps, g):
+    """mean_pool_time's input gradient as a loop over `steps.columns`.
+
+    The stack starts at zero, and g / T adds into the rows of each column,
+    one column after another in time order.
+    """
+    gx = np.zeros((steps.n_rows,) + g.shape[1:])
+    g = g / steps.T
+    for column in steps.columns:
+        gx[column] += g
+    return gx
+
+
+def slab_conv_input_gradient(steps, W, g, L):
+    """temporal_conv's input gradient over an L-row timeline as a loop over the slabs.
+
+    The timeline starts at zero, and each of `step_slabs(steps)` adds its
+    g[stack rows] @ W[k]^T into its timeline rows, slab after slab.
+    """
+    gx = np.zeros((1, L) + g.shape[1:-1] + (W.shape[1],))
+    Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
+    for k, i, o, _ in step_slabs(steps):
+        gx[0][i] += g[o] @ Wt[k]
+    return gx

@@ -3,8 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import (gathering_pool, keeping_backward, padded_conv, slab_steps_conv,
-                     step_rows, step_slabs)
+from oracles import (column_pool_gradient, gathering_pool, keeping_backward, padded_conv,
+                     slab_conv_input_gradient, slab_steps_conv, step_rows, step_slabs)
 
 from growcast import nn_core as nn
 
@@ -622,6 +622,79 @@ class TestSharedStepOracles:
 
 # (primitive, call(record, v)) whose output holds v or its overflow: its
 # input enters the tape unchecked, or is graph_input's raw input
+class TestBackwardKernels:
+    """Backward kernels hold the bytes of the formulas they replaced."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("layout", sorted(HEADS))
+    def test_pool_gradient_bit_equal_to_column_loop(self, K, T, layout):
+        # one slice add per window's block of interior rows, the lowest block
+        # last, then the edge rows; T <= K - 1 leaves no interior rows
+        rng = np.random.default_rng([K, T, len(layout)])
+        heads = np.array(HEADS[layout])
+        steps = nn.Steps(heads, T, K)
+        windows, starts, I = steps.blocks
+        assert I == max(T - K + 1, 0)
+        assert sorted(windows.tolist()) == (list(range(len(heads))) if I else [])
+        assert (np.diff(starts) < 0).all()
+        g = rng.standard_normal((len(heads), 7, 4))
+        g[0, 0, :2] = [-0.0, 0.0]
+        want = column_pool_gradient(steps, g)
+        for fresh in (False, True):  # a taken stack becomes gx's buffer
+            _, (gx,) = primitive_grads(lambda rec, x: nn.mean_pool_time(rec, x, steps),
+                                       rng.standard_normal((steps.n_rows, 7, 4)), g=g,
+                                       fresh=fresh)
+            assert gx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 13])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    def test_conv_input_gradient_bit_equal_to_zero_then_add_loop(self, K, T):
+        # the first tap's run slabs write their timeline rows, the rows
+        # between the runs and past the last start at zero
+        rng = np.random.default_rng([K, T])
+        for heads in (HEADS["gapped"], HEADS["shuffled"], [0, 2 * T + 1, 4 * T + 3],
+                      rng.choice(3 * 40 + T, size=40, replace=False)):
+            steps = nn.Steps(np.array(heads), T, K)
+            L = steps.length + 2
+            W = rng.standard_normal((K, 6, 5))
+            g = rng.standard_normal((steps.n_rows, 7, 5))
+            want = slab_conv_input_gradient(steps, W, g, L)
+            for fresh in (False, True):  # a taken input becomes gx's buffer
+                _, (gx, _, _) = primitive_grads(
+                    lambda rec, x, W, b: nn.temporal_conv(rec, x, W, b, steps),
+                    rng.standard_normal((1, L, 7, 6)), W, np.zeros(5), g=g, fresh=fresh)
+                assert gx.tobytes() == want.tobytes()
+        assert len(nn.Steps(np.array([0, 2 * T + 1, 4 * T + 3]), T, K).runs) == (
+            3 if T >= K else 0)
+
+    @pytest.mark.parametrize("shape", [(288, 60, 64), (240, 300, 8)])
+    def test_graph_conv_and_linear_gradients_bit_equal_to_transposed_view_products(self, shape):
+        # a batched product on a contiguous copy of W^T or G^T, a 2-D one on the view
+        rng = np.random.default_rng(shape)
+        R, n, d = shape
+        A = rng.standard_normal((n, n)) / n  # not symmetric: a lost transpose shows
+        h = rng.standard_normal(shape)
+        g = rng.standard_normal(shape)
+        W = rng.standard_normal((d, d))
+        _, (gh, _) = primitive_grads(nn.graph_conv, [A], h, W, g=g)
+        assert gh.tobytes() == np.matmul(A.T, np.matmul(g, W.T)).tobytes()
+        basis = [np.eye(n), A, 2 * A @ A - np.eye(n)]
+        theta = rng.standard_normal(3)
+        _, (gh, _) = primitive_grads(nn.graph_conv, basis, h, theta, g=g)
+        G = sum(th * Tk for th, Tk in zip(theta, basis))
+        assert gh.tobytes() == np.matmul(G.T, g).tobytes()
+        head = rng.standard_normal((d, 12))
+        g_head = rng.standard_normal((R, n, 12))
+        _, (gx, _) = primitive_grads(nn.linear, h, head, g=g_head)
+        assert gx.tobytes() == (g_head @ head.T).tobytes()
+        # the prompt product: (n, k) factors times the k x d matrix B
+        B = rng.standard_normal((6, d))
+        g_prompt = rng.standard_normal((n, d))
+        _, (gx, _) = primitive_grads(nn.linear, rng.standard_normal((n, 6)), B, g=g_prompt)
+        assert gx.tobytes() == (g_prompt @ B.T).tobytes()
+
+
 def _unscanned(rec, value):
     return rec.record("src", np.asarray(value, dtype=float), [], None, scan=False)
 
