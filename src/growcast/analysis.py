@@ -29,15 +29,24 @@ def power_of_two_above(top) -> float:
     return float(np.ldexp(1.0, min(int(np.frexp(top)[1]), 1023))) if np.isfinite(top) else 1.0
 
 
+def mae(pred, truth) -> float:
+    """Mean absolute error of finite float arrays of one shape, taken of the
+    errors divided by `power_of_two_above` the largest one and scaled back:
+    errors near the float range do not overflow the sum, and ordinary ones
+    give the bits of the plain mean, since the division is exact."""
+    abs_err = np.abs(pred - truth)
+    scale = power_of_two_above(abs_err.max())
+    return float((abs_err / scale).mean() * scale)
+
+
 def metrics(pred, truth) -> dict:
     """MAE, RMSE, and masked MAPE (%) in original units.
 
     MAPE averages only over entries with |truth| >= 1e-4; near-zero truth
     explodes the percentage otherwise.  When everything is masked, MAPE is
-    None (an undefined marker, never 0).  MAE and RMSE average the errors
-    divided by `power_of_two_above` their largest |value|, so neither the
-    squares of errors past about 1.3e154 nor the sum of errors near the
-    float range overflow.
+    None (an undefined marker, never 0).  MAE is `mae`; RMSE averages the
+    squared errors divided by `power_of_two_above` their largest |value|,
+    so squares of errors past about 1.3e154 do not overflow either.
     """
     p = np.asarray(pred, dtype=float)
     y = np.asarray(truth, dtype=float)
@@ -48,16 +57,11 @@ def metrics(pred, truth) -> dict:
     if not (np.isfinite(p).all() and np.isfinite(y).all()):
         raise AnalysisError("non-finite values in metric input")
     err = p - y
-    abs_err = np.abs(err)
-    scale = power_of_two_above(abs_err.max())
-    mae = float((abs_err / scale).mean() * scale)
+    scale = power_of_two_above(np.abs(err).max())
     rmse = float(np.sqrt(((err / scale) ** 2).mean()) * scale)
     mask = np.abs(y) >= MAPE_MASK_THRESHOLD
-    if mask.any():
-        mape = float(100.0 * (abs_err[mask] / np.abs(y[mask])).mean())
-    else:
-        mape = None
-    return {"MAE": mae, "RMSE": rmse, "MAPE": mape}
+    mape = float(100.0 * (np.abs(err[mask]) / np.abs(y[mask])).mean()) if mask.any() else None
+    return {"MAE": mae(p, y), "RMSE": rmse, "MAPE": mape}
 
 
 def _centered(x):

@@ -35,6 +35,7 @@ T_IN = 12
 T_OUT = 12
 SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train, val, test shares of each period's timeline
 DIURNAL_PERIOD = 96  # steps per cycle of the synthetic signal
+DIFFUSION = 0.5  # weight of the neighbours' mean in the synthetic signal
 
 
 class DataError(ValueError):
@@ -93,8 +94,8 @@ class Normalizer:
         the float range, and ordinary data get the same mean and std as
         the unscaled formula.  A segment whose range squares past the
         float range (about 1.3e154) is rejected too.  No sum or square
-        downstream needs that rule, since `analysis.metrics` and
-        `engine._validation_mae` scale errors by a power of two; it is a
+        downstream needs that rule, since `analysis.mae` and
+        `analysis.metrics` scale errors by a power of two; it is a
         data check.  Beside such a range, readings of ordinary size
         normalize to one and the same float, so training could not tell
         them apart; one reading of 1e20 among readings of order 1 does
@@ -261,13 +262,14 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
 
 def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: int,
                  seed: int = 0, noise: float = 0.1, offset_scale: float = 1.0,
-                 diffusion: float = 0.5, r: float = 0.5):
+                 r: float = 0.5):
     """Reproducible desk-scale stream with planted per-node heterogeneity.
 
     Nodes sit uniformly in the unit square; the signal per node is a shared
-    diurnal sinusoid plus a fixed node offset, diffused over the graph, plus
-    Gaussian noise.  All randomness comes from named PCG64 substreams of
-    `seed`, so node additions never perturb existing series.
+    diurnal sinusoid plus a fixed node offset, diffused over the graph
+    (`DIFFUSION`), plus Gaussian noise.  All randomness comes from named
+    PCG64 substreams of `seed`, so node additions never perturb existing
+    series.
 
     Returns (StreamGraph, [ObservationSeries per period]).
     """
@@ -302,7 +304,7 @@ def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: in
                 base[:, i] += noise * node_rng.standard_normal(periods * T_per_period)[t0:t0 + T_per_period]
         row_sum = adj.sum(axis=1)
         row_norm = adj / np.where(row_sum > 0, row_sum, 1.0)[:, None]
-        values = base + diffusion * (base @ row_norm.T)
+        values = base + DIFFUSION * (base @ row_norm.T)
         graphs.append(graph)
         series.append(ObservationSeries(values=values, period_index=tau))
     return StreamGraph(periods=tuple(graphs)), series

@@ -1,8 +1,9 @@
 """Period-by-period training workflows for all comparison schemes.
 
-One protocol serves every scheme: per period, mini-batch Adam on MSE in
-normalized units, early stopping on validation MAE in original units, and
-evaluation on the period's test split right after its training phase.
+One protocol serves every scheme: per period, mini-batch Adam on MSE and
+early stopping on validation MAE, both in normalized units, and
+evaluation in original units on the period's test split right after its
+training phase.
 Schemes differ only in what state crosses period boundaries and what
 trains after period 1; `SCHEMES` is the one place a scheme is defined.
 
@@ -28,14 +29,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn_core as nn
-from .analysis import heterogeneity_D, metrics, power_of_two_above
+from .analysis import heterogeneity_D, mae, metrics
 from .backbone import VARIANTS, build_backbone, forward_predict, graph_operator
 from .data_pipeline import build_period_dataset
 from .graph_stream import diff_nodes
 from .prompt_pool import expand, init_pool, materialize
 
 HORIZONS = (3, 6, 12)
-MIN_DELTA = 1e-6
+MIN_DELTA = 1e-6  # in units of the period's training std
 
 
 class ConfigError(ValueError):
@@ -186,21 +187,24 @@ def _batches(n_samples, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def _predictions(forward, samples, batch_size):
-    """(prediction, batch slice) per consecutive batch; a slice of a window view stays a view."""
-    for start in range(0, len(samples), batch_size):
-        run = slice(start, start + batch_size)
-        pred, _ = forward(samples.X[run][..., None], train=False, starts=samples.starts[run])
-        yield pred.value, run
+def _predict(forward, samples, batch_size):
+    """Predictions for every window of `samples`, batch by consecutive batch;
+    a slice of a window view stays a view."""
+    runs = (slice(start, start + batch_size) for start in range(0, len(samples), batch_size))
+    return np.concatenate([forward(samples.X[run][..., None], train=False,
+                                   starts=samples.starts[run])[0].value for run in runs])
 
 
-def train_period(forward, params, train_samples, val_samples, normalizer,
+def train_period(forward, params, train_samples, val_samples,
                  lr, epochs_max, patience, batch_size, seed, period_index):
     """Adam + early stopping; returns (epochs_run, wall_seconds_per_epoch,
     best_epoch), where best_epoch is the epoch whose parameters are kept.
 
     `forward(batch_x, train, starts)` must rebuild the tape from the live
     parameter values; best-validation parameters are restored before returning.
+    An epoch improves on the best one when its validation MAE, in the
+    normalized units that training uses, is lower by more than MIN_DELTA, so
+    no training decision depends on the units of the data.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and val windows must be nonempty")
@@ -229,7 +233,7 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
         wall += time.perf_counter() - t0
         epochs_run = epoch
         try:
-            val_mae = _validation_mae(forward, val_samples, normalizer, batch_size)
+            val_mae = _validation_mae(forward, val_samples, batch_size)
         except nn.NonFiniteError as exc:
             raise TrainingAbort(exc, period_index, seed, epoch, None, lr) from exc
         if val_mae < best_mae - MIN_DELTA:
@@ -247,24 +251,9 @@ def train_period(forward, params, train_samples, val_samples, normalizer,
     return epochs_run, wall / epochs_run, best_epoch
 
 
-def _validation_mae(forward, val_samples, normalizer, batch_size):
-    """Mean absolute error in original units over the validation split.
-
-    The sum runs on errors divided by `power_of_two_above` the largest one
-    so far (at least 1), and the mean scales back, so errors near the float
-    range do not overflow it; the division is exact, so ordinary errors
-    give the bits of the unscaled sum.
-    """
-    abs_sum, scale, count = 0.0, 1.0, 0
-    for pred, run in _predictions(forward, val_samples, batch_size):
-        err = np.abs(normalizer.invert(pred) - normalizer.invert(val_samples.Y[run]))
-        top = power_of_two_above(err.max())
-        if top > scale:
-            abs_sum, scale = abs_sum * (scale / top), top
-        err /= scale
-        abs_sum += float(err.sum())
-        count += err.size
-    return abs_sum / count * scale
+def _validation_mae(forward, val_samples, batch_size):
+    """Mean absolute error over the validation split, in normalized units."""
+    return mae(_predict(forward, val_samples, batch_size), val_samples.Y)
 
 
 def evaluate_period(forward, test_samples, normalizer, batch_size,
@@ -272,8 +261,7 @@ def evaluate_period(forward, test_samples, normalizer, batch_size,
     """Per-horizon metrics in original units over the full test split."""
     if not test_samples:
         raise ConfigError("test windows must be nonempty")
-    preds = [pred for pred, _ in _predictions(forward, test_samples, batch_size)]
-    pred = normalizer.invert(np.concatenate(preds, axis=0))
+    pred = normalizer.invert(_predict(forward, test_samples, batch_size))
     truth = normalizer.invert(test_samples.Y)
     out = {}
     for h in HORIZONS:
@@ -381,8 +369,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
                                     nn.rng_stream(seed, "dropout", tau), dropout)
             epochs_run, wall_per_epoch, best_epoch = train_period(
                 forward, params, train_dataset.train, train_dataset.val,
-                train_dataset.normalizer, lr, config.epochs_max, config.patience,
-                config.batch_size, seed, tau)
+                lr, config.epochs_max, config.patience, config.batch_size, seed, tau)
         if hetero is not None:
             hetero["D_trained"] = _fused_dispersion(backbone, pool, dataset)
 

@@ -2,6 +2,7 @@
 
     python tests/acceptance_digests.py --out DIR
     python tests/acceptance_digests.py --out DIR --parent PARENT_DIR --json drift.json
+    python tests/acceptance_digests.py --out DIR --reference BENCH_29.json
 
 Runs `growcast run` for the six schemes and for EAC on the spectral
 backbone, on the acceptance stream (test_acceptance's BASE_CONFIG and
@@ -13,7 +14,9 @@ largest relative difference of any number in reports.json and
 heterogeneity.json, every epochs_run or best_epoch in timings.json
 that changed, and per period the avg-horizon MAE's mean and seed std of
 both runs.  --json writes the digests and the drift as one JSON
-object.  pytest does not collect this file.
+object.  With --reference, a BENCH file, it compares the digests with
+that file's acceptance_stream.digests, prints each one that differs,
+and exits 1 if any does.  pytest does not collect this file.
 """
 import os
 
@@ -127,11 +130,25 @@ def drift(out, parent):
     return table
 
 
+def mismatches(found, path):
+    """'scheme file digest != reference' for each digest that differs from the BENCH file's."""
+    with open(path) as fh:
+        reference = json.load(fh).get("acceptance_stream", {}).get("digests")
+    if reference is None:
+        raise SystemExit("%s has no acceptance_stream.digests" % path)
+    if reference.keys() != found.keys():
+        raise SystemExit("%s holds digests of other runs: %s" % (path, sorted(reference)))
+    return ["%s %s %s != %s" % (name, file, digest, reference[name].get(file))
+            for name, files in found.items() for file, digest in files.items()
+            if digest != reference[name].get(file)]
+
+
 def cli(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, help="directory for this checkout's runs")
     parser.add_argument("--parent", help="a directory this script wrote from another checkout")
     parser.add_argument("--json", help="write the digests (and drift) here")
+    parser.add_argument("--reference", help="a BENCH_N.json whose acceptance digests must match")
     args = parser.parse_args(argv)
     run(args.out)
     result = {"digests": digests(args.out)}
@@ -150,6 +167,14 @@ def cli(argv=None):
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=1)
             fh.write("\n")
+    if args.reference:
+        differ = mismatches(result["digests"], args.reference)
+        for line in differ:
+            print("differs from %s: %s" % (args.reference, line))
+        if differ:
+            raise SystemExit(1)
+        print("all %d digests equal %s" % (sum(map(len, result["digests"].values())),
+                                           args.reference))
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def later_period_epochs(stream_series, tau, rounds):
         for scheme in (("EAC", "ContinualAN") if r % 2 == 0 else ("ContinualAN", "EAC")):
             forward, params, seconds = runs[scheme]
             _, per_epoch, _ = train_period(forward, params, data.train, data.val,
-                                           data.normalizer, lr=cfg.lr_continual,
+                                           lr=cfg.lr_continual,
                                            epochs_max=1, patience=1,
                                            batch_size=cfg.batch_size, seed=1,
                                            period_index=tau)

@@ -351,21 +351,22 @@ class TestSynthStream:
         stream, _ = synth_stream(40, 10, 3, 60, seed=0)
         assert [g.n for g in stream.periods] == [40, 50, 60]
 
-    def test_identical_locations_identical_series(self):
+    def test_identical_locations_identical_series(self, monkeypatch):
         # no noise, no offsets: series depend only on position
         stream, obs = synth_stream(4, 1, 1, 50, seed=2, noise=0.0, offset_scale=0.0)
         vals = obs[0].values
         # diurnal part is shared; with zero diffusion weight differences the
         # only node-to-node variation comes from the graph; check the base
-        stream2, obs2 = synth_stream(4, 1, 1, 50, seed=2, noise=0.0,
-                                     offset_scale=0.0, diffusion=0.0)
+        monkeypatch.setattr(dp, "DIFFUSION", 0.0)
+        stream2, obs2 = synth_stream(4, 1, 1, 50, seed=2, noise=0.0, offset_scale=0.0)
         cols = obs2[0].values
         assert np.allclose(cols - cols[:, :1], 0.0)
 
-    def test_earlier_nodes_stable_under_growth(self):
+    def test_earlier_nodes_stable_under_growth(self, monkeypatch):
         # node positions/offsets/noise draw from per-node streams
-        _, obs_small = synth_stream(5, 0, 1, 40, seed=4, diffusion=0.0)
-        _, obs_large = synth_stream(8, 0, 1, 40, seed=4, diffusion=0.0)
+        monkeypatch.setattr(dp, "DIFFUSION", 0.0)
+        _, obs_small = synth_stream(5, 0, 1, 40, seed=4)
+        _, obs_large = synth_stream(8, 0, 1, 40, seed=4)
         assert np.allclose(obs_small[0].values, obs_large[0].values[:, :5])
 
 

@@ -112,7 +112,7 @@ class TestTrainPeriod:
         w = nn.Parameter("w", np.zeros((1, 1)))
         epochs_run, _, best_epoch = train_period(
             scalar_forward(w), [w], scalar_samples(1.0), scalar_samples(-1.0),
-            Normalizer(0.0, 1.0), lr=0.1, epochs_max=20, patience=1,
+            lr=0.1, epochs_max=20, patience=1,
             batch_size=4, seed=0, period_index=1)
         assert epochs_run == 2
         assert best_epoch == 1
@@ -121,7 +121,7 @@ class TestTrainPeriod:
         w = nn.Parameter("w", np.zeros((1, 1)))
         epochs_run, _, _ = train_period(
             scalar_forward(w), [w], scalar_samples(1.0), scalar_samples(1.0),
-            Normalizer(0.0, 1.0), lr=1e-300, epochs_max=50, patience=3,
+            lr=1e-300, epochs_max=50, patience=3,
             batch_size=4, seed=0, period_index=1)
         assert np.allclose(w.value, 0.0)
         assert epochs_run == 4  # one improving epoch + patience
@@ -138,11 +138,11 @@ class TestTrainPeriod:
             def forward(batch_x, train, starts=None):
                 return forward_predict(bb, op, batch_x, train=train, starts=starts)
 
-            before = _validation_mae(forward, ds.val, ds.normalizer, 64)
+            before = _validation_mae(forward, ds.val, 64)
             train_period(forward, list(bb.values()), ds.train, ds.val,
-                         ds.normalizer, lr=0.03, epochs_max=8, patience=3,
+                         lr=0.03, epochs_max=8, patience=3,
                          batch_size=64, seed=seed, period_index=1)
-            after = _validation_mae(forward, ds.val, ds.normalizer, 64)
+            after = _validation_mae(forward, ds.val, 64)
             assert after < 0.8 * before
 
     def test_non_finite_step_aborts_naming_primitive_period_and_seed(self):
@@ -156,7 +156,7 @@ class TestTrainPeriod:
         X[4, 7, 2] = np.nan  # in the second batch of the first epoch
         train = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))  # disjoint
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, list(bb.values()), train, train, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, train, lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         abort = info.value
         assert isinstance(abort.__cause__, nn.NonFiniteError)
@@ -176,7 +176,7 @@ class TestTrainPeriod:
         n = len(stream.periods[0].nodes)
         train = Windows(X=np.zeros((6, 12, n)), Y=np.zeros((6, 12, n)), starts=np.arange(6))
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, list(bb.values()), train, train, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, train, lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         assert str(info.value) == ("non-finite parameter gconv1.W in period 2, seed 7, "
                                    "epoch 1, batch 0, lr 0.01")
@@ -193,25 +193,13 @@ class TestTrainPeriod:
         X[5, 3, 1] = np.nan  # finite training windows, one NaN in the validation ones
         val = Windows(X=X, Y=np.zeros((6, 12, n)), starts=12 * np.arange(6))
         with pytest.raises(TrainingAbort) as info:
-            train_period(forward, list(bb.values()), train, val, Normalizer(0.0, 1.0), lr=0.01,
+            train_period(forward, list(bb.values()), train, val, lr=0.01,
                          epochs_max=3, patience=1, batch_size=4, seed=7, period_index=2)
         abort = info.value
         assert isinstance(abort.__cause__, nn.NonFiniteError)
         assert str(abort) == ("non-finite output of graph_input in period 2, seed 7, "
                               "epoch 1, validation pass, lr 0.01")
         assert (abort.period_index, abort.seed, abort.epoch, abort.batch) == (2, 7, 1, None)
-
-
-def gathered_validation_mae(forward, samples, normalizer, batch_size):
-    """_validation_mae as it ran over gathered index batches."""
-    abs_sum, count = 0.0, 0
-    for start in range(0, len(samples), batch_size):
-        idx = np.arange(len(samples))[start:start + batch_size]
-        pred, _ = forward(samples.X[idx][..., None], train=False)
-        err = normalizer.invert(pred.value) - normalizer.invert(samples.Y[idx])
-        abs_sum += float(np.abs(err).sum())
-        count += err.size
-    return abs_sum / count
 
 
 class TestValidationMae:
@@ -223,7 +211,7 @@ class TestValidationMae:
                           Y=np.array([1.0, -2.0, 1.5e308, -1.5e308]).reshape(4, 1, 1),
                           starts=np.arange(4))
         got = _validation_mae(scalar_forward(nn.Parameter("w", np.zeros((1, 1)))), samples,
-                              Normalizer(0.0, 1.0), batch_size)
+                              batch_size)
         assert got == pytest.approx(7.5e307, rel=1e-15)
 
 
@@ -233,6 +221,11 @@ def gathered_predictions(forward, samples, batch_size):
     preds = [forward(samples.X[idx[s:s + batch_size]][..., None], train=False)[0].value
              for s in range(0, len(samples), batch_size)]
     return np.concatenate(preds)
+
+
+def gathered_validation_mae(forward, samples, batch_size):
+    """_validation_mae over gathered index batches: the plain mean in normalized units."""
+    return float(np.abs(gathered_predictions(forward, samples, batch_size) - samples.Y).mean())
 
 
 class TestSlicedEvaluation:
@@ -255,10 +248,9 @@ class TestSlicedEvaluation:
             for batch_size in (7, 64):
                 for samples in (ds.val, ds.test):
                     del shared[:]
-                    got = _validation_mae(forward, samples, ds.normalizer, batch_size)
+                    got = _validation_mae(forward, samples, batch_size)
                     assert len(shared) == -(-len(samples) // batch_size)
-                    assert got == gathered_validation_mae(forward, samples, ds.normalizer,
-                                                          batch_size)
+                    assert got == gathered_validation_mae(forward, samples, batch_size)
                 del shared[:]
                 got = evaluate_period(forward, ds.test, ds.normalizer, batch_size)
                 assert len(shared) == -(-len(ds.test) // batch_size)
@@ -560,7 +552,7 @@ class TestTapeFreeing:
             train = make_windows(rng.standard_normal((n_windows + 23, 20)))
             val = make_windows(rng.standard_normal((24, 20)))
             peaks.append(traced_peak(lambda: train_period(
-                forward, params, train, val, Normalizer(0.0, 1.0), 0.01, 1, 1, 64, 1, 1)))
+                forward, params, train, val, 0.01, 1, 1, 64, 1, 1)))
         one, two = peaks
         assert two <= 1.01 * one
 
