@@ -101,7 +101,6 @@ def _build_synth(fields):
 
 def cmd_run(args) -> int:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {"version": __version__, "inputs": {}, "error": None,
                 "report_paths": [], "total_wall_seconds": None,
                 "blas_threads": _blas_threads()}
@@ -110,7 +109,7 @@ def cmd_run(args) -> int:
         try:
             with open(args.config) as fh:
                 raw_config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (args.config, exc))
         if not isinstance(raw_config, dict):
             raise ConfigError("config %s must be a JSON object, got %s"
@@ -202,7 +201,6 @@ def _load_matrix(path) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     try:
         if not args.matrix:
             print("error: --matrix required", file=sys.stderr)
@@ -311,6 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:  # every command that takes --out writes into that directory
+        if getattr(args, "out", None) is not None:
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print("error: --out %s is not a usable directory: %s" % (args.out, exc.strerror),
+              file=sys.stderr)
+        return EXIT_CONFIG
     return args.func(args)
 
 

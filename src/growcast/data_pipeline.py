@@ -129,7 +129,6 @@ class PeriodDataset:
     val: Windows
     test: Windows
     normalizer: Normalizer
-    graph: PeriodGraph
 
 
 def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
@@ -257,7 +256,7 @@ def build_period_dataset(graph: PeriodGraph, series: ObservationSeries,
     train, val, test = windows
     if few_shot_fraction is not None:
         train = few_shot_subsample(train, few_shot_fraction, seed, few_shot_random)
-    return PeriodDataset(train=train, val=val, test=test, normalizer=norm, graph=graph)
+    return PeriodDataset(train=train, val=val, test=test, normalizer=norm)
 
 
 def synth_stream(n0: int, growth_per_period: int, periods: int, T_per_period: int,
@@ -320,7 +319,7 @@ def load_stream_manifest(path):
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError("cannot read stream manifest %s: %s" % (path, exc))
     if not isinstance(manifest, dict):
         raise DataError("stream manifest must be a JSON object, got %r" % (manifest,))
@@ -332,8 +331,15 @@ def load_stream_manifest(path):
     r = _manifest_r(manifest, 0.5, "stream manifest")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def read(tau, entry, key, reader):
+        """reader(path) of the period's `key` file, whose every failure is a DataError."""
+        path = os.path.join(base, entry[key])  # an absolute entry stays as it is
+        try:
+            return reader(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError("period %d %s file %s unreadable: %s" % (tau, key, path, exc))
+        except GraphStreamError as exc:
+            raise DataError(str(exc))
 
     graphs, series = [], []
     for tau, entry in enumerate(periods, start=1):
@@ -342,25 +348,21 @@ def load_stream_manifest(path):
                 raise DataError("period %d manifest entry needs a path string %r, got %r"
                                 % (tau, key, entry))
         _known_fields(entry, {"nodes", "distances", "observations", "r"}, "period %d" % tau)
-        try:
-            with open(resolve(entry["nodes"])) as fh:
-                nodes = tuple(ln.strip() for ln in fh if ln.strip())
-            dist = read_distances(resolve(entry["distances"]), node_ids=nodes)
-        except OSError as exc:
-            raise DataError("period %d file unreadable: %s" % (tau, exc))
-        except GraphStreamError as exc:
-            raise DataError(str(exc))
+        nodes = read(tau, entry, "nodes", _read_nodes)
+        dist = read(tau, entry, "distances", lambda p: read_distances(p, node_ids=nodes))
         if dist.shape[0] != len(nodes):
             raise DataError("period %d distance matrix size %d vs %d nodes"
                             % (tau, dist.shape[0], len(nodes)))
         adj = build_adjacency(dist, r=_manifest_r(entry, r, "period %d" % tau))
         graph = PeriodGraph(period_index=tau, nodes=nodes, distances=dist, adjacency=adj)
         graphs.append(graph)
-        try:
-            series.append(ingest_period(resolve(entry["observations"]), graph))
-        except OSError as exc:
-            raise DataError("period %d file unreadable: %s" % (tau, exc))
+        series.append(read(tau, entry, "observations", lambda p: ingest_period(p, graph)))
     return StreamGraph(periods=tuple(graphs)), series
+
+
+def _read_nodes(path) -> tuple:
+    with open(path) as fh:
+        return tuple(ln.strip() for ln in fh if ln.strip())
 
 
 def _known_fields(fields: dict, known, where):

@@ -3,7 +3,8 @@
 One protocol serves every scheme: per period, mini-batch Adam on MSE and
 early stopping on validation MAE, both in normalized units, and
 evaluation in original units on the period's test split right after its
-training phase.
+training phase.  Each period builds one dataset, normalized with its own
+train statistics, and every scheme trains and is scored on it.
 Schemes differ only in what state crosses period boundaries and what
 trains after period 1; `SCHEMES` is the one place a scheme is defined.
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import nn_core as nn
 from .analysis import heterogeneity_D, mae, metrics
 from .backbone import VARIANTS, build_backbone, forward_predict, graph_operator
-from .data_pipeline import build_period_dataset
+from .data_pipeline import Windows, build_period_dataset
 from .graph_stream import diff_nodes
 from .prompt_pool import expand, init_pool, materialize
 
@@ -50,7 +51,9 @@ class Scheme:
     pool: "lowrank" or "full" prompt pool over a backbone frozen after
     period 1, or None for no pool.  retrain: a fresh backbone, trained with
     the period-1 lr and dropout, in every period.  later: what periods after
-    the first train on: "all" nodes, only the "new"-node subgraph, or "none".
+    the first train on: "all" nodes, "none", or only the "new" nodes: their
+    columns of the period's train and val windows (views, in the period's
+    units), propagated over the subgraph the new nodes induce.
     """
 
     pool: str | None
@@ -289,21 +292,6 @@ def _fused_dispersion(backbone, pool, dataset):
     return heterogeneity_D(fused)
 
 
-def _induced_subperiod(graph, series, new_ids, config, seed):
-    """Dataset over the induced subgraph of the new nodes, the period's last (`diff_nodes`)."""
-    from .data_pipeline import ObservationSeries
-    from .graph_stream import PeriodGraph
-
-    new = slice(graph.n - len(new_ids), None)
-    sub_graph = PeriodGraph(period_index=graph.period_index, nodes=new_ids,
-                            distances=graph.distances[new, new],
-                            adjacency=graph.adjacency[new, new])
-    sub_series = ObservationSeries(values=series.values[:, new], period_index=series.period_index)
-    return build_period_dataset(sub_graph, sub_series,
-                                few_shot_fraction=config.few_shot_fraction,
-                                seed=seed, few_shot_random=config.few_shot_random)
-
-
 def _make_forward(backbone, operator, pool, rng=None, dropout=0.0):
     """forward(batch_x, train, starts) over the live parameters, prompted by `pool` if given.
 
@@ -354,10 +342,12 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
             warnings.warn("period %d adds no nodes; skipping training" % tau)
             train_on = "none"
         operator = graph_operator(backbone, graph.adjacency)
-        train_dataset, train_operator = dataset, operator
-        if train_on == "new":
-            train_dataset = _induced_subperiod(graph, series, new_ids, config, seed)
-            train_operator = graph_operator(backbone, train_dataset.graph.adjacency)
+        train_splits, train_operator = (dataset.train, dataset.val), operator
+        if train_on == "new":  # the new nodes are the period's last (`diff_nodes`)
+            new = slice(graph.n - len(new_ids), None)
+            train_splits = tuple(Windows(w.X[..., new], w.Y[..., new], w.starts)
+                                 for w in train_splits)
+            train_operator = graph_operator(backbone, graph.adjacency[new, new])
 
         hetero = None if pool is None else {"D_init": _fused_dispersion(backbone, pool, dataset)}
         if train_on == "none":
@@ -368,7 +358,7 @@ def _run_seed(config: ExperimentConfig, stream, series_list, seed: int) -> list:
             forward = _make_forward(backbone, train_operator, pool,
                                     nn.rng_stream(seed, "dropout", tau), dropout)
             epochs_run, wall_per_epoch, best_epoch = train_period(
-                forward, params, train_dataset.train, train_dataset.val,
+                forward, params, *train_splits,
                 lr, config.epochs_max, config.patience, config.batch_size, seed, tau)
         if hetero is not None:
             hetero["D_trained"] = _fused_dispersion(backbone, pool, dataset)

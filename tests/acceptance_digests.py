@@ -2,7 +2,7 @@
 
     python tests/acceptance_digests.py --out DIR
     python tests/acceptance_digests.py --out DIR --parent PARENT_DIR --json drift.json
-    python tests/acceptance_digests.py --out DIR --reference BENCH_29.json
+    python tests/acceptance_digests.py --out DIR --reference BENCH_30.json
 
 Runs `growcast run` for the six schemes and for EAC on the spectral
 backbone, on the acceptance stream (test_acceptance's BASE_CONFIG and

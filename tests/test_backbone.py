@@ -511,6 +511,50 @@ class TestSharedStepsExact:
             assert got_grads[name].tobytes() == g.tobytes(), name
 
 
+class TestNodePermutationExact:
+    """Relabelling the nodes relabels the predictions and the prompt gradient
+    and leaves every backbone gradient byte-equal.
+
+    The operator becomes P A P^T and the inputs, prompt rows and targets
+    are permuted alike.  The values are `TestSharedStepsExact`'s small
+    integers, so no sum over nodes rounds, whatever its order.
+    """
+
+    @pytest.mark.parametrize("B", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_outputs_permute_and_backbone_gradients_stay(self, variant, kernel, B):
+        rng = np.random.default_rng([kernel, B, 4])
+        starts = exact_starts("shuffled", B, rng)
+        seg = rng.integers(0, 4, size=(starts.max() + 10, 4)).astype(float)
+        x = seg[starts[:, None] + np.arange(8)][..., None]
+        target = seg[starts[:, None] + 8 + np.arange(2)]
+        bb = build_backbone(variant, d=3, kernel=kernel, t_out=2, seed=kernel)
+        for param in bb.values():
+            param.value = rng.integers(-1, 2, size=param.value.shape).astype(float)
+        prompt = rng.integers(-1, 2, size=(4, 3)).astype(float)
+
+        def run(perm):
+            rec = nn.ComputeRecord()
+            P = nn.Parameter("prompt", prompt[perm])
+            operator = [G[np.ix_(perm, perm)] for G in EXACT_OPERATORS[variant]]
+            pred, _ = forward_predict(bb, operator, x[:, :, perm], prompt=rec.leaf(P),
+                                      record=rec, train=True, starts=starts)
+            return pred.value, nn.backward(rec, nn.mse_loss(rec, pred, target[..., perm]))
+
+        identity = np.arange(4)
+        want, want_grads = run(identity)
+        assert any(g.any() for g in want_grads.values())
+        # a random order, and a swap that maps the cycle to another graph
+        for perm in (rng.permutation(4), np.array([1, 0, 2, 3])):
+            got, got_grads = run(perm)
+            assert got.tobytes() == want[..., perm].tobytes()
+            assert sorted(got_grads) == sorted(want_grads)
+            assert got_grads.pop("prompt").tobytes() == want_grads["prompt"][perm].tobytes()
+            for name, g in got_grads.items():
+                assert g.tobytes() == want_grads[name].tobytes(), name
+
+
 SPY_SHARED_STEPS = """
 import numpy as np
 from growcast import backbone

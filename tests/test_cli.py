@@ -492,6 +492,48 @@ class TestHostileInputTable:
             assert rc == 2 and error.startswith("period 2 val observations overflow")
 
 
+class TestUnusableOut:
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "synth", "analyze"])
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = str(blocker / "out" if under else blocker)
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("1 2\n3 4\n")
+        args = {"run": ["run", "--config", tiny_config(tmp_path), "--synth", SYNTH],
+                "synth": ["synth", "--spec", SYNTH],
+                "analyze": ["analyze", "--what", "hetero", "--matrix", str(matrix)]}[command]
+        assert main(args + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and out in err
+        assert blocker.read_text() == "x"
+
+
+class TestUndecodableInput:
+    def test_config_exits_1_with_a_manifest(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"scheme": "EAC\xff"}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--synth", SYNTH, "--out", str(out)]) == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert str(config) in error and error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["stream.json", "period02_nodes.txt",
+                                      "period02_distances.csv", "period02_observations.csv"])
+    def test_stream_file_exits_2_naming_it(self, tmp_path, capsys, name):
+        data_dir = tmp_path / "stream"
+        assert main(["synth", "--spec", SYNTH, "--out", str(data_dir)]) == 0
+        path = data_dir / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        out = tmp_path / "out"
+        rc = main(["run", "--config", tiny_config(tmp_path), "--data",
+                   str(data_dir / "stream.json"), "--out", str(out)])
+        assert rc == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert str(path) in error and error in capsys.readouterr().err
+
+
 class TestBlasThreads:
     def test_reports_do_not_depend_on_the_thread_count(self, tmp_path):
         # at 40 -> 60 nodes the first layer's GEMMs are large enough for

@@ -20,7 +20,6 @@ from growcast.engine import (
     ExperimentConfig,
     TrainingAbort,
     _fused_dispersion,
-    _induced_subperiod,
     _validation_mae,
     evaluate_period,
     run_stream,
@@ -584,23 +583,44 @@ class TestFusedDispersion:
                     assert _fused_dispersion(bb, pool, ds) == want
 
 
-class TestInducedSubperiod:
-    def test_series_stored_row_major(self, monkeypatch):
-        # the new nodes' columns, values[:, idx], come out column-major
-        from growcast import engine
-        seen = []
-        build = engine.build_period_dataset
+class TestNewNodeTraining:
+    @pytest.mark.parametrize("variant,fraction,random", [("spatial", None, False),
+                                                         ("spectral", 0.3, True)])
+    def test_trains_on_the_new_columns_of_the_period_windows(self, monkeypatch, variant,
+                                                             fraction, random):
+        # one dataset per period: ContinualNN's later periods train on views
+        # over its windows' new-node columns, in the period's units, over the
+        # subgraph the new nodes induce
+        built, trained, adjacencies = [], [], []
+        build, train, operator = (engine.build_period_dataset, engine.train_period,
+                                  engine.graph_operator)
         monkeypatch.setattr(engine, "build_period_dataset",
-                            lambda graph, series, **kw: seen.append(series) or build(
-                                graph, series, **kw))
-        stream, series = tiny_stream(periods=2, growth=3)
-        new_ids = stream.periods[1].nodes[-3:]
-        cfg = ExperimentConfig(scheme="ContinualNN", seeds=(1,), **TINY)
-        ds = _induced_subperiod(stream.periods[1], series[1], new_ids, cfg, seed=1)
-        (sub,) = seen
-        assert sub.values.flags.c_contiguous
-        assert np.array_equal(sub.values, series[1].values[:, -3:])
-        assert ds.train.X.shape[2] == 3
+                            lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+        monkeypatch.setattr(engine, "train_period", lambda forward, params, tr, va, *rest: (
+            trained.append((tr, va)) or train(forward, params, tr, va, *rest)))
+        monkeypatch.setattr(engine, "graph_operator", lambda backbone, adjacency: (
+            adjacencies.append(adjacency) or operator(backbone, adjacency)))
+        growth, seeds = 3, (1, 2)
+        stream, series = tiny_stream(periods=3, growth=growth)
+        cfg = ExperimentConfig(scheme="ContinualNN", seeds=seeds, variant=variant,
+                               few_shot_fraction=fraction, few_shot_random=random, **TINY)
+        run_stream(cfg, stream, series)
+        periods = len(stream.periods)
+        assert len(built) == len(trained) == periods * len(seeds)
+        for i, (ds, splits) in enumerate(zip(built, trained)):
+            graph = stream.periods[i % periods]
+            if i % periods == 0:
+                assert splits[0] is ds.train and splits[1] is ds.val
+                continue
+            for got, full in zip(splits, (ds.train, ds.val)):
+                assert got.X.shape[2] == growth
+                assert np.shares_memory(got.X, full.X) and np.shares_memory(got.Y, full.Y)
+                assert np.array_equal(got.X, full.X[..., -growth:])
+                assert np.array_equal(got.Y, full.Y[..., -growth:])
+                assert np.array_equal(got.starts, full.starts)
+            assert any(a.shape == (growth, growth)
+                       and np.array_equal(a, graph.adjacency[-growth:, -growth:])
+                       for a in adjacencies)
 
 
 class TestSchemes:
