@@ -31,7 +31,7 @@ from .analysis import (
 from .data_pipeline import DataError, load_stream_manifest, synth_stream, write_stream
 from .engine import ConfigError, ExperimentConfig, TrainingAbort, run_stream
 from .gradcheck import gradcheck_table
-from .graph_stream import GraphStreamError
+from .graph_stream import GraphStreamError, read_numbers
 from .prompt_pool import PoolError
 
 EXIT_CONFIG = 1
@@ -185,16 +185,19 @@ def _fail(out_dir, manifest, exc, code) -> int:
 
 
 def _load_matrix(path) -> np.ndarray:
-    try:
-        rows = []
+    """A matrix file: one row per line, cells separated by spaces or commas."""
+    def lines():
         with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if ln:
-                    rows.append([float(t) for t in ln.replace(",", " ").split()])
-        matrix = np.asarray(rows, dtype=float)
-    except (OSError, ValueError) as exc:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.replace(",", " ")
+
+    try:
+        matrix = read_numbers(path, lines, DataError)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot parse matrix file %s: %s" % (path, exc))
+    if not matrix.size:
+        raise DataError("matrix file %s holds no cells" % path)
     if not np.isfinite(matrix).all():
         raise DataError("matrix file %s has non-finite cells" % path)
     return matrix

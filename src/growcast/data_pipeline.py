@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .graph_stream import (
     StreamGraph,
     build_adjacency,
     read_distances,
+    read_numbers,
 )
 from .nn_core import rng_stream
 
@@ -132,61 +134,94 @@ class PeriodDataset:
 
 
 def ingest_period(observations_path, graph: PeriodGraph) -> ObservationSeries:
-    """Read an observation CSV and align its columns to the graph order.
+    """Read an observation CSV with its columns in the graph order.
 
-    Header: `time,<id1>,<id2>,...`, each id once.  Empty cells, and cells
-    that read nan, are missing: filled by the last observation of the same
-    column, leading gaps by the mean of the forward-filled column.
+    Header: `time,<id1>,<id2>,...`, each id once.  Every data line has one
+    cell per header field; the time cell is never read, and the others are
+    numbers as `read_numbers` reads them.  Empty and whitespace-only
+    cells, and cells that read nan, are missing: filled by the last
+    observation of the same column, leading gaps by the mean of the
+    forward-filled column.
     """
     with open(observations_path) as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if not cols or cols[0] != "time":
-            raise DataError("observation file %s must start with a `time,...` header"
-                            % observations_path)
-        file_ids = cols[1:]
-        unknown = set(file_ids) - set(graph.nodes)
-        if unknown:
-            raise DataError("unknown node ids in the header of %s: %s"
-                            % (observations_path, sorted(unknown)))
-        missing = set(graph.nodes) - set(file_ids)
-        if missing:
-            raise DataError("graph nodes with no observation column in %s: %s"
-                            % (observations_path, sorted(missing)))
-        repeated = sorted(nid for nid, count in Counter(file_ids).items() if count > 1)
-        if repeated:
-            raise DataError("duplicated node ids in the header of %s: %s"
-                            % (observations_path, repeated))
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(cols):
-                raise DataError("%s line %d has %d cells, expected %d"
-                                % (observations_path, lineno, len(cells), len(cols)))
-            try:
-                rows.append([float(tok) if tok.strip() else np.nan for tok in cells[1:]])
-            except ValueError as exc:
-                raise DataError("non-numeric cell in %s line %d: %s"
-                                % (observations_path, lineno, exc))
-    values = _impute(np.asarray(rows, dtype=float).reshape(len(rows), len(file_ids)))
-    order = [file_ids.index(nid) for nid in graph.nodes]
-    return ObservationSeries(values=values[:, order], period_index=graph.period_index)
+    cols = header.split(",")
+    if not cols or cols[0] != "time":
+        raise DataError("observation file %s must start with a `time,...` header"
+                        % observations_path)
+    file_ids = cols[1:]
+    unknown = set(file_ids) - set(graph.nodes)
+    if unknown:
+        raise DataError("unknown node ids in the header of %s: %s"
+                        % (observations_path, sorted(unknown)))
+    missing = set(graph.nodes) - set(file_ids)
+    if missing:
+        raise DataError("graph nodes with no observation column in %s: %s"
+                        % (observations_path, sorted(missing)))
+    repeated = sorted(nid for nid, count in Counter(file_ids).items() if count > 1)
+    if repeated:
+        raise DataError("duplicated node ids in the header of %s: %s"
+                        % (observations_path, repeated))
+
+    def lines():
+        with open(observations_path) as fh:
+            fh.readline()
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.count(",") + 1 != len(cols):
+                    raise DataError("%s line %d has %d cells, expected %d"
+                                    % (observations_path, lineno, line.count(",") + 1,
+                                       len(cols)))
+                yield lineno, _blank_to_nan(line)
+
+    column = {nid: j for j, nid in enumerate(file_ids, start=1)}
+    values = read_numbers(observations_path, lines, DataError, delimiter=",",
+                          usecols=[column[nid] for nid in graph.nodes])
+    return ObservationSeries(values=_impute(values), period_index=graph.period_index)
+
+
+# the ASCII characters str.strip() removes, besides the "\n" that ends a line
+_ASCII_SPACE = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_BLANK_CELL = re.compile(r"(^|,)\s*(?=,|$)")
+
+
+def _blank_to_nan(line: str) -> str:
+    """The line with `nan` in each empty or whitespace-only data cell.
+
+    A line without whitespace is patched by string replacement, which
+    scans it in C, and its first cell, the time, which is never read,
+    stays as it is; any other line goes through `_BLANK_CELL`.
+    """
+    if not line.isascii() or any(space in line for space in _ASCII_SPACE):
+        return _BLANK_CELL.sub(r"\1nan", line)
+    if ",," in line:
+        line = line.replace(",,", ",nan,").replace(",,", ",nan,")  # two passes fill any run
+    return line + "nan" if line.endswith(",") else line
 
 
 def _impute(values: np.ndarray) -> np.ndarray:
-    """Forward-fill per column, then the filled column's mean for leading gaps."""
-    rows = np.arange(values.shape[0])[:, None]
-    last = np.maximum.accumulate(np.where(np.isnan(values), 0, rows), axis=0)
-    out = np.take_along_axis(values, last, axis=0)  # a leading gap takes blank row 0
-    gaps = np.isnan(out)
-    for j in np.flatnonzero(gaps.any(axis=0)):
-        filled = out[~gaps[:, j], j]
+    """Forward-fill per column, then the filled column's mean for leading gaps.
+
+    It works on the gaps alone.  Taken column by column, top down, each
+    run of gaps copies the reading just above its first gap, so the
+    temporaries beside the output grow with the number of gaps, not with
+    T x n.
+    """
+    out = values.copy()
+    col, row = np.nonzero(np.isnan(out).T)
+    first = np.ones(row.size, dtype=bool)  # a run's first gap
+    first[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1] + 1)
+    above = row[np.maximum.accumulate(np.where(first, np.arange(row.size), 0))] - 1
+    fill = above >= 0
+    out[row[fill], col[fill]] = out[above[fill], col[fill]]
+    for j in col[~fill & first]:  # a leading gap, at most one per column
+        gaps = np.isnan(out[:, j])
+        filled = out[~gaps, j]
         if filled.size == 0:
             raise DataError("column %d has no observed values" % j)
-        out[gaps[:, j], j] = filled.mean()
+        out[gaps, j] = filled.mean()
     return out
 
 

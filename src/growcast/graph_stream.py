@@ -7,6 +7,8 @@ canonical index order for every matrix built in that period.
 """
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "cheb_polynomials",
     "diff_nodes",
     "read_distances",
+    "read_numbers",
 ]
 
 
@@ -193,35 +196,79 @@ def cheb_polynomials(L_tilde: np.ndarray, order: int) -> list:
     return mats
 
 
+def read_numbers(path, lines, error, **loadtxt_args) -> np.ndarray:
+    """The float matrix `np.loadtxt` reads from the texts of `lines()`.
+
+    `lines()` yields the (line number, text) pairs of the file at `path`
+    that hold data.  numpy converts each cell in C with CPython's own
+    string-to-double conversion, so a cell reads as `float()` reads it,
+    except that digit grouping (`1_000`) and non-ASCII digits are not
+    numbers.  No lines read as a (0, k) matrix, k the number of
+    `usecols` (0 without them).  When numpy rejects the input, the lines
+    are read again one at a time, so only the error path pays for naming
+    the first line with a cell numpy cannot read, or with another cell
+    count than the first line's: an `error` naming `path` and the line.
+    """
+    args = dict(dtype=float, comments=None, ndmin=2, **loadtxt_args)
+    texts = (text for _, text in lines())
+    first = next(texts, None)
+    if first is None:
+        return np.empty((0, len(args.get("usecols", ()))))
+    try:
+        return np.loadtxt(itertools.chain((first,), texts), **args)
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # the lines' own errors: a bad cell count, a bad byte
+            raise
+        failure = exc
+    width = None
+    for lineno, text in lines():
+        try:
+            row = np.loadtxt([text], **args)
+        except ValueError as exc:
+            raise error("non-numeric cell in %s line %d: %s"
+                        % (path, lineno, re.sub(r" at row \d+,", ",", str(exc)))) from None
+        width = row.shape[1] if width is None else width
+        if row.shape[1] != width:
+            raise error("%s line %d has %d fields, expected %d"
+                        % (path, lineno, row.shape[1], width))
+    raise error("cannot read %s: %s" % (path, failure))
+
+
 def read_distances(path, node_ids=None) -> np.ndarray:
     """Read a distance matrix from a dense CSV or an edge-list file.
 
-    Dense format: one row per line, comma-separated decimals.  Edge-list
-    format: `from_id,to_id,distance` triples (requires node_ids for the
-    index order); missing pairs default to 0 on the diagonal and must be
-    covered for off-diagonal pairs symmetrically.
+    Dense format: one row per line, comma-separated numbers, read by
+    `read_numbers`.  Edge-list format: `from_id,to_id,distance` triples
+    (requires node_ids for the index order); missing pairs default to 0
+    on the diagonal and must be covered for off-diagonal pairs
+    symmetrically.
     """
-    with open(path) as fh:
-        lines = [(no, ln.strip().split(",")) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
+    def lines():
+        with open(path) as fh:
+            for no, ln in enumerate(fh, start=1):
+                if ln.strip():
+                    yield no, ln
+
+    first = next(lines(), None)
+    if first is None:
         raise GraphStreamError("empty distance file %s" % path)
-    first = lines[0][1]
-    is_edge_list = len(first) == 3 and not _is_float(first[0])
-    width = 3 if is_edge_list else len(first)
-    for no, cells in lines:
-        if len(cells) != width:
-            raise GraphStreamError("%s line %d has %d fields, expected %d"
-                                   % (path, no, len(cells), width))
+    cells = first[1].strip().split(",")
+    is_edge_list = len(cells) == 3 and not _is_float(cells[0])
     if not is_edge_list:
-        return _check_distances(np.asarray([_floats(cells, path, no) for no, cells in lines]),
+        return _check_distances(read_numbers(path, lines, GraphStreamError, delimiter=","),
                                 path)
+    numbered = [(no, ln.strip().split(",")) for no, ln in lines()]
+    for no, cells in numbered:
+        if len(cells) != 3:
+            raise GraphStreamError("%s line %d has %d fields, expected 3"
+                                   % (path, no, len(cells)))
     if node_ids is None:
         raise GraphStreamError("edge-list distances need an explicit node ordering")
     pos = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
     d = np.full((n, n), np.nan)
     np.fill_diagonal(d, 0.0)
-    for no, (src, dst, val) in lines:
+    for no, (src, dst, val) in numbered:
         if src not in pos or dst not in pos:
             raise GraphStreamError("edge references unknown node in %s line %d: %s,%s"
                                    % (path, no, src, dst))

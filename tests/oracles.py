@@ -167,3 +167,21 @@ def slab_conv_input_gradient(steps, W, g, L):
     for k, i, o, _ in step_slabs(steps):
         gx[0][i] += g[o] @ Wt[k]
     return gx
+
+
+def observation_cells(path) -> np.ndarray:
+    """An observation CSV's data cells, T x n in file column order, cell by cell.
+
+    The rule ingestion followed before numpy read the cells: `float(cell)`,
+    or nan for an empty or whitespace-only cell; blank lines are skipped
+    and the time cell is never read.
+    """
+    with open(path) as fh:
+        n = len(fh.readline().strip().split(",")) - 1
+        rows = []
+        for line in fh:
+            line = line.rstrip("\n")
+            if line:
+                rows.append([float(tok) if tok.strip() else np.nan
+                             for tok in line.split(",")[1:]])
+    return np.asarray(rows, dtype=float).reshape(len(rows), n)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from growcast import nn_core as nn
+from growcast.analysis import heterogeneity_D
 from growcast.cli import main
 from growcast.data_pipeline import SPLIT_RATIOS, synth_stream, write_stream
 
@@ -673,6 +675,32 @@ class TestAnalyze:
         rc = main(["analyze", "--what", "hetero", "--matrix", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestMatrixFile:
+    def analyze(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text)
+        return main(["analyze", "--what", "hetero", "--matrix", str(path),
+                     "--out", str(tmp_path / "o")])
+
+    def test_spaces_and_commas_separate_cells(self, tmp_path):
+        assert self.analyze(tmp_path, b"1, 2\n\n3 ,4\r\n  5   6\n") == 0
+        got = json.loads((tmp_path / "o" / "hetero.json").read_text())["D"]
+        assert got == heterogeneity_D(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+
+    @pytest.mark.parametrize("text, message", [
+        (b"1 2\n3\n", "m.txt line 2 has 1 fields, expected 2"),
+        (b"1 2\n3 4\n5 six\n", "m.txt line 3: .*'six'"),
+        (b"1 2\n1_000 4\n", "m.txt line 2: .*'1_000'"),
+        (b"\n \n", "m.txt holds no cells"),
+        (b"1 2\n\xff 4\n", "m.txt"),
+    ], ids=["ragged", "non-numeric", "digit-grouping", "no-cells", "undecodable"])
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        assert self.analyze(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(message, err), err
+        assert not (tmp_path / "o" / "hetero.json").exists()
 
 
 class TestGradcheck:

@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
+from oracles import observation_cells
 
 from growcast import data_pipeline as dp
 from growcast.data_pipeline import (
@@ -106,6 +110,87 @@ class TestIngest:
         path.write_text("time,a,b\n0,1,\n1,2,\n")
         with pytest.raises(DataError, match="column 1 has no observed values"):
             ingest_period(path, graph_of(["a", "b"]))
+
+    def test_wrong_cell_count_names_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a,b\n0,1,2\n1,3\n2,5,6\n")
+        with pytest.raises(DataError, match=r"obs\.csv line 3"):
+            ingest_period(path, graph_of(["a", "b"]))
+
+    def test_non_numeric_cell_names_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a,b\n0,1,2\n1,3,oops\n2,5,6\n")
+        with pytest.raises(DataError, match=r"obs\.csv line 3"):
+            ingest_period(path, graph_of(["a", "b"]))
+
+
+# Observation files whose cells numpy must read as `float()` reads them:
+# (name, body after the `time,c,a,b` header).
+CELL_SYNTAX = [
+    ("empty first cell", "0,,2,3\n1,4,5,6\n"),
+    ("empty middle cell", "0,1,,3\n1,4,5,6\n"),
+    ("empty last cell", "0,1,2,\n1,4,5,6\n"),
+    ("empty run", "0,1,2,3\n1,,,\n2,7,8,9\n"),
+    ("whitespace-only cells", "0,1,2,3\n1, ,\t,  \n2,7,8,9\n"),
+    ("non-ASCII whitespace-only cells", "0,1,2,3\n1,\u00a0,5,\u3000\n2,7,8,9\n"),
+    ("padded numbers", "0, 1 ,2\t, 3\n1,4,5,6\n"),
+    ("nan and NaN", "0,1,2,3\n1,nan,NaN,6\n2,-nan,8,9\n"),
+    ("exponent, sign, bare point", "0,1e-3,+2,.5\n1,-4E+2,5.,6\n"),
+    ("CRLF line ends", "0,1,2,3\r\n1,,5,6\r\n"),
+    ("blank lines", "0,1,2,3\n\n1,4,,6\n\n\n2,7,8,9\n"),
+    ("header only", ""),
+]
+
+
+class TestCellSyntax:
+    @pytest.mark.parametrize("body", [body for _, body in CELL_SYNTAX],
+                             ids=[name for name, _ in CELL_SYNTAX])
+    def test_bytes_match_the_cell_oracle(self, tmp_path, body):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(("time,c,a,b\n" + body).encode())
+        want = dp._impute(observation_cells(path))[:, [1, 2, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ingest_period(path, graph_of(["a", "b", "c"])).values
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "#", "0x10", "1 2"])
+    def test_non_numbers_are_data_errors(self, tmp_path, cell):
+        # `float()` reads 1_000 and the Arabic-Indic digit one; numpy does not
+        path = tmp_path / "obs.csv"
+        path.write_text("time,a\n0,1\n1,%s\n" % cell, encoding="utf-8")
+        with pytest.raises(DataError, match=r"non-numeric cell in .*obs\.csv line 3"):
+            ingest_period(path, graph_of(["a"]))
+
+
+class TestIngestMemory:
+    # Bound stated before its first run: the traced peak of ingestion is at
+    # most 3x the returned values (the parse, one imputed copy, the masks).
+    BOUND = 3.0
+
+    def test_traced_peak_within_bound(self, tmp_path):
+        T, n = 2000, 300
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((T, n))
+        blank = rng.random((T, n)) < 0.02
+        ids = ["n%03d" % j for j in range(n)]
+        path = tmp_path / "obs.csv"
+        with open(path, "w") as fh:
+            fh.write("time," + ",".join(ids) + "\n")
+            for t in range(T):
+                fh.write("%d,%s\n" % (t, ",".join("" if b else "%.5f" % v
+                                                   for v, b in zip(values[t], blank[t]))))
+        graph = graph_of(ids[::-1])
+        tracemalloc.start()
+        try:
+            series = ingest_period(path, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.values.shape == (T, n)
+        ratio = peak / series.values.nbytes
+        assert ratio <= self.BOUND, "traced peak %.2fx the returned values" % ratio
 
 
 def loop_impute(values):
@@ -377,9 +462,10 @@ class TestStreamFiles:
         loaded_stream, loaded_series = dp.load_stream_manifest(manifest)
         assert [g.n for g in loaded_stream.periods] == [g.n for g in stream.periods]
         for a, b in zip(series, loaded_series):
-            assert np.allclose(a.values, b.values)
+            assert np.array_equal(a.values, b.values)
         for a, b in zip(stream.periods, loaded_stream.periods):
-            assert np.allclose(a.adjacency, b.adjacency)
+            assert np.array_equal(a.distances, b.distances)
+            assert np.array_equal(a.adjacency, b.adjacency)
 
     def test_manifest_missing_key(self, tmp_path):
         path = tmp_path / "m.json"

@@ -317,6 +317,18 @@ class TestReadDistances:
         with pytest.raises(GraphStreamError, match=r"d\.csv line 2 has 2 fields, expected 3"):
             read_distances(path)
 
+    def test_dense_cells_read_as_float(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"0, 1.5e0\r\n\r\n+1.5 ,.0\r\n")
+        assert read_distances(path).tobytes() == np.array([[0, 1.5], [1.5, 0]]).tobytes()
+
+    def test_dense_digit_grouping_named(self, tmp_path):
+        # `float()` reads 1_000; numpy's reader does not
+        path = tmp_path / "d.csv"
+        path.write_text("0,1_000\n1_000,0\n")
+        with pytest.raises(GraphStreamError, match=r"d\.csv line 1: .*'1_000'"):
+            read_distances(path)
+
     def test_edge_list_non_numeric_distance_named(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,2.0\na,c,xx\nb,c,3.0\n")
